@@ -1,17 +1,29 @@
 """Differentiable layer kernel used by the surrogate and reward models.
 
-Tensors are plain float64 ndarrays.  The model topology is a fixed layer
-graph: every layer caches what its backward pass needs during
-``forward`` and releases gradients in reverse order through
-``backward``.  There is no general-purpose taping; the graph is the
-object tree.
+Tensors are plain ndarrays.  The model topology is a fixed layer graph:
+every layer caches what its backward pass needs during ``forward`` and
+releases gradients in reverse order through ``backward``.  There is no
+general-purpose taping; the graph is the object tree.
 
-Dropout is the only stochastic layer.  It draws its masks from an
-:class:`~pdettc.rng.RngStream`, so a forward pass is reproducible from
-(seed, stream, counter) alone.
+Dtype rule: parameters are float64 masters, and a forward pass computes
+in its input's dtype.  A float64 input reads the masters themselves; a
+float32 input reads a float32 copy of each parameter (`Param.like`),
+dropped whenever `ParamStore.load_values` or `AdamW.step` changes the
+masters and rebuilt on its next use.  Backward passes and the optimizer
+are float64 only: training forwards float64 inputs.  Module constants
+that meet activations are Python floats, because a NumPy float64 scalar
+would promote a float32 array to float64.
+
+Dropout is the only stochastic layer.  Each mask is one draw of raw
+32-bit bits from an :class:`~pdettc.rng.RngStream` (`RngStream.bits32`),
+kept where the bits are at least ceil(p * 2**32), and stored as a bool
+array, so a forward pass is reproducible from (seed, stream, counter)
+alone.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import erf
@@ -19,8 +31,8 @@ from scipy.special import erf
 from .rng import RngStream
 
 LN_EPS = 1e-5
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class NonFiniteGradient(RuntimeError):
@@ -32,15 +44,30 @@ class NonFiniteActivation(RuntimeError):
 
 
 class Param:
-    """Learnable tensor with its gradient buffer and AdamW moments."""
+    """Learnable float64 tensor with its gradient buffer, AdamW moments
+    and a float32 copy for float32 forwards."""
 
-    __slots__ = ("value", "grad", "m", "v")
+    __slots__ = ("value", "grad", "m", "v", "_f32")
 
     def __init__(self, value: np.ndarray):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
         self.m = None
         self.v = None
+        self._f32 = None
+
+    def like(self, x: np.ndarray) -> np.ndarray:
+        """The value in x's dtype: the float32 copy for a float32 x, else
+        the float64 master."""
+        if x.dtype != np.float32:
+            return self.value
+        if self._f32 is None:
+            self._f32 = self.value.astype(np.float32)
+        return self._f32
+
+    def changed(self) -> None:
+        """Drop the float32 copy after the master was written."""
+        self._f32 = None
 
 
 class ParamStore:
@@ -69,6 +96,7 @@ class ParamStore:
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         for k, p in self.params.items():
             p.value[...] = values[k]
+            p.changed()
 
 
 def trunc_normal(rng: RngStream, shape, std: float = 0.02) -> np.ndarray:
@@ -107,7 +135,7 @@ class Affine:
             )
         self._lead = x.shape[:-1]
         self._x2d = x.reshape(-1, x.shape[-1])
-        y = self._x2d @ self.w.value + self.b.value
+        y = self._x2d @ self.w.like(x) + self.b.like(x)
         return y.reshape(*self._lead, -1)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -137,7 +165,7 @@ class LayerNorm:
         var = np.mean(xc * xc, axis=-1, keepdims=True)
         self._inv = 1.0 / np.sqrt(var + LN_EPS)
         self._xhat = xc * self._inv
-        return self.g.value * self._xhat + self.b.value
+        return self.g.like(x) * self._xhat + self.b.like(x)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         axes = tuple(range(dy.ndim - 1))
@@ -168,29 +196,38 @@ class Gelu:
 
 
 class Dropout:
-    """Inverted dropout; kept entries scaled by 1/(1-p)."""
+    """Inverted dropout; kept entries scaled by 1/(1-p).
+
+    An entry is kept where its raw uint32 bits are >= ceil(p * 2**32),
+    which happens with probability 1 - p up to 2**-32.
+    """
 
     def __init__(self, p: float):
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout p must be in [0, 1), got {p}")
         self.p = p
-        self._scale = None
+        self.threshold = np.uint32(math.ceil(p * 2.0 ** 32))
+        self.scale = 1.0 / (1.0 - p)
+        self._mask = None
 
     def named_params(self, prefix: str):
         return iter(())
 
     def forward(self, x: np.ndarray, active: bool, rng: RngStream | None) -> np.ndarray:
         if not active or self.p == 0.0:
-            self._scale = None
+            self._mask = None
             return x
-        mask = rng.uniform(size=x.shape) >= self.p
-        self._scale = mask / (1.0 - self.p)
-        return x * self._scale
+        self._mask = rng.bits32(x.shape) >= self.threshold
+        y = x * self._mask
+        y *= self.scale
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._scale is None:
+        if self._mask is None:
             return dy
-        return dy * self._scale
+        dx = dy * self._mask
+        dx *= self.scale
+        return dx
 
 
 class MultiHeadSelfAttention:
@@ -423,3 +460,4 @@ class AdamW:
             if self.weight_decay:
                 update = update + self.weight_decay * p.value
             p.value -= self.lr * update
+            p.changed()

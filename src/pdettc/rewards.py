@@ -10,6 +10,7 @@ candidates ranked by MSE against ground truth.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -49,12 +50,17 @@ def _check_same_grid(u_t: Snapshot, u_next: Snapshot) -> None:
         raise ValueError(f"grid mismatch {u_t.rho.shape} vs {u_next.rho.shape}")
 
 
+def _total(density: np.ndarray) -> float:
+    """Correctly rounded sum, so a total does not depend on cell order."""
+    return math.fsum(density.ravel().tolist())
+
+
 def arm_mass(u_t: Snapshot, u_next: Snapshot) -> RewardScore:
     _check_same_grid(u_t, u_next)
-    denom = float(u_t.rho.sum())
+    denom = _total(u_t.rho)
     if denom <= 0.0:
         raise ValueError("total density of the current snapshot must be positive")
-    value = -abs(float(u_next.rho.sum()) - denom) / denom
+    value = -abs(_total(u_next.rho) - denom) / denom
     return RewardScore(value=value, model_id="arm_mass")
 
 
@@ -64,20 +70,20 @@ def arm_momentum(u_t: Snapshot, u_next: Snapshot, component: str = "x") -> Rewar
         raise ValueError(f"component must be 'x' or 'y', got {component!r}")
     v_t = u_t.vx if component == "x" else u_t.vy
     v_n = u_next.vx if component == "x" else u_next.vy
-    denom = float((u_t.rho * v_t).sum())
+    denom = _total(u_t.rho * v_t)
     eps = MOMENTUM_EPS_PER_CELL * u_t.rho.size
     if abs(denom) <= eps:
         raise UndefinedReward(
             f"net {component}-momentum {denom:.3e} below threshold {eps:.3e}")
-    value = -abs(float((u_next.rho * v_n).sum()) - denom) / abs(denom)
+    value = -abs(_total(u_next.rho * v_n) - denom) / abs(denom)
     return RewardScore(value=value, model_id=f"arm_momentum_{component}")
 
 
 def arm_energy(u_t: Snapshot, u_next: Snapshot,
                gamma: float = GAMMA_DEFAULT) -> RewardScore:
     _check_same_grid(u_t, u_next)
-    e_t = float(energy_density(u_t, gamma).sum())
-    e_n = float(energy_density(u_next, gamma).sum())
+    e_t = _total(energy_density(u_t, gamma))
+    e_n = _total(energy_density(u_next, gamma))
     value = -abs(e_n - e_t) / e_t
     return RewardScore(value=value, model_id="arm_energy")
 
@@ -313,9 +319,10 @@ class ProcessRewardModel:
         ], axis=1)
 
     def score_batch(self, cur_fields, cur_t, cand_fields, cand_t) -> np.ndarray:
+        """Float32 scores of (current, candidate) pairs."""
         x = self.pack_pair(cur_fields, np.atleast_1d(cur_t),
                            cand_fields, np.atleast_1d(cand_t))
-        return self.model.forward(x, MODE_DETERMINISTIC)
+        return self.model.forward(x.astype(np.float32), MODE_DETERMINISTIC)
 
     def score(self, u_t: Snapshot, u_cand: Snapshot) -> float:
         s = self.score_batch(u_t.fields()[None], [u_t.t],

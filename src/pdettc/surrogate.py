@@ -9,6 +9,10 @@ denormalized next snapshot.
 Stochastic inference keeps dropout active and draws each candidate's
 masks from its own counter-based stream, so candidate i at timestep k
 is the same array no matter how many other candidates are requested.
+
+`Surrogate.predict_fields`, and with it `predict` and
+`sample_candidates`, runs the transformer in float32 and returns
+float64 fields; training and `_val_mse` forward float64 inputs.
 """
 
 from __future__ import annotations
@@ -105,8 +109,9 @@ class Surrogate:
 
     def predict_fields(self, fields: np.ndarray, t_norm, mode: str,
                        rng: RngStream | None = None) -> np.ndarray:
-        """Batched forward on raw (B, 4, H, W) fields; returns raw fields."""
-        x = self.pack_inputs(fields, np.atleast_1d(t_norm))
+        """Batched float32 forward on raw (B, 4, H, W) fields; returns raw
+        float64 fields."""
+        x = self.pack_inputs(fields, np.atleast_1d(t_norm)).astype(np.float32)
         y = self.model.forward(x, mode, rng)
         return self.norm.unapply(y)
 

@@ -6,18 +6,25 @@ candidate forward (ties broken by lowest candidate index).  Candidate
 RNG streams depend only on (rollout seed, timestep, candidate index),
 so the B=1 candidate is the first candidate of every larger-B run and
 sweeps over B are paired by construction.
+
+A score is undefined (None) when the candidate is non-physical
+(non-finite fields, rho <= 0 or p <= 0; the reward is not called), when
+the reward raises `UndefinedReward`, or when it returns a non-finite
+value.  A step whose scores are all undefined falls back to candidate 0
+and is listed in ``fallback_steps``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .euler import GAMMA_DEFAULT, Normalization, Snapshot, Trajectory
+from .euler import GAMMA_DEFAULT, Normalization, Snapshot, SolverError, Trajectory
 from .rewards import (EnergyReward, MassReward, MomentumReward,
                       OracleMseReward, ProcessRewardModel, UndefinedReward)
 from .rng import mix64
@@ -106,6 +113,23 @@ def make_reward_model(name: str, *, gamma: float = GAMMA_DEFAULT,
     raise ValueError(f"unknown reward {name!r}")
 
 
+def _candidate_score(reward_model, state: Snapshot, cand: Snapshot) -> float | None:
+    """The reward of one candidate, or None where it is undefined.
+
+    Private, so that a tracer wrapping the public callables sees each
+    reward call as a direct child of `greedy_rollout`.
+    """
+    try:
+        cand.validate()
+    except SolverError:
+        return None
+    try:
+        score = float(reward_model.score(state, cand))
+    except UndefinedReward:
+        return None
+    return score if math.isfinite(score) else None
+
+
 def greedy_rollout(surrogate: Surrogate, reward_model, u_start: Snapshot,
                    cfg: TTCConfig, truth: Trajectory | None = None) -> RolloutRecord:
     """Run Algorithm-style greedy selection for cfg.n_steps steps.
@@ -122,12 +146,7 @@ def greedy_rollout(surrogate: Surrogate, reward_model, u_start: Snapshot,
         t0 = time.perf_counter()
         candidates = surrogate.sample_candidates(state, cfg.n_branch, stream_seed,
                                                  t_index=k)
-        scores: list = []
-        for cand in candidates:
-            try:
-                scores.append(float(reward_model.score(state, cand)))
-            except UndefinedReward:
-                scores.append(None)
+        scores = [_candidate_score(reward_model, state, c) for c in candidates]
         defined = [(i, s) for i, s in enumerate(scores) if s is not None]
         if defined:
             best = max(s for _, s in defined)

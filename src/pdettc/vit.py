@@ -5,6 +5,11 @@ odd-sized patches, adds a learned positional table, and runs a stack of
 pre-norm residual blocks.  The image head projects tokens back to pixel
 patches (next-snapshot prediction); the scalar head mean-pools tokens to
 a single score (reward model).
+
+A forward pass computes in its input's dtype (see `pdettc.nn`): float32
+for sampling and scoring, float64 for training, validation and gradient
+checks.  Train mode takes float64 input only, because backward passes
+and the optimizer run on the float64 parameter masters.
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ class VisionTransformer:
 
     def _run(self, x: np.ndarray, active: bool, rng: RngStream | None,
              probe: list | None = None) -> np.ndarray:
-        z = self.embed.forward(x) + self.pos.value
+        z = self.embed.forward(x) + self.pos.like(x)
         z = self.pos_drop.forward(z, active, rng)
         if probe is not None:
             probe.append(("embed+pos", z))
@@ -114,10 +119,12 @@ class VisionTransformer:
         """Run the model on a batch (B, C, H, W).
 
         ``rng`` is required when dropout is active (train or stochastic
-        inference with dropout_p > 0).
+        inference with dropout_p > 0).  A float32 x gives a float32 output.
         """
         if mode not in _MODES:
             raise ValueError(f"unknown mode {mode!r}")
+        if mode == MODE_TRAIN and x.dtype != np.float64:
+            raise ValueError(f"train mode needs float64 input, got {x.dtype}")
         active = mode in (MODE_TRAIN, MODE_STOCHASTIC) and self.cfg.dropout_p > 0.0
         if active and rng is None:
             raise ValueError("dropout active but no rng stream given")

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fd
-from pdettc.nn import (AdamW, Affine, Dropout, Gelu, LayerNorm,
+from pdettc.nn import (AdamW, Affine, Block, Dropout, Gelu, LayerNorm, Mlp,
                        MultiHeadSelfAttention, NonFiniteGradient, Param,
                        ParamStore, PatchDecode, PatchEmbed, softmax,
                        softmax_backward)
 from pdettc.rng import RngStream
-from pdettc.vit import MODE_DETERMINISTIC, ModelConfig, VisionTransformer
+from pdettc.vit import (MODE_DETERMINISTIC, MODE_STOCHASTIC, MODE_TRAIN,
+                        ModelConfig, VisionTransformer)
 
 
 def _store(layer):
@@ -186,6 +189,109 @@ def test_dropout_masks_replay_from_stream_state(np_rng):
 def test_dropout_rejects_bad_p():
     with pytest.raises(ValueError):
         Dropout(1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1),
+       counter=st.integers(0, 2**40), p=st.floats(0.01, 0.95),
+       shape=st.lists(st.integers(1, 7), min_size=1, max_size=3))
+def test_dropout_mask_is_a_pure_function_of_seed_stream_counter(seed, stream, counter,
+                                                                p, shape):
+    d = Dropout(p)
+    x = np.ones(shape)
+    rng = RngStream(seed, stream, counter)
+    y = d.forward(x, True, rng)
+    assert rng.counter == counter + 1               # one draw per mask
+    again = d.forward(x, True, RngStream(seed, stream, counter))
+    assert np.array_equal(y, again)
+    bits = RngStream(seed, stream, counter).bits32(tuple(shape))
+    assert bits.dtype == np.uint32
+    assert np.array_equal(y != 0.0, bits >= d.threshold)
+    assert np.array_equal(d.backward(x), y)         # backward reuses the mask
+
+
+def test_dropout_masks_of_consecutive_counters_do_not_overlap():
+    a = RngStream(5, 1, 0).bits32((4096,))
+    b = RngStream(5, 1, 1).bits32((4096,))
+    assert np.intersect1d(a, b).size < 8
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32), p=st.floats(0.02, 0.9))
+def test_dropout_kept_fraction_within_5_sigma(seed, p):
+    n = 20000
+    kept = np.count_nonzero(Dropout(p).forward(np.ones(n), True, RngStream(seed, 7)))
+    assert abs(kept - n * (1.0 - p)) <= 5.0 * np.sqrt(n * p * (1.0 - p))
+
+
+def _f32(rng, *shape):
+    return rng.normal(size=shape).astype(np.float32)
+
+
+def test_every_layer_stays_float32_on_the_sampling_path(np_rng):
+    r = RngStream(3, 1)
+    emb = PatchEmbed(8, 8, 3, 5, 8, RngStream(1))
+    tokens = _f32(np_rng, 2, 9, 8)
+    outputs = {
+        "affine": Affine(8, 4, RngStream(0)).forward(tokens),
+        "layernorm": LayerNorm(8).forward(tokens),
+        "gelu": Gelu().forward(tokens),
+        "dropout": Dropout(0.3).forward(tokens, True, r),
+        "softmax": softmax(tokens),
+        "mhsa": MultiHeadSelfAttention(8, 2, 0.1, RngStream(2)).forward(tokens, True, r),
+        "mlp": Mlp(8, 16, 0.1, RngStream(2)).forward(tokens, True, r),
+        "block": Block(8, 2, 2.0, 0.1, RngStream(2)).forward(tokens, True, r),
+        "patch_embed": emb.forward(_f32(np_rng, 2, 5, 8, 8)),
+        "patch_decode": PatchDecode(emb, 4, 8, RngStream(4)).forward(tokens),
+    }
+    for head in ("image", "scalar"):
+        cfg = ModelConfig(height=8, width=8, patch_size=3, in_channels=5,
+                          out_channels=4, embed_dim=8, depth=2, n_heads=2,
+                          mlp_ratio=2.0, dropout_p=0.1, head=head)
+        model = VisionTransformer(cfg, RngStream(0, 1))
+        probe: list = []
+        model._run(_f32(np_rng, 2, 5, 8, 8), True, RngStream(9), probe=probe)
+        outputs.update({f"{head}:{name}": z for name, z in probe})
+    for name, y in outputs.items():
+        assert y.dtype == np.float32, name
+
+
+def test_float32_forward_matches_float64_to_float32_rounding(tiny_model, np_rng):
+    x = np_rng.normal(size=(2, 5, 8, 8))
+    for mode in (MODE_DETERMINISTIC, MODE_STOCHASTIC):
+        y64 = tiny_model.forward(x, mode, RngStream(4, 2))
+        y32 = tiny_model.forward(x.astype(np.float32), mode, RngStream(4, 2))
+        assert y32.dtype == np.float32
+        assert np.max(np.abs(y32 - y64)) <= 64 * np.finfo(np.float32).eps * np.max(np.abs(y64))
+
+
+def test_float32_copy_follows_adamw_step_and_load_values(tiny_model, np_rng):
+    store = tiny_model.param_store()
+    x = np_rng.normal(size=(1, 5, 8, 8))
+
+    def both():
+        return (tiny_model.forward(x.astype(np.float32), MODE_DETERMINISTIC),
+                tiny_model.forward(x, MODE_DETERMINISTIC).astype(np.float32))
+
+    y32, _ = both()                                   # builds the float32 copies
+    tiny_model.forward(x, MODE_TRAIN, RngStream(1))
+    store.zero_grad()
+    tiny_model.backward(np.ones((1, 4, 8, 8)))
+    AdamW(lr=1e-2).step(store)
+    after32, after64 = both()
+    assert not np.array_equal(after32, y32)
+    assert np.allclose(after32, after64, rtol=1e-4, atol=1e-5)
+    old = store.values_copy()
+    store.load_values({k: v * 0.5 for k, v in old.items()})
+    halved32, halved64 = both()
+    assert np.allclose(halved32, halved64, rtol=1e-4, atol=1e-5)
+    assert not np.allclose(halved32, after32, rtol=1e-4, atol=1e-5)
+
+
+def test_train_mode_refuses_float32_input(tiny_model):
+    with pytest.raises(ValueError, match="float64"):
+        tiny_model.forward(np.zeros((1, 5, 8, 8), dtype=np.float32), MODE_TRAIN,
+                           RngStream(0))
 
 
 # ---------------------------------------------------------------------------

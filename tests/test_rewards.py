@@ -313,6 +313,18 @@ def test_prm_checkpoint_roundtrip(tmp_path, mini_dataset):
     assert back.score(a, b) == prm.score(a, b)
 
 
+def test_prm_score_follows_load_values(mini_dataset):
+    cfg = rewards_backbone(ModelConfig(height=16, width=16, patch_size=3, in_channels=5,
+                                       out_channels=4, embed_dim=16, depth=1, n_heads=2,
+                                       mlp_ratio=2.0, dropout_p=0.1))
+    a = ProcessRewardModel(cfg, mini_dataset.normalization, init_seed=1)
+    b = ProcessRewardModel(cfg, mini_dataset.normalization, init_seed=2)
+    u, v = mini_dataset.trajectories[0].snapshots[:2]
+    before = a.score(u, v)
+    a.store.load_values(b.store.values_copy())
+    assert a.score(u, v) == b.score(u, v) != before
+
+
 def test_prm_config_validation():
     cfg = ModelConfig()
     with pytest.raises(ValueError):

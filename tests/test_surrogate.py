@@ -175,3 +175,14 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(loss_p=0.5)
+
+
+def test_predict_follows_load_values(rp_surrogate, rp_dataset):
+    u = rp_dataset.trajectories[0].snapshots[2]
+    fresh = Surrogate(rp_surrogate.config, rp_dataset.normalization, init_seed=9)
+    fresh.predict(u)                       # builds its float32 parameter copies
+    fresh.store.load_values(rp_surrogate.store.values_copy())
+    assert np.array_equal(fresh.predict(u).fields(), rp_surrogate.predict(u).fields())
+    a = fresh.predict(u, MODE_STOCHASTIC, candidate_stream(2, 0, 0))
+    b = rp_surrogate.predict(u, MODE_STOCHASTIC, candidate_stream(2, 0, 0))
+    assert np.array_equal(a.fields(), b.fields())

@@ -1,0 +1,152 @@
+import math
+
+import numpy as np
+import pytest
+
+from pdettc.euler import GridSpec, Snapshot, generate_dataset
+from pdettc.rewards import MassReward, UndefinedReward
+from pdettc.surrogate import Surrogate
+from pdettc.ttc import (TTCConfig, greedy_rollout, load_rollout_record,
+                        save_rollout_record)
+from pdettc.vit import ModelConfig
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return generate_dataset(["rp"], 2, GridSpec(16, 16), seed=31,
+                            split_fractions=(0.5, 0.0, 0.5))
+
+
+@pytest.fixture(scope="module")
+def model(dataset):
+    cfg = ModelConfig(height=16, width=16, patch_size=3, in_channels=5,
+                      out_channels=4, embed_dim=16, depth=1, n_heads=2,
+                      mlp_ratio=2.0, dropout_p=0.1)
+    return Surrogate(cfg, dataset.normalization, init_seed=4)
+
+
+class Scripted:
+    """Reward that returns (or raises) the next scripted value per call."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.calls = 0
+
+    def score(self, u_t, u_cand):
+        v = self.values[self.calls]
+        self.calls += 1
+        if isinstance(v, Exception):
+            raise v
+        return v
+
+
+class Fixed:
+    """Surrogate stand-in returning given candidates; records its inputs."""
+
+    def __init__(self, candidates):
+        self.candidates = candidates
+        self.states = []
+
+    def sample_candidates(self, u, n_branch, rollout_seed, t_index=None):
+        self.states.append(u)
+        return self.candidates[:n_branch]
+
+
+def _uniform(t, rho=1.0, p=1.0):
+    f = np.ones((4, 8, 8))
+    f[0], f[3] = rho, p
+    return Snapshot.from_fields(f, t)
+
+
+def _run(scores, n_branch=4, n_steps=1, candidates=None):
+    start = _uniform(0.0)
+    cands = candidates or [_uniform(0.05) for _ in range(n_branch)]
+    reward = Scripted(scores)
+    cfg = TTCConfig(n_branch=n_branch, reward="arm_mass", n_steps=n_steps)
+    rec = greedy_rollout(Fixed(cands), reward, start, cfg)
+    rec.verify_argmax()
+    return rec, reward
+
+
+def test_ties_go_to_lowest_index():
+    rec, _ = _run([-3.0, -1.0, -2.0, -1.0])
+    assert rec.selected == [1]
+    assert rec.fallback_steps == []
+
+
+def test_all_undefined_falls_back_to_candidate_zero():
+    rec, _ = _run([UndefinedReward("x")] * 4 + [float("nan")] * 4, n_steps=2)
+    assert rec.selected == [0, 0]
+    assert rec.fallback_steps == [0, 1]
+    assert rec.rewards == [[None] * 4, [None] * 4]
+
+
+def test_nan_and_inf_rewards_are_undefined_not_raised():
+    rec, _ = _run([float("nan"), -2.0, float("inf"), -0.5])
+    assert rec.rewards == [[None, -2.0, None, -0.5]]
+    assert rec.selected == [3]
+    assert rec.fallback_steps == []
+
+
+@pytest.mark.parametrize("bad", [
+    {"rho": 0.0}, {"rho": -1.0}, {"p": 0.0}, {"p": -0.5}, {"rho": float("nan")},
+    {"p": float("inf")},
+])
+def test_non_physical_candidate_is_undefined_without_reward_call(bad):
+    cands = [_uniform(0.05, **bad), _uniform(0.05)]
+    rec, reward = _run([-1.0], n_branch=2, candidates=cands)
+    assert reward.calls == 1                  # only the physical candidate
+    assert rec.rewards == [[None, -1.0]]
+    assert rec.selected == [1]
+
+
+def test_b_prefix_pairing_on_the_float32_path(model, dataset):
+    start = dataset.trajectories[0].snapshots[0]
+    recs = {b: greedy_rollout(model, MassReward(), start,
+                              TTCConfig(n_branch=b, seed=17, n_steps=2))
+            for b in (1, 4, 16)}
+    first = {b: r.rewards[0][0] for b, r in recs.items()}
+    assert first[1] is not None and len(set(first.values())) == 1
+    cands = {b: model.sample_candidates(start, b, 17, t_index=0) for b in (1, 4, 16)}
+    for i in range(4):
+        assert np.array_equal(cands[4][i].fields(), cands[16][i].fields())
+    assert np.array_equal(cands[1][0].fields(), cands[16][0].fields())
+    for r in recs.values():
+        r.verify_argmax()
+
+
+def test_teacher_forced_feeds_truth_back(model, dataset):
+    truth = dataset.trajectories[0]
+    cfg = TTCConfig(n_branch=2, seed=3, n_steps=3, teacher_forced=True)
+    fixed = Fixed(model.sample_candidates(truth.snapshots[0], 2, 3, t_index=0))
+    rec = greedy_rollout(fixed, MassReward(), truth.snapshots[0], cfg, truth=truth)
+    assert all(a is b for a, b in zip(fixed.states, truth.snapshots[:3], strict=True))
+    assert len(rec.chosen) == 3
+    free = Fixed(fixed.candidates)
+    rec = greedy_rollout(free, MassReward(), truth.snapshots[0],
+                         TTCConfig(n_branch=2, seed=3, n_steps=3))
+    assert all(a is b for a, b in zip(free.states[1:], rec.chosen[:2], strict=True))
+    with pytest.raises(ValueError, match="ground-truth"):
+        greedy_rollout(model, MassReward(), truth.snapshots[0], cfg)
+
+
+def test_rollout_record_round_trip_is_exact(tmp_path, model, dataset):
+    truth = dataset.trajectories[0]
+    rec = greedy_rollout(model, Scripted([-1.0, UndefinedReward("x"), math.nan, -1.0]),
+                         truth.snapshots[0], TTCConfig(n_branch=2, seed=5, n_steps=2))
+    rec.ic_family, rec.ic_seed = "rp", 123
+    save_rollout_record(tmp_path / "a", rec)
+    back = load_rollout_record(tmp_path / "a")
+    assert back.config == rec.config
+    assert (back.ic_family, back.ic_seed) == ("rp", 123)
+    assert back.rewards == rec.rewards == [[-1.0, None], [None, -1.0]]
+    assert back.selected == rec.selected and back.fallback_steps == rec.fallback_steps
+    assert back.wall_times == rec.wall_times
+    for a, b in zip(rec.states(), back.states()):
+        assert b.t == a.t
+        assert np.array_equal(b.fields(), a.fields().astype(np.float32))
+    back.verify_argmax()
+    save_rollout_record(tmp_path / "b", back)
+    for suffix in (".json", ".bin"):
+        assert ((tmp_path / "a").with_suffix(suffix).read_bytes()
+                == (tmp_path / "b").with_suffix(suffix).read_bytes())
