@@ -316,12 +316,11 @@ def cmd_train_prm(cfg: dict, from_path: str, data_path: str, out_path: str,
     return EXIT_NUMERICAL if result.diverged else EXIT_OK
 
 
-def _sweep_trajectories(cfg: dict, ds: euler.Dataset) -> list:
-    which = cfg["ttc"]["split"]
+def _select_trajectories(ds: euler.Dataset, which: str, n: int) -> list:
+    """The first n trajectories of a dataset split (all of them when n is 0)."""
     if which not in ds.split:
         raise ConfigError(f"unknown dataset split {which!r}")
     trajs = ds.split_trajectories(which)
-    n = cfg["ttc"]["n_ics"]
     return trajs[:n] if n else trajs
 
 
@@ -333,7 +332,7 @@ def cmd_rollout(cfg: dict, surrogate_path: str, data_path: str, prm_path: str | 
     prm = rewards.ProcessRewardModel.from_checkpoint(prm_path) if prm_path else None
     if reward == "prm" and prm is None:
         raise ConfigError("reward 'prm' needs --prm CHECKPOINT")
-    trajs = _sweep_trajectories(cfg, ds)
+    trajs = _select_trajectories(ds, cfg["ttc"]["split"], cfg["ttc"]["n_ics"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = ttc.rollout_sweep(
@@ -357,8 +356,13 @@ def cmd_rollout(cfg: dict, surrogate_path: str, data_path: str, prm_path: str | 
     return EXIT_OK
 
 
-def _load_sweeps(records_dir: Path) -> tuple:
-    """Read every index.json under a records dir into sweep dicts."""
+def _load_sweeps(records_dir: Path, ds: euler.Dataset) -> tuple:
+    """Read every index.json under a records dir into sweep dicts.
+
+    Returns (sweeps, index documents, truth trajectories).  The truth is
+    the dataset split and IC count the rollouts ran on, as their indexes
+    record them; indexes that disagree on these are a config error.
+    """
     sweeps: dict = {}
     meta = []
     index_files = sorted(records_dir.glob("**/index.json"))
@@ -366,17 +370,27 @@ def _load_sweeps(records_dir: Path) -> tuple:
         raise ConfigError(f"no rollout index.json found under {records_dir}")
     for idx_file in index_files:
         index = json.loads(idx_file.read_text())
+        if "split" not in index or "n_ics" not in index:
+            raise ConfigError(f"{idx_file} does not record the split and n_ics it ran on")
         meta.append(index)
         for entry in index["records"]:
             rec = ttc.load_rollout_record(idx_file.parent / entry["base"])
             sweeps.setdefault(entry["reward"], {})[(entry["ic"], entry["B"])] = rec
-    return sweeps, meta
+    runs = sorted({(m["split"], m["n_ics"]) for m in meta})
+    if len(runs) > 1:
+        raise ConfigError(f"rollout indexes under {records_dir} disagree on "
+                          f"(split, n_ics): {runs}")
+    (which, n_ics), = runs
+    trajs = _select_trajectories(ds, which, n_ics)
+    if len(trajs) < n_ics:
+        raise ConfigError(f"the rollouts ran on {n_ics} {which} trajectories; "
+                          f"the dataset split has {len(trajs)}")
+    return sweeps, meta, trajs
 
 
 def cmd_evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> int:
     ds = storage.load_dataset(data_path)
-    sweeps, meta = _load_sweeps(Path(records_dir))
-    trajs = _sweep_trajectories(cfg, ds)
+    sweeps, meta, trajs = _load_sweeps(Path(records_dir), ds)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = metrics.evaluate(sweeps, trajs, ds.normalization, ds.gamma,
@@ -394,8 +408,7 @@ def cmd_evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> i
 
 def cmd_report(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> int:
     ds = storage.load_dataset(data_path)
-    sweeps, _ = _load_sweeps(Path(records_dir))
-    trajs = _sweep_trajectories(cfg, ds)
+    sweeps, _, trajs = _load_sweeps(Path(records_dir), ds)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = metrics.evaluate(sweeps, trajs, ds.normalization, ds.gamma,

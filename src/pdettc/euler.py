@@ -6,6 +6,28 @@ Runge-Kutta time stepping.  Because the update is written purely in
 interface-flux differences, the discrete totals of mass, momentum and
 energy telescope to floating-point roundoff.
 
+Apart from its CFL check and the validation of its result, a step
+allocates nothing but the returned snapshot.  Each direction is swept
+over a copy of the primitives padded with two periodic ghost cells per
+side, so the neighbour differences, the minmod slopes and the interface
+states are slices of one padded array rather than rolled copies.  One
+pass per interface side gives its conserved state, physical flux and
+wave speed |u_n| + c.  Every intermediate is written with ``out=`` into
+a workspace of flat float64 buffers that are reshaped as views for both
+sweep directions and both Runge-Kutta stages.  There is one workspace
+per grid: each thread keeps the one for the grid it stepped last and
+replaces it when the grid changes, so a workspace is never shared
+between threads.
+
+The result is bit-identical to the straightforward array formulation
+(``np.roll`` neighbours, fresh temporaries): every element is computed
+with the same operations in the same order.  Only exact rewrites are
+used, such as ``x*0.5`` for ``0.5*x``, a commuted product or sum, or
+``a - b`` for ``a + (-b)``.  Sums such as ``0.5*(Fl + Fr)`` are not
+distributed, and minmod keeps its sign-sum form, which fixes the sign of
+a zero slope.  tests/fv_reference.py holds the array formulation, and
+the tests compare the two bit for bit.
+
 Also hosts the initial-condition families used to build trajectory
 datasets: quadrant Riemann problems (rp), curved-interface variants
 (crp), Gaussian perturbations (gauss), Kelvin-Helmholtz shear layers
@@ -15,6 +37,7 @@ shock hitting a corrugated density interface (rm).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -193,66 +216,188 @@ def totals(s: Snapshot, gamma: float) -> np.ndarray:
     ])
 
 
-def _prim_to_cons(W: np.ndarray, gamma: float) -> np.ndarray:
-    rho, vx, vy, p = W
-    return np.stack([
-        rho, rho * vx, rho * vy,
-        p / (gamma - 1.0) + 0.5 * rho * (vx * vx + vy * vy),
-    ])
+def _prim_to_cons(U, rho, vx, vy, p, gamma, a, b) -> None:
+    """U = (rho, rho*vx, rho*vy, E) from primitives; a and b are scratch."""
+    np.copyto(U[0], rho)
+    np.multiply(rho, vx, out=U[1])
+    np.multiply(rho, vy, out=U[2])
+    # E = p/(gamma-1) + 0.5*rho*(vx*vx + vy*vy), evaluated in that order
+    np.multiply(vx, vx, out=a)
+    np.multiply(vy, vy, out=b)
+    a += b
+    np.multiply(rho, 0.5, out=b)
+    b *= a
+    np.divide(p, gamma - 1.0, out=U[3])
+    U[3] += b
 
 
-def _cons_to_prim(U: np.ndarray, gamma: float) -> np.ndarray:
-    rho = U[0]
-    vx = U[1] / rho
-    vy = U[2] / rho
-    p = (gamma - 1.0) * (U[3] - 0.5 * rho * (vx * vx + vy * vy))
-    return np.stack([rho, vx, vy, p])
+def _cons_to_prim(W, U, gamma, a) -> None:
+    """W = (rho, vx, vy, p) from conserved U; a is scratch."""
+    np.copyto(W[0], U[0])
+    np.divide(U[1], U[0], out=W[1])
+    np.divide(U[2], U[0], out=W[2])
+    # p = (gamma-1)*(E - 0.5*rho*(vx*vx + vy*vy))
+    np.multiply(W[1], W[1], out=W[3])
+    np.multiply(W[2], W[2], out=a)
+    W[3] += a
+    np.multiply(U[0], 0.5, out=a)
+    a *= W[3]
+    np.subtract(U[3], a, out=W[3])
+    W[3] *= gamma - 1.0
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
-
-
-def _phys_flux(W: np.ndarray, gamma: float, axis: int) -> np.ndarray:
-    rho, vx, vy, p = W
-    en = p / (gamma - 1.0) + 0.5 * rho * (vx * vx + vy * vy)
-    un = vx if axis == 0 else vy
-    m = rho * un
-    f = np.empty_like(W)
-    f[0] = m
-    f[1] = m * vx
-    f[2] = m * vy
-    f[3] = (en + p) * un
+def _interface_side(w, u, f, speed, a, gamma, axis) -> None:
+    """Conserved state u, physical flux f and wave speed |u_n|+c of states w."""
+    rho, vx, vy, p = w
+    un = w[1 + axis]
+    _prim_to_cons(u, rho, vx, vy, p, gamma, a, speed)
+    m = u[1 + axis]                     # rho*u_n
+    np.copyto(f[0], m)
+    np.multiply(m, vx, out=f[1])
+    np.multiply(m, vy, out=f[2])
     f[1 + axis] += p
-    return f
+    np.add(u[3], p, out=f[3])
+    f[3] *= un
+    np.multiply(p, gamma, out=speed)
+    speed /= rho
+    np.sqrt(speed, out=speed)
+    np.abs(un, out=a)
+    speed += a
 
 
-def _flux_divergence(W: np.ndarray, gamma: float, h: float, axis: int) -> np.ndarray:
-    """(F_{i+1/2} - F_{i-1/2}) / h along one direction, periodic."""
-    ax = 1 + axis
-    dm = W - np.roll(W, 1, axis=ax)
-    dp = np.roll(W, -1, axis=ax) - W
-    slope = _minmod(dp, dm)
-    wl = W + 0.5 * slope                       # left state at interface i+1/2
-    wr = np.roll(W - 0.5 * slope, -1, axis=ax)  # right state at interface i+1/2
-    ul = _prim_to_cons(wl, gamma)
-    ur = _prim_to_cons(wr, gamma)
-    cl = np.sqrt(gamma * wl[3] / wl[0])
-    cr = np.sqrt(gamma * wr[3] / wr[0])
-    un_l = wl[1 + axis]
-    un_r = wr[1 + axis]
-    smax = np.maximum(np.abs(un_l) + cl, np.abs(un_r) + cr)
-    f = 0.5 * (_phys_flux(wl, gamma, axis) + _phys_flux(wr, gamma, axis)) \
-        - 0.5 * smax * (ur - ul)
-    return (f - np.roll(f, 1, axis=ax)) / h
+def _shaped(buf: np.ndarray, shape: tuple) -> np.ndarray:
+    """A view of the front of a flat buffer with the given shape."""
+    return buf[:int(np.prod(shape))].reshape(shape)
 
 
-def _rhs(U: np.ndarray, gamma: float, grid: GridSpec) -> np.ndarray:
-    W = _cons_to_prim(U, gamma)
+class _Sweep:
+    """Views of the workspace buffers for the flux sweep along one axis.
+
+    Arrays along the sweep axis carry n + k entries for n cells: the
+    padded primitives (k=4, two periodic ghost cells on each side), their
+    differences (k=3), the limited slopes (k=2) and the interface states
+    and fluxes (k=1, interface j sits between padded cells j+1 and j+2).
+    """
+
+    def __init__(self, ws, axis):
+        nx, ny = ws.shape
+        n = ws.shape[axis]
+
+        def along(lo, hi):
+            return (slice(None),) * (1 + axis) + (slice(lo, hi),)
+
+        def view(buf, k, channels=True):
+            shape = (nx + k, ny) if axis == 0 else (nx, ny + k)
+            return _shaped(buf, (4,) + shape if channels else shape)
+
+        self.axis = axis
+        self.wp = view(ws.pad[axis], 4)
+        self.interior = self.wp[along(2, n + 2)]
+        self.ghosts = ((self.wp[along(0, 2)], self.wp[along(n, n + 2)]),
+                       (self.wp[along(n + 2, n + 4)], self.wp[along(2, 4)]))
+        self.w_hi, self.w_lo = self.wp[along(1, n + 4)], self.wp[along(0, n + 3)]
+        self.diff = view(ws.vec[0], 3)
+        self.sign = view(ws.vec[1], 3)
+        self.slope = view(ws.vec[2], 2)
+        self.minabs = view(ws.vec[1], 2)         # reuses the signs' buffer
+        # at slope cell s: dp = diff[s+1], dm = diff[s]
+        self.dp, self.dm = self.diff[along(1, n + 3)], self.diff[along(0, n + 2)]
+        self.sign_dp, self.sign_dm = self.sign[along(1, n + 3)], self.sign[along(0, n + 2)]
+        self.w_left = self.wp[along(1, n + 2)]
+        self.w_right = self.wp[along(2, n + 3)]
+        self.slope_left = self.slope[along(0, n + 1)]
+        self.slope_right = self.slope[along(1, n + 2)]
+        self.wl = view(ws.vec[0], 1)             # reuses the differences' buffer
+        self.wr = view(ws.vec[1], 1)
+        self.ul = view(ws.pad[axis], 1)          # padded primitives are spent by then
+        self.fl = view(ws.vec[2], 1)             # so are the slopes
+        self.ur = view(ws.vec[3], 1)
+        self.fr = view(ws.vec[4], 1)
+        self.sl = view(ws.sca[0], 1, channels=False)
+        self.sr = view(ws.sca[1], 1, channels=False)
+        self.scratch = view(ws.sca[2], 1, channels=False)
+        self.f_hi, self.f_lo = self.fl[along(1, n + 1)], self.fl[along(0, n)]
+
+    def fill_ghosts(self) -> None:
+        for ghost, src in self.ghosts:
+            np.copyto(ghost, src)
+
+    def divergence(self, out, gamma, h) -> None:
+        """out = (F_{i+1/2} - F_{i-1/2}) / h from the filled padded primitives."""
+        d, t = self.diff, self.slope
+        np.subtract(self.w_hi, self.w_lo, out=d)   # d[j] = W[j+1] - W[j]
+        # minmod(dp, dm) = 0.5*(sign(dp) + sign(dm)) * min(|dp|, |dm|)
+        np.sign(d, out=self.sign)
+        np.abs(d, out=d)
+        np.add(self.sign_dp, self.sign_dm, out=t)
+        t *= 0.5
+        np.minimum(self.dp, self.dm, out=self.minabs)
+        t *= self.minabs
+        t *= 0.5                                   # half slope
+        np.add(self.w_left, self.slope_left, out=self.wl)
+        np.subtract(self.w_right, self.slope_right, out=self.wr)
+        _interface_side(self.wl, self.ul, self.fl, self.sl, self.scratch, gamma, self.axis)
+        _interface_side(self.wr, self.ur, self.fr, self.sr, self.scratch, gamma, self.axis)
+        # Rusanov: 0.5*(Fl + Fr) - 0.5*smax*(Ur - Ul)
+        self.fl += self.fr
+        self.fl *= 0.5
+        np.maximum(self.sl, self.sr, out=self.sl)
+        self.sl *= 0.5
+        self.ur -= self.ul
+        self.ur *= self.sl
+        self.fl -= self.ur
+        np.subtract(self.f_hi, self.f_lo, out=out)
+        out /= h
+
+
+class _Workspace:
+    """Every buffer one fv_step needs on an (nx, ny) grid, allocated once.
+
+    Flat buffers are reshaped as views for either sweep axis.  A buffer
+    is reused once its contents are spent: a sweep's interface states go
+    into its differences and signs, its left conserved state into its
+    padded primitives, and the x divergence into the x padded buffer,
+    which the y sweep does not touch.
+    """
+
+    def __init__(self, nx, ny):
+        self.shape = (nx, ny)
+        cells = (nx + 4) * (ny + 4)
+        self.pad = [np.empty(4 * cells) for _ in range(2)]   # one per sweep axis
+        self.vec = [np.empty(4 * cells) for _ in range(5)]   # four-channel arrays
+        self.sca = [np.empty(cells) for _ in range(3)]       # one-channel arrays
+        self.U, self.U1 = np.empty((4, nx, ny)), np.empty((4, nx, ny))
+        self.div = _shaped(self.pad[0], (4, nx, ny))
+        self.div_y = _shaped(self.vec[3], (4, nx, ny))
+        self.a, self.b = (_shaped(buf, (nx, ny)) for buf in self.sca[:2])
+        self.x, self.y = _Sweep(self, 0), _Sweep(self, 1)
+
+
+_LOCAL = threading.local()
+
+
+def _workspace(nx: int, ny: int) -> _Workspace:
+    """This thread's workspace for the grid; a new grid replaces the old one."""
+    ws = getattr(_LOCAL, "workspace", None)
+    if ws is None or ws.shape != (nx, ny):
+        ws = _LOCAL.workspace = None          # free the old buffers first
+        ws = _LOCAL.workspace = _Workspace(nx, ny)
+    return ws
+
+
+def _flux_divergence(ws: _Workspace, U, gamma: float, grid: GridSpec) -> np.ndarray:
+    """ws.div = sum over both axes of the interface-flux differences of U."""
+    W = ws.x.interior
+    _cons_to_prim(W, U, gamma, ws.a)
     if np.min(W[0]) <= 0.0 or np.min(W[3]) <= 0.0:
         raise SolverError("positivity lost in intermediate stage")
-    return -(_flux_divergence(W, gamma, grid.dx, axis=0)
-             + _flux_divergence(W, gamma, grid.dy, axis=1))
+    np.copyto(ws.y.interior, W)
+    ws.x.fill_ghosts()
+    ws.y.fill_ghosts()
+    ws.x.divergence(ws.div, gamma, grid.dx)
+    ws.y.divergence(ws.div_y, gamma, grid.dy)
+    ws.div += ws.div_y
+    return ws.div
 
 
 def max_stable_dt(s: Snapshot, grid: GridSpec, gamma: float, cfl: float = 1.0) -> float:
@@ -265,22 +410,35 @@ def max_stable_dt(s: Snapshot, grid: GridSpec, gamma: float, cfl: float = 1.0) -
 
 def fv_step(u: Snapshot, dt: float, gamma: float = GAMMA_DEFAULT,
             grid: GridSpec | None = None) -> Snapshot:
-    """One conservative SSP-RK2 update with periodic boundaries."""
+    """One conservative SSP-RK2 update with periodic boundaries.
+
+    Apart from the CFL check and the final validation it allocates only
+    the returned snapshot's fields; every intermediate lives in this
+    thread's workspace for the grid.
+    """
     if grid is None:
         grid = GridSpec(nx=u.rho.shape[0], ny=u.rho.shape[1])
     if dt <= 0.0:
         raise SolverError("dt must be positive", u.t)
     if dt > max_stable_dt(u, grid, gamma) * (1.0 + 1e-12):
         raise SolverError(f"dt={dt:.3e} violates the CFL bound", u.t)
-    U = _prim_to_cons(u.fields(), gamma)
+    ws = _workspace(*u.rho.shape)
+    U, U1 = ws.U, ws.U1
+    _prim_to_cons(U, u.rho, u.vx, u.vy, u.p, gamma, ws.a, ws.b)
     try:
-        k1 = _rhs(U, gamma, grid)
-        U1 = U + dt * k1
-        k2 = _rhs(U1, gamma, grid)
+        div = _flux_divergence(ws, U, gamma, grid)
+        div *= dt
+        np.subtract(U, div, out=U1)            # U1 = U + dt*k1 with k1 = -div
+        div = _flux_divergence(ws, U1, gamma, grid)
     except SolverError as exc:
         raise SolverError(str(exc), u.t) from None
-    U2 = 0.5 * (U + U1 + dt * k2)
-    out = Snapshot.from_fields(_cons_to_prim(U2, gamma), u.t + dt)
+    div *= dt
+    U1 += U                                    # U2 = 0.5*(U + U1 + dt*k2)
+    U1 -= div
+    U1 *= 0.5
+    W = np.empty(U1.shape)
+    _cons_to_prim(W, U1, gamma, ws.a)
+    out = Snapshot(rho=W[0], vx=W[1], vy=W[2], p=W[3], t=float(u.t + dt))
     out.validate()
     return out
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .euler import GAMMA_DEFAULT, Normalization, Snapshot, Trajectory
-from .rewards import UndefinedReward, arm_energy, arm_mass, arm_momentum
+from .rewards import (UndefinedReward, energy_violation, mass_violation,
+                      momentum_violation, snapshot_totals)
 from .ttc import RolloutRecord
 
 CSV_COLUMNS = ("dataset", "family", "ic_seed", "model", "reward", "B", "t",
@@ -55,15 +56,19 @@ def conservation_trace(record: RolloutRecord, gamma: float = GAMMA_DEFAULT) -> d
     are NaN.
     """
     states = record.states()
+    totals = [snapshot_totals(s, gamma) for s in states]   # each state once
     n = len(states) - 1
     out = {k: np.full(n, np.nan) for k in ("mass", "momentum_x", "momentum_y", "energy")}
     for k in range(n):
-        u_t, u_n = states[k], states[k + 1]
-        out["mass"][k] = arm_mass(u_t, u_n).value
-        out["energy"][k] = arm_energy(u_t, u_n, gamma).value
-        for comp in ("x", "y"):
+        if states[k].rho.shape != states[k + 1].rho.shape:
+            raise ValueError(f"grid mismatch {states[k].rho.shape} vs {states[k + 1].rho.shape}")
+        (m_t, px_t, py_t, e_t), (m_n, px_n, py_n, e_n) = totals[k], totals[k + 1]
+        out["mass"][k] = mass_violation(m_t, m_n)
+        out["energy"][k] = energy_violation(e_t, e_n)
+        n_cells = states[k].rho.size
+        for comp, p_t, p_n in (("x", px_t, px_n), ("y", py_t, py_n)):
             try:
-                out[f"momentum_{comp}"][k] = arm_momentum(u_t, u_n, comp).value
+                out[f"momentum_{comp}"][k] = momentum_violation(p_t, p_n, n_cells, comp)
             except UndefinedReward:
                 pass
     return out

@@ -55,12 +55,37 @@ def _total(density: np.ndarray) -> float:
     return math.fsum(density.ravel().tolist())
 
 
+def snapshot_totals(s: Snapshot, gamma: float = GAMMA_DEFAULT) -> tuple:
+    """Correctly rounded (mass, x-momentum, y-momentum, energy) totals."""
+    return (_total(s.rho), _total(s.rho * s.vx), _total(s.rho * s.vy),
+            _total(energy_density(s, gamma)))
+
+
+def mass_violation(m_t: float, m_next: float) -> float:
+    """Mass ARM value from the two snapshots' total densities."""
+    if m_t <= 0.0:
+        raise ValueError("total density of the current snapshot must be positive")
+    return -abs(m_next - m_t) / m_t
+
+
+def momentum_violation(p_t: float, p_next: float, n_cells: int,
+                       component: str = "x") -> float:
+    """Momentum ARM value; undefined when the current total is near zero."""
+    eps = MOMENTUM_EPS_PER_CELL * n_cells
+    if abs(p_t) <= eps:
+        raise UndefinedReward(
+            f"net {component}-momentum {p_t:.3e} below threshold {eps:.3e}")
+    return -abs(p_next - p_t) / abs(p_t)
+
+
+def energy_violation(e_t: float, e_next: float) -> float:
+    """Energy ARM value from the two snapshots' total energies."""
+    return -abs(e_next - e_t) / e_t
+
+
 def arm_mass(u_t: Snapshot, u_next: Snapshot) -> RewardScore:
     _check_same_grid(u_t, u_next)
-    denom = _total(u_t.rho)
-    if denom <= 0.0:
-        raise ValueError("total density of the current snapshot must be positive")
-    value = -abs(_total(u_next.rho) - denom) / denom
+    value = mass_violation(_total(u_t.rho), _total(u_next.rho))
     return RewardScore(value=value, model_id="arm_mass")
 
 
@@ -70,21 +95,16 @@ def arm_momentum(u_t: Snapshot, u_next: Snapshot, component: str = "x") -> Rewar
         raise ValueError(f"component must be 'x' or 'y', got {component!r}")
     v_t = u_t.vx if component == "x" else u_t.vy
     v_n = u_next.vx if component == "x" else u_next.vy
-    denom = _total(u_t.rho * v_t)
-    eps = MOMENTUM_EPS_PER_CELL * u_t.rho.size
-    if abs(denom) <= eps:
-        raise UndefinedReward(
-            f"net {component}-momentum {denom:.3e} below threshold {eps:.3e}")
-    value = -abs(_total(u_next.rho * v_n) - denom) / abs(denom)
+    value = momentum_violation(_total(u_t.rho * v_t), _total(u_next.rho * v_n),
+                               u_t.rho.size, component)
     return RewardScore(value=value, model_id=f"arm_momentum_{component}")
 
 
 def arm_energy(u_t: Snapshot, u_next: Snapshot,
                gamma: float = GAMMA_DEFAULT) -> RewardScore:
     _check_same_grid(u_t, u_next)
-    e_t = _total(energy_density(u_t, gamma))
-    e_n = _total(energy_density(u_next, gamma))
-    value = -abs(e_n - e_t) / e_t
+    value = energy_violation(_total(energy_density(u_t, gamma)),
+                             _total(energy_density(u_next, gamma)))
     return RewardScore(value=value, model_id="arm_energy")
 
 

@@ -14,12 +14,20 @@ Checkpoint layout:
 
 A sidecar <path>.json mirrors every container header for human
 inspection.
+
+Every file is written to a temporary file in its own directory and then
+moved over its path with os.replace, so an interrupted write leaves the
+previous file as it was.  Readers reject files with bytes after the
+declared payload.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +53,29 @@ def _write_header(fh, magic: bytes, header: dict) -> None:
     fh.write(blob)
 
 
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A binary file handle whose contents replace path once the block ends.
+
+    The data goes to a temporary file beside path; it is moved over path
+    only when the block completes, and removed if the block raises.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _check_end(fh, path) -> None:
+    if fh.read(1):
+        raise StorageError(f"{path}: trailing bytes after the payload")
+
+
 def _read_header(fh, magic: bytes, path) -> dict:
     got = fh.read(len(magic))
     if got != magic:
@@ -62,11 +93,11 @@ def write_container(path, header: dict, payload: np.ndarray) -> None:
     header = dict(header)
     header["payload_shape"] = list(payload.shape)
     data = np.ascontiguousarray(payload, dtype="<f4")
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         _write_header(fh, CONTAINER_MAGIC, header)
         fh.write(data.tobytes())
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(header, sort_keys=True, indent=2) + "\n")
+    with _replacing(path.with_suffix(path.suffix + ".json")) as fh:
+        fh.write((json.dumps(header, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def read_container(path, expect_type: str | None = None):
@@ -76,8 +107,9 @@ def read_container(path, expect_type: str | None = None):
         shape = tuple(header["payload_shape"])
         n = int(np.prod(shape)) if shape else 0
         raw = fh.read(4 * n)
-    if len(raw) != 4 * n:
-        raise StorageError(f"{path}: truncated payload")
+        if len(raw) != 4 * n:
+            raise StorageError(f"{path}: truncated payload")
+        _check_end(fh, path)
     if expect_type is not None and header.get("record_type") != expect_type:
         raise StorageError(
             f"{path}: record_type {header.get('record_type')!r}, wanted {expect_type!r}")
@@ -166,7 +198,7 @@ def save_checkpoint(path, model_kind: str, config: ModelConfig, store: ParamStor
         "normalization": normalization.to_dict() if normalization else None,
         "extra": extra or {},
     }
-    with open(path, "wb") as fh:
+    with _replacing(Path(path)) as fh:
         _write_header(fh, CHECKPOINT_MAGIC, header)
         for n in names:
             fh.write(np.ascontiguousarray(store[n].value, dtype="<f8").tobytes())
@@ -184,6 +216,7 @@ def load_checkpoint(path) -> Checkpoint:
             if len(raw) != 8 * n:
                 raise StorageError(f"{path}: truncated parameter blob {meta['name']}")
             values[meta["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        _check_end(fh, path)
     norm = header["normalization"]
     return Checkpoint(
         model_kind=header["model_kind"],

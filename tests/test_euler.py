@@ -1,6 +1,14 @@
+import hashlib
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fv_reference as fvr
 import riemann_oracle as ro
 from pdettc import euler
 from pdettc.euler import (GridSpec, ICSpec, InvalidInitialCondition, Snapshot,
@@ -8,6 +16,7 @@ from pdettc.euler import (GridSpec, ICSpec, InvalidInitialCondition, Snapshot,
                           generate_dataset, make_initial_condition,
                           max_stable_dt, sample_ic, solve_trajectory,
                           split_indices, totals)
+from pdettc.rng import RngStream
 
 GAMMA = 1.4
 
@@ -97,6 +106,168 @@ def test_translation_equivariance_whole_cells():
         a = fv_step(a, dt, GAMMA, grid)
         b = fv_step(b, dt, GAMMA, grid)
     assert np.max(np.abs(np.roll(a.fields(), (7, 3), axis=(1, 2)) - b.fields())) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the roll-based reference step
+
+
+def reference_step(u, dt, grid):
+    return fvr.step_fields(u.fields(), dt, GAMMA, grid.dx, grid.dy)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def random_state(shape, seed, zero_v, patch):
+    """Mild random primitives, optionally with exact +-0 velocities and a uniform patch."""
+    u = RngStream(seed, 77).uniform(size=(6,) + shape)
+    f = np.stack([0.5 + u[0], 0.6 * u[1] - 0.3, 0.6 * u[2] - 0.3, 0.5 + u[3]])
+    if zero_v:
+        # a quarter of the velocities become exact zeros of either sign
+        f[1:3][u[4:6] < 0.125] = 0.0
+        f[1:3][u[4:6] > 0.875] = -0.0
+    if patch:
+        nx, ny = shape
+        f[:, nx // 4: 3 * nx // 4, : ny // 2] = [[[1.1]], [[-0.0]], [[0.2]], [[0.9]]]
+    return Snapshot.from_fields(f, 0.125)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([(8, 8), (8, 12), (24, 16)]),
+       seed=st.integers(0, 2**32), zero_v=st.booleans(), patch=st.booleans(),
+       cfl=st.floats(0.05, 1.0))
+def test_fv_step_bit_identical_to_roll_reference(shape, seed, zero_v, patch, cfl):
+    grid = GridSpec(*shape)
+    u = random_state(shape, seed, zero_v, patch)
+    dt = cfl * max_stable_dt(u, grid, GAMMA)
+    out = fv_step(u, dt, GAMMA, grid)
+    assert np.array_equal(bits(out.fields()), bits(reference_step(u, dt, grid)))
+    assert out.t == u.t + dt
+
+
+def test_fv_step_keeps_signed_zero_velocities_of_reference():
+    grid = GridSpec(8, 12)
+    fields = np.stack([np.full((8, 12), 1.0), np.full((8, 12), -0.0),
+                       np.zeros((8, 12)), np.full((8, 12), 0.8)])
+    fields[0, 2:5, 3:9] = 1.3            # density bump, still at rest
+    u = Snapshot.from_fields(fields, 0.0)
+    dt = 0.5 * max_stable_dt(u, grid, GAMMA)
+    out = fv_step(u, dt, GAMMA, grid).fields()
+    ref = reference_step(u, dt, grid)
+    assert np.array_equal(bits(out), bits(ref))
+    assert np.any(np.signbit(ref[1]) & (ref[1] == 0.0))   # the case is exercised
+
+
+# sha256 of the 21 stacked float64 snapshots of a 16x16 trajectory from
+# sample_ic(family, seed=12), computed with the roll-based solver
+FROZEN_16_DIGESTS = {
+    "rp": "3de1a835bf35b4dfb0f6defe165f209ae513492e53d9cd05e9a92c76c1c082ce",
+    "crp": "aee01e3061f8bfefc0020a17acfdb027a6379dc96c2a486747241f1d4c0fceb3",
+    "gauss": "0899be9114068574503e4928b2df33080c65f0eac6b6fd7f1c86c93d44fe8516",
+    "kh": "cfcb6753cada6da31ab5713a08c6ccc34fe81b9e5b1ba645891c78e02361f1ea",
+    "rpui": "b046d618cb3b5ca7cb725f9bfcd0a08bad9ce14981c60d12a7e0621ccf291888",
+    "rm": "e6df6d1b5c64e5006d5d97505b8f93fc4c575f28083b6c4ecd808b465a67fb48",
+}
+
+
+def trajectory_digest(traj):
+    return hashlib.sha256(np.stack([s.fields() for s in traj.snapshots]).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("family", euler.FAMILIES)
+def test_trajectory_digest_frozen(family):
+    traj = solve_trajectory(sample_ic(family, seed=12), GridSpec(16, 16))
+    assert trajectory_digest(traj) == FROZEN_16_DIGESTS[family]
+
+
+def test_interleaved_grid_shapes_give_fresh_process_bits():
+    square = solve_trajectory(sample_ic("rp", seed=12), GridSpec(16, 16))
+    grid = GridSpec(24, 16)
+    u = make_initial_condition(sample_ic("kh", seed=3), grid)
+    for _ in range(3):
+        dt = max_stable_dt(u, grid, GAMMA, 0.4)
+        ref = reference_step(u, dt, grid)
+        u = fv_step(u, dt, GAMMA, grid)
+        assert np.array_equal(bits(u.fields()), bits(ref))
+    again = solve_trajectory(sample_ic("rp", seed=12), GridSpec(16, 16))
+    assert trajectory_digest(square) == trajectory_digest(again) == FROZEN_16_DIGESTS["rp"]
+
+
+def test_threads_stepping_at_once_get_reference_bits():
+    def run(family, out):
+        grid = GridSpec(48, 40)       # one grid, so a shared workspace would be clobbered
+        u = make_initial_condition(sample_ic(family, seed=4), grid)
+        for _ in range(20):
+            dt = max_stable_dt(u, grid, GAMMA, 0.4)
+            ref = reference_step(u, dt, grid)
+            u = fv_step(u, dt, GAMMA, grid)
+            out.append(np.array_equal(bits(u.fields()), bits(ref)))
+
+    families = ("rp", "kh", "rm")
+    results = {f: [] for f in families}
+    threads = [threading.Thread(target=run, args=(f, results[f])) for f in families]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)       # switch threads often, mid-step
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == {f: [True] * 20 for f in families}
+
+
+def test_fv_step_does_not_mutate_its_input():
+    grid = GridSpec(16, 16)
+    u = make_initial_condition(sample_ic("rpui", seed=6), grid)
+    before = [a.copy() for a in (u.rho, u.vx, u.vy, u.p)]
+    out = fv_step(u, max_stable_dt(u, grid, GAMMA, 0.4), GAMMA, grid)
+    nxt = fv_step(out, max_stable_dt(out, grid, GAMMA, 0.4), GAMMA, grid)
+    for a, b in zip(before, (u.rho, u.vx, u.vy, u.p)):
+        assert np.array_equal(bits(a), bits(b))
+    # the returned fields are fresh, not views of anything the next step writes
+    assert not any(np.shares_memory(a, b) for a in out.fields() for b in nxt.fields())
+    assert not np.shares_memory(out.rho, u.rho)
+
+
+def test_intermediate_positivity_error_carries_time():
+    grid = GridSpec(8, 8)
+    # wide random state that survives the first stage and fails the second
+    r = RngStream(10).uniform(size=(4, 8, 8))
+    fields = np.stack([10 ** (-3 * r[0]), 2 * r[1] - 1, 2 * r[2] - 1, 10 ** (5 * r[3] - 4)])
+    u = Snapshot.from_fields(fields, 0.3)
+    dt = max_stable_dt(u, grid, GAMMA)
+    U = fvr.prim_to_cons(fields, GAMMA)
+    U1 = U + dt * fvr.rhs(U, GAMMA, grid.dx, grid.dy)
+    with pytest.raises(fvr.ReferenceSolverError):
+        fvr.rhs(U1, GAMMA, grid.dx, grid.dy)
+    before = u.fields().copy()
+    with pytest.raises(SolverError, match=r"positivity lost in intermediate stage \(t=0\.3\)") as exc:
+        fv_step(u, dt, GAMMA, grid)
+    assert exc.value.time == 0.3
+    assert np.array_equal(bits(u.fields()), bits(before))
+    # a non-positive input pressure fails the first stage
+    bad = Snapshot.from_fields(np.where(np.arange(4)[:, None, None] == 3, -1.0, 1.0)
+                               * np.ones((4, 8, 8)), 0.7)
+    with pytest.raises(SolverError, match="positivity lost") as exc, \
+            np.errstate(invalid="ignore"):        # its CFL bound is NaN
+        fv_step(bad, 1e-3, GAMMA, grid)
+    assert exc.value.time == 0.7
+
+
+def test_cfl_error_carries_time():
+    grid = GridSpec(16, 16)
+    u = replace(make_initial_condition(sample_ic("kh", seed=1), grid), t=0.25)
+    with pytest.raises(SolverError, match="CFL") as exc:
+        fv_step(u, 10.0 * max_stable_dt(u, grid, GAMMA), GAMMA, grid)
+    assert exc.value.time == 0.25
+    with pytest.raises(SolverError, match="positive") as exc:
+        fv_step(u, 0.0, GAMMA, grid)
+    assert exc.value.time == 0.25
 
 
 # ---------------------------------------------------------------------------

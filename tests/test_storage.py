@@ -1,14 +1,20 @@
+import builtins
+import errno
 import json
 
 import numpy as np
 import pytest
 
+from pdettc import storage
 from pdettc.euler import GridSpec, generate_dataset
 from pdettc.rng import RngStream
 from pdettc.storage import (StorageError, load_checkpoint, load_dataset,
                             read_container, save_checkpoint, save_dataset,
                             write_container)
 from pdettc.vit import ModelConfig, VisionTransformer
+
+TINY_CFG = ModelConfig(height=8, width=8, patch_size=3, in_channels=5, out_channels=4,
+                       embed_dim=8, depth=1, n_heads=2, mlp_ratio=2.0, dropout_p=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +114,67 @@ def test_checkpoint_magic_guard(tmp_path):
     path.write_bytes(b"WRONGMAG" + b"\x00" * 32)
     with pytest.raises(StorageError, match="bad magic"):
         load_checkpoint(path)
+
+
+def test_trailing_bytes_rejected(tmp_path, small_dataset):
+    path = tmp_path / "ds.pdt"
+    save_dataset(path, small_dataset)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(StorageError, match="trailing bytes"):
+        read_container(path)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, "surrogate", TINY_CFG,
+                    VisionTransformer(TINY_CFG, RngStream(3, 1)).param_store())
+    ckpt.write_bytes(ckpt.read_bytes() + b"x")
+    with pytest.raises(StorageError, match="trailing bytes"):
+        load_checkpoint(ckpt)
+
+
+class _DiskFillsUp:
+    """A binary file that accepts `budget` bytes, then fails like a full disk."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def write(self, data):
+        data = bytes(data)
+        if len(data) > self.budget:
+            self.fh.write(data[:self.budget])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _fail_writes_after(monkeypatch, budget):
+    def fake_open(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        return _DiskFillsUp(fh, budget) if "w" in mode else fh
+    monkeypatch.setattr(storage, "open", fake_open, raising=False)
+
+
+def test_failed_write_leaves_previous_files_intact(tmp_path, small_dataset, monkeypatch):
+    path = tmp_path / "ds.pdt"
+    ckpt = tmp_path / "m.ckpt"
+    store = VisionTransformer(TINY_CFG, RngStream(3, 1)).param_store()
+    save_dataset(path, small_dataset)
+    save_checkpoint(ckpt, "surrogate", TINY_CFG, store)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert set(before) == {"ds.pdt", "ds.pdt.json", "m.ckpt"}
+    other = generate_dataset(["kh"], 1, GridSpec(8, 8), seed=6)
+    store.step_count = 5
+    _fail_writes_after(monkeypatch, 4096)             # past the header, inside the payload
+    with pytest.raises(OSError, match="No space"):
+        save_dataset(path, other)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(ckpt, "surrogate", TINY_CFG, store)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    monkeypatch.undo()
+    save_dataset(path, other)
+    assert load_dataset(path).trajectories[0].ic.family == "kh"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.pdt", "ds.pdt.json", "m.ckpt"]
