@@ -47,20 +47,20 @@ class RngStream:
     def uniform(self, size=None) -> np.ndarray:
         return self._gen().random(size=size, dtype=np.float64)
 
-    def bits32(self, shape) -> np.ndarray:
-        """Uniform raw uint32 bits of the given shape, one counter step.
+    def bits16(self, shape) -> np.ndarray:
+        """Uniform raw uint16 bits of the given shape, one counter step.
 
         The Philox block counter of this draw holds the stream counter in
         its second word and 1 in its third, so a draw's blocks never
         overlap those of another counter, nor those of the other draw
         methods, which count blocks from the stream counter in the first
-        word.
+        word.  Each 64-bit Philox word gives four values.
         """
         n = int(np.prod(shape, dtype=np.int64))
         bitgen = np.random.Philox(counter=[0, self.counter & _MASK64, 1, 0],
                                   key=[self.seed, self.stream])
         self.counter += 1
-        return bitgen.random_raw((n + 1) // 2).view(np.uint32)[:n].reshape(shape)
+        return bitgen.random_raw((n + 3) // 4).view(np.uint16)[:n].reshape(shape)
 
     def normal(self, size=None, scale: float = 1.0) -> np.ndarray:
         return self._gen().normal(0.0, scale, size=size)

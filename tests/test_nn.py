@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 import fd
 from pdettc.nn import (AdamW, Affine, Block, Dropout, Gelu, LayerNorm, Mlp,
-                       MultiHeadSelfAttention, NonFiniteGradient, Param,
-                       ParamStore, PatchDecode, PatchEmbed, softmax,
-                       softmax_backward)
+                       MultiHeadSelfAttention, NonFiniteActivation,
+                       NonFiniteGradient, Param, ParamStore, PatchDecode,
+                       PatchEmbed, _erf32, softmax, softmax_backward)
 from pdettc.rng import RngStream
 from pdettc.vit import (MODE_DETERMINISTIC, MODE_STOCHASTIC, MODE_TRAIN,
                         ModelConfig, VisionTransformer)
@@ -186,9 +189,23 @@ def test_dropout_masks_replay_from_stream_state(np_rng):
     assert not np.array_equal(y1, y3)
 
 
-def test_dropout_rejects_bad_p():
-    with pytest.raises(ValueError):
-        Dropout(1.0)
+@pytest.mark.parametrize("p", [1.0, 1.0 - 2.0 ** -17, np.nextafter(1.0 - 2.0 ** -16, 1.0),
+                               -0.1, float("nan")])
+def test_dropout_rejects_bad_p(p):
+    with pytest.raises(ValueError, match=f"p={p}"):
+        Dropout(p)
+
+
+def test_dropout_threshold_sets_the_effective_p():
+    top = Dropout(1.0 - 2.0 ** -16)                 # the largest p that fits uint16
+    assert top.threshold == np.uint16(0xFFFF)
+    for p in (1e-9, 0.1, 0.3, 0.5, 0.9):
+        t = int(Dropout(p).threshold)
+        assert 0.0 <= t / 2 ** 16 - p < 2.0 ** -16   # effective p = threshold / 2**16
+    x = np.ones(2 ** 16)
+    bits = RngStream(2, 5).bits16(x.shape)
+    kept = np.count_nonzero(Dropout(0.1).forward(x, True, RngStream(2, 5)))
+    assert kept == np.count_nonzero(bits >= Dropout(0.1).threshold)
 
 
 @settings(max_examples=30, deadline=None)
@@ -204,16 +221,19 @@ def test_dropout_mask_is_a_pure_function_of_seed_stream_counter(seed, stream, co
     assert rng.counter == counter + 1               # one draw per mask
     again = d.forward(x, True, RngStream(seed, stream, counter))
     assert np.array_equal(y, again)
-    bits = RngStream(seed, stream, counter).bits32(tuple(shape))
-    assert bits.dtype == np.uint32
+    bits = RngStream(seed, stream, counter).bits16(tuple(shape))
+    assert bits.dtype == np.uint16
     assert np.array_equal(y != 0.0, bits >= d.threshold)
     assert np.array_equal(d.backward(x), y)         # backward reuses the mask
 
 
 def test_dropout_masks_of_consecutive_counters_do_not_overlap():
-    a = RngStream(5, 1, 0).bits32((4096,))
-    b = RngStream(5, 1, 1).bits32((4096,))
-    assert np.intersect1d(a, b).size < 8
+    a = RngStream(5, 1, 0).bits16((4096,))
+    b = RngStream(5, 1, 1).bits16((4096,))
+    # equal positions under any shift stay at chance, 2**-16 per position
+    for s in range(512):
+        assert np.count_nonzero(a[s:] == b[:a.size - s]) < 8, s
+        assert np.count_nonzero(b[s:] == a[:a.size - s]) < 8, s
 
 
 @settings(max_examples=20, deadline=None)
@@ -222,6 +242,49 @@ def test_dropout_kept_fraction_within_5_sigma(seed, p):
     n = 20000
     kept = np.count_nonzero(Dropout(p).forward(np.ones(n), True, RngStream(seed, 7)))
     assert abs(kept - n * (1.0 - p)) <= 5.0 * np.sqrt(n * p * (1.0 - p))
+
+
+# ---------------------------------------------------------------------------
+# float32 erf and in-place kernels
+
+
+def test_erf32_error_below_1e_6_on_a_dense_grid():
+    x = np.linspace(-8.0, 8.0, 2_000_001, dtype=np.float32)
+    y = _erf32(x)
+    assert y.dtype == np.float32
+    assert np.max(np.abs(y.astype(np.float64) - erf(x.astype(np.float64)))) <= 1e-6
+
+
+def test_erf32_is_odd_and_keeps_special_values():
+    x = np.linspace(0.0, 9.0, 100_001, dtype=np.float32)
+    assert np.array_equal(_erf32(-x), -_erf32(x))
+    special = _erf32(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0], dtype=np.float32))
+    assert np.array_equal(special[:2], [1.0, -1.0])
+    assert np.isnan(special[2])
+    assert special[3] == 0.0 and not np.signbit(special[3]) and np.signbit(special[4])
+
+
+def test_gelu_float64_and_softmax_bitwise_equal_to_the_plain_formulas(np_rng):
+    x = np_rng.normal(scale=3.0, size=(3, 7, 33))
+    old_gelu = 0.5 * x * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    assert np.array_equal(Gelu().forward(x).view(np.uint64), old_gelu.view(np.uint64))
+    for dtype, view in ((np.float64, np.uint64), (np.float32, np.uint32)):
+        z = x.astype(dtype)
+        for axis in (-1, 1):
+            e = np.exp(z - np.max(z, axis=axis, keepdims=True))
+            old = e / np.sum(e, axis=axis, keepdims=True)
+            got = softmax(z, axis=axis)
+            assert got.dtype == dtype
+            assert np.array_equal(got.view(view), old.view(view))
+
+
+def test_nan_in_a_float32_block_names_that_block(tiny_cfg, np_rng):
+    model = VisionTransformer(dataclasses.replace(tiny_cfg, depth=2), RngStream(0, 1))
+    x = np_rng.normal(size=(1, 5, 8, 8)).astype(np.float32)
+    model.blocks[1].mlp.fc1.w.like(x)[0, 0] = np.nan     # the float32 copy only
+    for mode in (MODE_DETERMINISTIC, MODE_STOCHASTIC):
+        with pytest.raises(NonFiniteActivation, match="'blocks.1'"):
+            model.forward(x, mode, RngStream(1))
 
 
 def _f32(rng, *shape):
