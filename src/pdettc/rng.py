@@ -4,6 +4,14 @@ Every random draw in this package is a pure function of
 (seed, stream, counter).  A stream never touches global state, so
 independent consumers (dropout layers, candidate samplers, dataset
 generators) can be given independent streams and replayed exactly.
+
+Each draw is one Philox4x64 bit generator keyed by (seed, stream).  Its
+128-bit key is built from a uint64 array, so every 64-bit seed and stream
+id is a distinct key.  Its block counter is [block, counter, kind, 0]:
+the draw counts its blocks in the first word, the stream counter sits in
+the second and the kind of draw (0 for the Generator methods, 1 for
+`RngStream.bits16`) in the third.  Draws at different counters or of
+different kinds therefore never share a block (Salmon et al., SC'11).
 """
 
 from __future__ import annotations
@@ -36,13 +44,17 @@ class RngStream:
         self.stream = int(stream) & _MASK64
         self.counter = int(counter)
 
-    def _gen(self) -> np.random.Generator:
+    def _philox(self, kind: int) -> np.random.Philox:
+        """The bit generator of the draw at the current counter; advances it."""
         bitgen = np.random.Philox(
-            counter=[self.counter & _MASK64, 0, 0, 0],
-            key=[self.seed, self.stream],
+            counter=np.array([0, self.counter & _MASK64, kind, 0], dtype=np.uint64),
+            key=np.array([self.seed, self.stream], dtype=np.uint64),
         )
         self.counter += 1
-        return np.random.Generator(bitgen)
+        return bitgen
+
+    def _gen(self) -> np.random.Generator:
+        return np.random.Generator(self._philox(0))
 
     def uniform(self, size=None) -> np.ndarray:
         return self._gen().random(size=size, dtype=np.float64)
@@ -50,17 +62,12 @@ class RngStream:
     def bits16(self, shape) -> np.ndarray:
         """Uniform raw uint16 bits of the given shape, one counter step.
 
-        The Philox block counter of this draw holds the stream counter in
-        its second word and 1 in its third, so a draw's blocks never
-        overlap those of another counter, nor those of the other draw
-        methods, which count blocks from the stream counter in the first
-        word.  Each 64-bit Philox word gives four values.
+        The values are the draw's raw 64-bit Philox words split into four
+        uint16 each, in memory order.
         """
         n = int(np.prod(shape, dtype=np.int64))
-        bitgen = np.random.Philox(counter=[0, self.counter & _MASK64, 1, 0],
-                                  key=[self.seed, self.stream])
-        self.counter += 1
-        return bitgen.random_raw((n + 3) // 4).view(np.uint16)[:n].reshape(shape)
+        raw = self._philox(1).random_raw((n + 3) // 4)
+        return raw.view(np.uint16)[:n].reshape(shape)
 
     def normal(self, size=None, scale: float = 1.0) -> np.ndarray:
         return self._gen().normal(0.0, scale, size=size)
@@ -70,10 +77,6 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen().permutation(n)
-
-    def child(self, *parts: int) -> "RngStream":
-        """Independent stream derived from this stream's identity."""
-        return RngStream(self.seed, mix64(self.stream, *parts))
 
     def clone(self) -> "RngStream":
         return RngStream(self.seed, self.stream, self.counter)

@@ -92,10 +92,10 @@ def write_container(path, header: dict, payload: np.ndarray) -> None:
     path = Path(path)
     header = dict(header)
     header["payload_shape"] = list(payload.shape)
-    data = np.ascontiguousarray(payload, dtype="<f4")
+    data = np.ascontiguousarray(payload, dtype="<f4")   # no copy if already so
     with _replacing(path) as fh:
         _write_header(fh, CONTAINER_MAGIC, header)
-        fh.write(data.tobytes())
+        fh.write(data)
     with _replacing(path.with_suffix(path.suffix + ".json")) as fh:
         fh.write((json.dumps(header, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
@@ -143,12 +143,11 @@ def save_dataset(path, ds: Dataset, config_digest: str | None = None) -> None:
     }
     if config_digest is not None:
         header["config_digest"] = config_digest
-    if n:
-        payload = np.stack([
-            np.stack([s.fields() for s in tr.snapshots]) for tr in ds.trajectories
-        ])
-    else:
-        payload = np.zeros((0, 0, 4, ds.grid.nx, ds.grid.ny))
+    payload = np.empty((n, n_t, 4, ds.grid.nx, ds.grid.ny), dtype="<f4")
+    for i, tr in enumerate(ds.trajectories):
+        for k, s in enumerate(tr.snapshots):
+            for c, field in enumerate((s.rho, s.vx, s.vy, s.p)):
+                payload[i, k, c] = field
     write_container(path, header, payload)
 
 

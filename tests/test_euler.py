@@ -162,13 +162,14 @@ def test_fv_step_keeps_signed_zero_velocities_of_reference():
 
 # sha256 of the 21 stacked float64 snapshots of a 16x16 trajectory from
 # sample_ic(family, seed=12), computed with the roll-based solver
+# (fv_reference.step_fields in place of fv_step)
 FROZEN_16_DIGESTS = {
-    "rp": "3de1a835bf35b4dfb0f6defe165f209ae513492e53d9cd05e9a92c76c1c082ce",
-    "crp": "aee01e3061f8bfefc0020a17acfdb027a6379dc96c2a486747241f1d4c0fceb3",
-    "gauss": "0899be9114068574503e4928b2df33080c65f0eac6b6fd7f1c86c93d44fe8516",
-    "kh": "cfcb6753cada6da31ab5713a08c6ccc34fe81b9e5b1ba645891c78e02361f1ea",
-    "rpui": "b046d618cb3b5ca7cb725f9bfcd0a08bad9ce14981c60d12a7e0621ccf291888",
-    "rm": "e6df6d1b5c64e5006d5d97505b8f93fc4c575f28083b6c4ecd808b465a67fb48",
+    "rp": "9412d7a673f0e5e68be06f020901b5ed80ac83179ef30500b52e3443b9e9e74e",
+    "crp": "f54aba9c6107394adef7ffded5ea6d97c806e8686e4e3d7b755518ca151ad276",
+    "gauss": "4a8a4336e39738ae19c2a4fc80f93549c6c0ffdc4875d528d9582a4d37819369",
+    "kh": "388a6f8c0d17144d1ee5374ceee35a240a64b913dcb058e2dcd30ca029208f1b",
+    "rpui": "cd0b34fc09fe5d9b373c9acd8755500a839cc4de2dd1ddb061dc6aff606889e3",
+    "rm": "ff1ce19cb399be2314ba5073276e40f8dfddfd522077d22fb512ba8dc964dbc4",
 }
 
 

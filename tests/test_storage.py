@@ -1,12 +1,14 @@
 import builtins
 import errno
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from pdettc import storage
-from pdettc.euler import GridSpec, generate_dataset
+from pdettc.euler import (Dataset, GridSpec, ICSpec, Normalization, Snapshot,
+                          Trajectory, generate_dataset)
 from pdettc.rng import RngStream
 from pdettc.storage import (StorageError, load_checkpoint, load_dataset,
                             read_container, save_checkpoint, save_dataset,
@@ -55,6 +57,29 @@ def test_dataset_write_is_bit_deterministic(tmp_path, small_dataset):
     save_dataset(p1, small_dataset)
     save_dataset(p2, small_dataset)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_dataset_container_bytes_frozen(tmp_path):
+    # hand-built, so the bytes depend only on the container format; the
+    # digests were computed with the float64-stacking save_dataset
+    times = np.array([0.0, 0.125, 0.25])
+    base = np.arange(4 * 8 * 8, dtype=np.float64).reshape(4, 8, 8)
+    trajs = [Trajectory(ic=ICSpec(fam, {"a": 0.5 + k}, seed=k),
+                        snapshots=[Snapshot.from_fields(base / (7.0 + k) + t + 1.0, t)
+                                   for t in times],
+                        times=times)
+             for k, fam in enumerate(("rp", "kh"))]
+    ds = Dataset(grid=GridSpec(8, 8), gamma=1.4, trajectories=trajs,
+                 split={"train": [1], "val": [0], "test": []},
+                 normalization=Normalization.from_trajectories(trajs[1:]), seed=3,
+                 families=("rp", "kh"))
+    save_dataset(tmp_path / "ds.pdt", ds, config_digest="abc")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("ds.pdt", "ds.pdt.json")}
+    assert digests == {
+        "ds.pdt": "b3692941e4f1aacb10c67ff4df58a9a927dbd5de07b69ee195c5e1f208611e2a",
+        "ds.pdt.json": "ac9545ac516462343c8ae0a48c83665b77d42e3f12cf98b22fdc0965572bf1be",
+    }
 
 
 def test_empty_dataset_roundtrip(tmp_path):
