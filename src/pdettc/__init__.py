@@ -11,16 +11,16 @@ from .euler import (GridSpec, Snapshot, ICSpec, Trajectory, Dataset,
                     solve_trajectory, generate_dataset, conservation_drift,
                     totals, SolverError, InvalidInitialCondition)
 from .metrics import aggregate_gain, conservation_trace, evaluate, mse, sample_gain
-from .rewards import (PRMConfig, ProcessRewardModel, RewardScore, TripletRecord,
-                      UndefinedReward, arm_energy, arm_mass, arm_momentum,
-                      build_prm_triplets, prm_score, ranking_accuracy,
-                      train_prm, triplet_loss)
+from .rewards import (EnergyReward, MassReward, MomentumReward, OracleMseReward,
+                      PRMConfig, ProcessRewardModel, TripletRecord,
+                      build_prm_triplets, ranking_accuracy, train_prm,
+                      triplet_loss)
 from .rng import RngStream, mix64
 from .storage import load_checkpoint, load_dataset, save_dataset
 from .surrogate import (DESK_MODEL, PAPER_MODEL, Surrogate, TrainConfig,
                         TrainResult, finetune, train)
 from .ttc import (RolloutRecord, TTCConfig, greedy_rollout, make_reward_model,
-                  rollout_sweep)
+                  rollout_sweep, select)
 from .vit import (MODE_DETERMINISTIC, MODE_STOCHASTIC, MODE_TRAIN, ModelConfig,
                   VisionTransformer)
 

@@ -7,13 +7,16 @@ PDETTC_SEED overrides the config seed (flags still win).  Every command
 is deterministic given its effective config; artifacts embed the
 config digest that produced them.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure.
+Exit codes: 0 ok, 2 config or input error (a bad flag or config value, a
+missing, corrupt or mismatched input file; one line on stderr), 3
+numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -36,6 +39,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _field_defaults(cls) -> dict:
+    """Defaults of a config dataclass's fields, leaving out the ones set
+    from elsewhere (the seed and the PRM's backbone)."""
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.name not in ("seed", "backbone")}
+
+
 DEFAULTS = {
     "seed": 0,
     "output_dir": "runs/out",
@@ -50,17 +60,13 @@ DEFAULTS = {
         "path": "dataset.pdt",
     },
     "model": {"preset": "desk", "patch": "vit5", "time_channel": True},
-    "train": {"lr": 3e-4, "weight_decay": 1e-7, "batch_size": 32, "epochs": 20,
-              "loss_p": 2.0},
+    "train": _field_defaults(sg.TrainConfig),
     "finetune": {"n_traj": 32, "lr": 1e-4, "weight_decay": 0.01, "batch_size": 32,
                  "epochs": 30, "loss_p": 2.0},
-    "prm": {"k_candidates": 100, "margin": 0.1, "lr": 1e-4, "weight_decay": 0.0,
-            "batch_triplets": 8, "epochs": 10, "patience": 3,
-            "orientation": "higher_better", "train_trajectories": 0,
-            "holdout_trajectories": 0},
+    "prm": {**_field_defaults(rewards.PRMConfig),
+            "train_trajectories": 0, "holdout_trajectories": 0},
     "ttc": {"b_list": [1, 4, 16, 64], "reward": "prm", "n_steps": 20,
-            "paired_streams": True, "teacher_forced": False, "n_ics": 0,
-            "split": "test"},
+            "teacher_forced": False, "n_ics": 0, "split": "test"},
 }
 
 _SCHEMA_TYPES = {
@@ -75,11 +81,10 @@ _SCHEMA_TYPES = {
     "finetune.batch_size": int, "finetune.epochs": int, "finetune.loss_p": float,
     "prm.k_candidates": int, "prm.margin": float, "prm.lr": float,
     "prm.weight_decay": float, "prm.batch_triplets": int, "prm.epochs": int,
-    "prm.patience": int, "prm.orientation": str, "prm.train_trajectories": int,
+    "prm.patience": int, "prm.train_trajectories": int,
     "prm.holdout_trajectories": int,
     "ttc.b_list": list, "ttc.reward": str, "ttc.n_steps": int,
-    "ttc.paired_streams": bool, "ttc.teacher_forced": bool, "ttc.n_ics": int,
-    "ttc.split": str,
+    "ttc.teacher_forced": bool, "ttc.n_ics": int, "ttc.split": str,
 }
 
 
@@ -211,16 +216,14 @@ def cmd_gen_data(cfg: dict) -> int:
 
 
 def _train_config_from(section: dict, seed: int) -> sg.TrainConfig:
-    return sg.TrainConfig(lr=section["lr"], weight_decay=section["weight_decay"],
-                          batch_size=section["batch_size"], epochs=section["epochs"],
-                          loss_p=section["loss_p"], seed=seed)
+    return sg.TrainConfig(seed=seed, **{k: section[k] for k in DEFAULTS["train"]})
 
 
 def _write_history_csv(path, history) -> None:
-    with open(path, "w") as fh:
-        fh.write("epoch,train_loss,val_mse,seconds\n")
-        for h in history:
-            fh.write(f"{h['epoch']},{h['train_loss']},{h['val_mse']},{h['seconds']}\n")
+    lines = ["epoch,train_loss,val_mse,seconds\n"]
+    for h in history:
+        lines.append(f"{h['epoch']},{h['train_loss']},{h['val_mse']},{h['seconds']}\n")
+    storage.write_text(path, "".join(lines))
 
 
 def _finish_training(result, out_path, cfg, label) -> int:
@@ -296,11 +299,8 @@ def cmd_train_prm(cfg: dict, from_path: str, data_path: str, out_path: str,
         if triplets_out:
             rewards.save_triplets(triplets_out, train_triplets, ds.grid, ds.gamma)
             print(f"wrote {len(train_triplets)} triplets to {triplets_out}")
-    prm_cfg = rewards.PRMConfig(
-        backbone=model.config, margin=p["margin"], k_candidates=p["k_candidates"],
-        lr=p["lr"], weight_decay=p["weight_decay"],
-        batch_triplets=p["batch_triplets"], epochs=p["epochs"],
-        patience=p["patience"], seed=cfg["seed"], orientation=p["orientation"])
+    prm_cfg = rewards.PRMConfig(backbone=model.config, seed=cfg["seed"],
+                                **{k: p[k] for k in _field_defaults(rewards.PRMConfig)})
 
     def log(rec):
         print(f"epoch {rec['epoch']}: loss {rec['train_loss']:.6g} "
@@ -338,10 +338,10 @@ def cmd_rollout(cfg: dict, surrogate_path: str, data_path: str, prm_path: str | 
     records = ttc.rollout_sweep(
         model, reward, trajs, cfg["ttc"]["b_list"], cfg["seed"], prm=prm,
         gamma=ds.gamma, n_steps=cfg["ttc"]["n_steps"],
-        paired_streams=cfg["ttc"]["paired_streams"],
         teacher_forced=cfg["ttc"]["teacher_forced"],
         log=lambda m: print(m))
     index = {"config_digest": config_digest(cfg), "dataset": str(data_path),
+             "dataset_digest": storage.payload_digest(data_path),
              "reward": reward, "split": cfg["ttc"]["split"],
              "n_ics": len(trajs), "records": []}
     for (ic, b), rec in records.items():
@@ -349,20 +349,23 @@ def cmd_rollout(cfg: dict, surrogate_path: str, data_path: str, prm_path: str | 
         ttc.save_rollout_record(base, rec)
         index["records"].append({"reward": reward, "ic": ic, "B": b,
                                  "base": base.name})
-    with open(out / "index.json", "w") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    storage.write_text(out / "index.json", json.dumps(index, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(records)} rollout records to {out}")
     return EXIT_OK
 
 
-def _load_sweeps(records_dir: Path, ds: euler.Dataset) -> tuple:
-    """Read every index.json under a records dir into sweep dicts.
+def _evaluate_records(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> tuple:
+    """Evaluate the rollouts indexed under records_dir against their truth.
 
-    Returns (sweeps, index documents, truth trajectories).  The truth is
-    the dataset split and IC count the rollouts ran on, as their indexes
-    record them; indexes that disagree on these are a config error.
+    Returns (report, sweeps, truth trajectories, index documents) and
+    creates out_dir.  The truth is the dataset split and IC count the
+    rollouts ran on, as their indexes record them.  Indexes that disagree
+    on these, or that ran on a dataset whose payload differs from
+    data_path's, are a config error.
     """
+    ds = storage.load_dataset(data_path)
+    digest = storage.payload_digest(data_path)
+    records_dir = Path(records_dir)
     sweeps: dict = {}
     meta = []
     index_files = sorted(records_dir.glob("**/index.json"))
@@ -370,8 +373,13 @@ def _load_sweeps(records_dir: Path, ds: euler.Dataset) -> tuple:
         raise ConfigError(f"no rollout index.json found under {records_dir}")
     for idx_file in index_files:
         index = json.loads(idx_file.read_text())
-        if "split" not in index or "n_ics" not in index:
-            raise ConfigError(f"{idx_file} does not record the split and n_ics it ran on")
+        if not all(k in index for k in ("split", "n_ics", "dataset_digest")):
+            raise ConfigError(f"{idx_file} does not record the split, n_ics and "
+                              f"dataset digest it ran on")
+        if index["dataset_digest"] != digest:
+            raise ConfigError(f"{idx_file} ran on dataset {index['dataset']} "
+                              f"(payload digest {index['dataset_digest'][:16]}), "
+                              f"not on --data (payload digest {digest[:16]})")
         meta.append(index)
         for entry in index["records"]:
             rec = ttc.load_rollout_record(idx_file.parent / entry["base"])
@@ -385,17 +393,16 @@ def _load_sweeps(records_dir: Path, ds: euler.Dataset) -> tuple:
     if len(trajs) < n_ics:
         raise ConfigError(f"the rollouts ran on {n_ics} {which} trajectories; "
                           f"the dataset split has {len(trajs)}")
-    return sweeps, meta, trajs
-
-
-def cmd_evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> int:
-    ds = storage.load_dataset(data_path)
-    sweeps, meta, trajs = _load_sweeps(Path(records_dir), ds)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report = metrics.evaluate(sweeps, trajs, ds.normalization, ds.gamma,
                               dataset_label=Path(data_path).stem,
                               model_label=cfg["model"]["patch"])
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return report, sweeps, trajs, meta
+
+
+def cmd_evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> int:
+    report, _, _, meta = _evaluate_records(cfg, records_dir, data_path, out_dir)
+    out = Path(out_dir)
     metrics.write_rows_csv(out / "metrics.csv", report.rows)
     metrics.write_summary_json(out / "summary.json", report,
                                extra={"config_digest": config_digest(cfg),
@@ -407,13 +414,8 @@ def cmd_evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> i
 
 
 def cmd_report(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> int:
-    ds = storage.load_dataset(data_path)
-    sweeps, _, trajs = _load_sweeps(Path(records_dir), ds)
+    report, sweeps, trajs, _ = _evaluate_records(cfg, records_dir, data_path, out_dir)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report = metrics.evaluate(sweeps, trajs, ds.normalization, ds.gamma,
-                              dataset_label=Path(data_path).stem,
-                              model_label=cfg["model"]["patch"])
     metrics.write_summary_json(out / "summary.json", report,
                                extra={"config_digest": config_digest(cfg)})
     emitted = []
@@ -446,6 +448,33 @@ def cmd_report(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> int
 # Argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError, which `main` prints as
+    one line and turns into EXIT_CONFIG."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _positive_ints(text: str) -> list:
+    """Comma list of positive integers, e.g. '1,4,16'."""
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+    if any(v < 1 for v in values):
+        raise argparse.ArgumentTypeError(f"branching factors must be >= 1, got {text!r}")
+    return values
+
+
+def _split_fractions(text: str) -> list:
+    """Three non-negative train,val,test fractions summing to 1."""
+    try:
+        return euler.check_split_fractions([float(x) for x in text.split(",")]).tolist()
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common(p):
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="override config seed")
@@ -453,8 +482,7 @@ def _add_common(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="pdettc",
-                                 description="PDE surrogate test-time computing harness")
+    ap = _Parser(prog="pdettc", description="PDE surrogate test-time computing harness")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a solver dataset")
@@ -462,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", help="comma list, e.g. rp,kh")
     p.add_argument("--n", type=int, help="trajectories per family")
     p.add_argument("--grid", type=int, help="cells per side")
-    p.add_argument("--split", help="train,val,test fractions")
+    p.add_argument("--split", type=_split_fractions, help="train,val,test fractions")
     p.add_argument("--gamma", type=float)
     p.add_argument("--cfl", type=float)
     p.add_argument("--out", help="dataset path")
@@ -496,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="triplet margin")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--orientation", choices=["higher_better", "lower_better"])
     p.add_argument("--triplets-in", help="reuse a saved triplet store")
     p.add_argument("--triplets-out", help="save the built triplet store")
     p.add_argument("--out", required=True)
@@ -507,19 +534,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--prm", help="PRM checkpoint (for --reward prm)")
     p.add_argument("--reward", choices=list(ttc.REWARD_NAMES))
-    p.add_argument("--B", help="comma list of branching factors")
+    p.add_argument("--B", type=_positive_ints, help="comma list of branching factors")
     p.add_argument("--n-ics", type=int)
-    p.add_argument("--split", choices=["train", "val", "test"])
+    p.add_argument("--split", dest="ttc_split", choices=["train", "val", "test"])
     p.add_argument("--teacher-forced", action="store_true", default=None)
-    p.add_argument("--independent-streams", action="store_true", default=None)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("evaluate", help="metrics CSV + summary from records")
     _add_common(p)
     p.add_argument("--records-dir", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--reward", choices=list(ttc.REWARD_NAMES),
-                   help="kept for parity with rollout; evaluation reads records")
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("report", help="render curves and field images")
@@ -538,10 +562,7 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> None:
     _set(cfg, "data.n_per_family", getattr(args, "n", None))
     if getattr(args, "grid", None):
         cfg["grid"]["nx"] = cfg["grid"]["ny"] = args.grid
-    if getattr(args, "split", None) and isinstance(args.split, str) and "," in args.split:
-        cfg["data"]["split"] = [float(x) for x in args.split.split(",")]
-    elif getattr(args, "split", None) and args.command == "rollout":
-        cfg["ttc"]["split"] = args.split
+    _set(cfg, "data.split", getattr(args, "split", None))
     _set(cfg, "data.gamma", getattr(args, "gamma", None))
     _set(cfg, "data.cfl", getattr(args, "cfl", None))
     if getattr(args, "out", None) and args.command == "gen-data":
@@ -559,24 +580,18 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> None:
         _set(cfg, "prm.margin", getattr(args, "alpha", None))
         _set(cfg, "prm.epochs", getattr(args, "epochs", None))
         _set(cfg, "prm.lr", getattr(args, "lr", None))
-        _set(cfg, "prm.orientation", getattr(args, "orientation", None))
     if args.command == "rollout":
-        if getattr(args, "B", None):
-            cfg["ttc"]["b_list"] = [int(x) for x in args.B.split(",")]
-        _set(cfg, "ttc.reward", getattr(args, "reward", None))
-        _set(cfg, "ttc.n_ics", getattr(args, "n_ics", None))
-        if args.teacher_forced:
-            cfg["ttc"]["teacher_forced"] = True
-        if args.independent_streams:
-            cfg["ttc"]["paired_streams"] = False
+        _set(cfg, "ttc.b_list", args.B)
+        _set(cfg, "ttc.reward", args.reward)
+        _set(cfg, "ttc.n_ics", args.n_ics)
+        _set(cfg, "ttc.split", args.ttc_split)
+        _set(cfg, "ttc.teacher_forced", args.teacher_forced)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
         _apply_flags(cfg, args)
         _validate(cfg, DEFAULTS)
     except ConfigError as exc:
@@ -601,6 +616,12 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except storage.StorageError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except FileNotFoundError as exc:
+        print(f"input error: no such file: {exc.filename}", file=sys.stderr)
         return EXIT_CONFIG
     except (euler.SolverError, euler.InvalidInitialCondition, NonFiniteGradient,
             NonFiniteActivation) as exc:

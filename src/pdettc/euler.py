@@ -95,31 +95,58 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """One time slice of the four primitive fields on the grid."""
+    """One time slice of the four primitive fields on the grid.
 
-    rho: np.ndarray
-    vx: np.ndarray
-    vy: np.ndarray
-    p: np.ndarray
+    ``data`` is one (4, nx, ny) float64 array in canonical channel order;
+    ``rho``, ``vx``, ``vy`` and ``p`` are views of its channels.
+    """
+
+    data: np.ndarray
     t: float
 
+    @property
+    def rho(self) -> np.ndarray:
+        return self.data[0]
+
+    @property
+    def vx(self) -> np.ndarray:
+        return self.data[1]
+
+    @property
+    def vy(self) -> np.ndarray:
+        return self.data[2]
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.data[3]
+
     def fields(self) -> np.ndarray:
-        """Stacked (4, nx, ny) array in canonical channel order."""
-        return np.stack([self.rho, self.vx, self.vy, self.p])
+        """The stored (4, nx, ny) array itself, not a copy."""
+        return self.data
 
     @classmethod
     def from_fields(cls, arr: np.ndarray, t: float) -> "Snapshot":
-        rho, vx, vy, p = (np.asarray(a, dtype=np.float64) for a in arr)
-        return cls(rho=rho, vx=vx, vy=vy, p=p, t=float(t))
+        """Snapshot of a (4, nx, ny) array, converted to float64 (no copy
+        if it already is)."""
+        data = np.asarray(arr, dtype=np.float64)
+        if data.ndim != 3 or data.shape[0] != len(CHANNELS):
+            raise ValueError(f"fields must have shape (4, nx, ny), got {data.shape}")
+        return cls(data=data, t=float(t))
 
     def validate(self) -> None:
-        for name, a in zip(CHANNELS, (self.rho, self.vx, self.vy, self.p)):
-            if not np.all(np.isfinite(a)):
-                raise SolverError(f"non-finite {name}", self.t)
+        finite = np.isfinite(self.data).all(axis=(1, 2))
+        if not finite.all():
+            raise SolverError(f"non-finite {CHANNELS[int(np.argmin(finite))]}", self.t)
         if np.min(self.rho) <= 0.0:
             raise SolverError("non-positive density", self.t)
         if np.min(self.p) <= 0.0:
             raise SolverError("non-positive pressure", self.t)
+
+
+def check_same_grid(cur: Snapshot, others) -> None:
+    for s in others:
+        if s.rho.shape != cur.rho.shape:
+            raise ValueError(f"grid mismatch {cur.rho.shape} vs {s.rho.shape}")
 
 
 @dataclass(frozen=True)
@@ -438,7 +465,7 @@ def fv_step(u: Snapshot, dt: float, gamma: float = GAMMA_DEFAULT,
     U1 *= 0.5
     W = np.empty(U1.shape)
     _cons_to_prim(W, U1, gamma, ws.a)
-    out = Snapshot(rho=W[0], vx=W[1], vy=W[2], p=W[3], t=float(u.t + dt))
+    out = Snapshot(data=W, t=float(u.t + dt))
     out.validate()
     return out
 
@@ -738,11 +765,18 @@ def sample_ic(family: str, seed: int, index: int = 0) -> ICSpec:
                   seed=mix64(seed, FAMILIES.index(family), index))
 
 
+def check_split_fractions(fractions) -> np.ndarray:
+    """The train/val/test fractions as an array; ValueError unless they are
+    three non-negatives summing to 1."""
+    fr = np.asarray(fractions, dtype=float)
+    if fr.size != 3 or abs(fr.sum() - 1.0) > 1e-9 or not np.all(fr >= 0.0):
+        raise ValueError(f"split fractions must be 3 non-negatives summing to 1, got {fractions}")
+    return fr
+
+
 def split_indices(n: int, fractions, seed: int) -> dict:
     """Disjoint shuffled train/val/test index lists with exact counts."""
-    fr = np.asarray(fractions, dtype=float)
-    if fr.size != 3 or abs(fr.sum() - 1.0) > 1e-9 or np.any(fr < 0.0):
-        raise ValueError(f"split fractions must be 3 non-negatives summing to 1, got {fractions}")
+    fr = check_split_fractions(fractions)
     perm = RngStream(seed, mix64(0x5B117)).permutation(n)
     n_train = int(round(fr[0] * n))
     n_val = int(round(fr[1] * n))

@@ -10,14 +10,17 @@ the paired ratio MSE_B / MSE_{B=1}; the table-level aggregate is
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .euler import GAMMA_DEFAULT, Normalization, Snapshot, Trajectory
-from .rewards import (UndefinedReward, energy_violation, mass_violation,
-                      momentum_violation, snapshot_totals)
+from .euler import (GAMMA_DEFAULT, Normalization, Snapshot, Trajectory,
+                    check_same_grid)
+from .rewards import (energy_violation, mass_violation, momentum_violation,
+                      norm_mse, snapshot_totals)
+from .storage import write_text
 from .ttc import RolloutRecord
 
 CSV_COLUMNS = ("dataset", "family", "ic_seed", "model", "reward", "B", "t",
@@ -26,12 +29,8 @@ CSV_COLUMNS = ("dataset", "family", "ic_seed", "model", "reward", "B", "t",
 
 def mse(a: Snapshot, b: Snapshot, norm: Normalization | None = None) -> float:
     """Mean squared difference over 4 channels x cells."""
-    if a.rho.shape != b.rho.shape:
-        raise ValueError(f"grid mismatch {a.rho.shape} vs {b.rho.shape}")
-    d = a.fields() - b.fields()
-    if norm is not None:
-        d = d / norm.std[:, None, None]
-    return float(np.mean(d * d))
+    check_same_grid(a, [b])
+    return norm_mse(a.fields(), b.fields(), norm)
 
 
 def sample_gain(mse_b: float, mse_1: float) -> float:
@@ -58,19 +57,15 @@ def conservation_trace(record: RolloutRecord, gamma: float = GAMMA_DEFAULT) -> d
     states = record.states()
     totals = [snapshot_totals(s, gamma) for s in states]   # each state once
     n = len(states) - 1
-    out = {k: np.full(n, np.nan) for k in ("mass", "momentum_x", "momentum_y", "energy")}
+    out = {k: np.empty(n) for k in ("mass", "momentum_x", "momentum_y", "energy")}
     for k in range(n):
-        if states[k].rho.shape != states[k + 1].rho.shape:
-            raise ValueError(f"grid mismatch {states[k].rho.shape} vs {states[k + 1].rho.shape}")
+        check_same_grid(states[k], [states[k + 1]])
         (m_t, px_t, py_t, e_t), (m_n, px_n, py_n, e_n) = totals[k], totals[k + 1]
-        out["mass"][k] = mass_violation(m_t, m_n)
-        out["energy"][k] = energy_violation(e_t, e_n)
         n_cells = states[k].rho.size
-        for comp, p_t, p_n in (("x", px_t, px_n), ("y", py_t, py_n)):
-            try:
-                out[f"momentum_{comp}"][k] = momentum_violation(p_t, p_n, n_cells, comp)
-            except UndefinedReward:
-                pass
+        out["mass"][k] = mass_violation(m_t, m_n)
+        out["momentum_x"][k] = momentum_violation(px_t, px_n, n_cells)
+        out["momentum_y"][k] = momentum_violation(py_t, py_n, n_cells)
+        out["energy"][k] = energy_violation(e_t, e_n)
     return out
 
 
@@ -151,21 +146,20 @@ def evaluate(sweeps: dict, trajectories: list, norm: Normalization | None,
 
 
 def write_rows_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        w.writeheader()
-        for row in rows:
-            out = dict(row)
-            for k, v in out.items():
-                if v is None or (isinstance(v, float) and not np.isfinite(v)):
-                    out[k] = ""
-            w.writerow(out)
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
+    w.writeheader()
+    for row in rows:
+        out = dict(row)
+        for k, v in out.items():
+            if v is None or (isinstance(v, float) and not np.isfinite(v)):
+                out[k] = ""
+        w.writerow(out)
+    write_text(path, buf.getvalue())
 
 
 def write_summary_json(path, report: EvalReport, extra: dict | None = None) -> None:
     doc = report.summary_dict()
     if extra:
         doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")

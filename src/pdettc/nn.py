@@ -311,10 +311,6 @@ class MultiHeadSelfAttention:
         self._cache = (q, k, v, attn, attn_d)
         return out
 
-    def attention_weights(self) -> np.ndarray:
-        """Row-stochastic attention of the last forward (pre-dropout)."""
-        return self._cache[3]
-
     def backward(self, dy: np.ndarray) -> np.ndarray:
         q, k, v, attn, attn_d = self._cache
         b, h, n, dh = q.shape

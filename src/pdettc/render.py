@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .storage import write_text
+
 
 def write_field_ppm(path, field: np.ndarray, vmin: float | None = None,
                     vmax: float | None = None) -> None:
@@ -19,8 +21,7 @@ def write_field_ppm(path, field: np.ndarray, vmin: float | None = None,
     lines = [f"P3\n{w} {h}\n255\n"]
     for row in gray:
         lines.append(" ".join(f"{v} {v} {v}" for v in row) + "\n")
-    with open(path, "w") as fh:
-        fh.writelines(lines)
+    write_text(path, "".join(lines))
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
@@ -98,5 +99,4 @@ def write_line_svg(path, series: dict, title: str = "", xlabel: str = "",
         parts.append(f'<text x="{ml + pw - 88}" y="{ly}" font-family="sans-serif" '
                      f'font-size="10">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")

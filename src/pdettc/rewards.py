@@ -1,11 +1,20 @@
-"""Reward models over (current, candidate-next) snapshot pairs.
+"""Reward models over a current snapshot and its candidate successors.
 
-Three analytical rewards measure violation of discrete conservation
-totals between consecutive snapshots; all are <= 0 with 0 meaning the
-totals match exactly.  The learned process reward model (PRM) shares
-the transformer family of the surrogate, reads the channel-concatenated
-pair, and is trained with a contrastive triplet margin loss on
-candidates ranked by MSE against ground truth.
+Every reward model has one method, ``score(cur, cands) -> ndarray``: the
+float64 score of each snapshot in ``cands`` as the successor of ``cur``,
+higher is better, and NaN where the score is undefined.  The rollout
+engine calls it once per step with the physical candidates of that step.
+
+Three analytical reward models (ARMs) measure violation of discrete
+conservation totals between consecutive snapshots; each totals the
+current snapshot once per call.  All are <= 0, with 0 meaning the totals
+match exactly, and the momentum ARMs are undefined (NaN) where the
+current net momentum is near zero.  The learned process reward model
+(PRM) shares the transformer family of the surrogate, reads the
+channel-concatenated pair, and is trained with a contrastive triplet
+margin loss on candidates ranked by MSE against ground truth.  It scores
+each candidate with its own batch-1 forward, so a candidate's score does
+not depend on which other candidates are scored with it.
 """
 
 from __future__ import annotations
@@ -16,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .euler import (GAMMA_DEFAULT, Dataset, GridSpec, Normalization, Snapshot,
-                    Trajectory, energy_density)
+from .euler import (CHANNELS, GAMMA_DEFAULT, Dataset, GridSpec, Normalization,
+                    Snapshot, Trajectory, check_same_grid, energy_density)
 from .nn import AdamW, NonFiniteGradient
 from .rng import RngStream, mix64
 from .storage import (Checkpoint, load_checkpoint, read_container,
@@ -33,21 +42,6 @@ _TRIPLET_TAG = 0x7319
 
 MOMENTUM_EPS_PER_CELL = 1e-12
 DEGENERATE_MSE_SPREAD = 1e-14
-
-
-class UndefinedReward(ArithmeticError):
-    """Reward has no defined value for this pair (near-zero denominator)."""
-
-
-@dataclass(frozen=True)
-class RewardScore:
-    value: float
-    model_id: str
-
-
-def _check_same_grid(u_t: Snapshot, u_next: Snapshot) -> None:
-    if u_t.rho.shape != u_next.rho.shape:
-        raise ValueError(f"grid mismatch {u_t.rho.shape} vs {u_next.rho.shape}")
 
 
 def _total(density: np.ndarray) -> float:
@@ -68,13 +62,10 @@ def mass_violation(m_t: float, m_next: float) -> float:
     return -abs(m_next - m_t) / m_t
 
 
-def momentum_violation(p_t: float, p_next: float, n_cells: int,
-                       component: str = "x") -> float:
-    """Momentum ARM value; undefined when the current total is near zero."""
-    eps = MOMENTUM_EPS_PER_CELL * n_cells
-    if abs(p_t) <= eps:
-        raise UndefinedReward(
-            f"net {component}-momentum {p_t:.3e} below threshold {eps:.3e}")
+def momentum_violation(p_t: float, p_next: float, n_cells: int) -> float:
+    """Momentum ARM value; NaN (undefined) when the current total is near zero."""
+    if abs(p_t) <= MOMENTUM_EPS_PER_CELL * n_cells:
+        return math.nan
     return -abs(p_next - p_t) / abs(p_t)
 
 
@@ -83,49 +74,40 @@ def energy_violation(e_t: float, e_next: float) -> float:
     return -abs(e_next - e_t) / e_t
 
 
-def arm_mass(u_t: Snapshot, u_next: Snapshot) -> RewardScore:
-    _check_same_grid(u_t, u_next)
-    value = mass_violation(_total(u_t.rho), _total(u_next.rho))
-    return RewardScore(value=value, model_id="arm_mass")
-
-
-def arm_momentum(u_t: Snapshot, u_next: Snapshot, component: str = "x") -> RewardScore:
-    _check_same_grid(u_t, u_next)
-    if component not in ("x", "y"):
-        raise ValueError(f"component must be 'x' or 'y', got {component!r}")
-    v_t = u_t.vx if component == "x" else u_t.vy
-    v_n = u_next.vx if component == "x" else u_next.vy
-    value = momentum_violation(_total(u_t.rho * v_t), _total(u_next.rho * v_n),
-                               u_t.rho.size, component)
-    return RewardScore(value=value, model_id=f"arm_momentum_{component}")
-
-
-def arm_energy(u_t: Snapshot, u_next: Snapshot,
-               gamma: float = GAMMA_DEFAULT) -> RewardScore:
-    _check_same_grid(u_t, u_next)
-    value = energy_violation(_total(energy_density(u_t, gamma)),
-                             _total(energy_density(u_next, gamma)))
-    return RewardScore(value=value, model_id="arm_energy")
-
-
-# ---------------------------------------------------------------------------
-# Pluggable reward-model objects for the rollout engine
+def norm_mse(a_fields: np.ndarray, b_fields: np.ndarray,
+             norm: Normalization | None) -> float:
+    """Mean squared difference of two field stacks, in z-score units when
+    ``norm`` is given."""
+    d = a_fields - b_fields
+    if norm is not None:
+        d = d / norm.std[:, None, None]
+    return float(np.mean(d * d))
 
 
 class MassReward:
     model_id = "arm_mass"
 
-    def score(self, u_t: Snapshot, u_cand: Snapshot) -> float:
-        return arm_mass(u_t, u_cand).value
+    def score(self, cur: Snapshot, cands) -> np.ndarray:
+        check_same_grid(cur, cands)
+        m_t = _total(cur.rho)
+        return np.array([mass_violation(m_t, _total(c.rho)) for c in cands],
+                        dtype=np.float64)
 
 
 class MomentumReward:
     def __init__(self, component: str):
+        if component not in ("x", "y"):
+            raise ValueError(f"component must be 'x' or 'y', got {component!r}")
         self.component = component
         self.model_id = f"arm_momentum_{component}"
+        self._channel = CHANNELS.index(f"v{component}")
 
-    def score(self, u_t: Snapshot, u_cand: Snapshot) -> float:
-        return arm_momentum(u_t, u_cand, self.component).value
+    def score(self, cur: Snapshot, cands) -> np.ndarray:
+        check_same_grid(cur, cands)
+        c = self._channel
+        p_t = _total(cur.rho * cur.data[c])
+        return np.array([momentum_violation(p_t, _total(s.rho * s.data[c]), cur.rho.size)
+                         for s in cands], dtype=np.float64)
 
 
 class EnergyReward:
@@ -134,8 +116,11 @@ class EnergyReward:
     def __init__(self, gamma: float = GAMMA_DEFAULT):
         self.gamma = gamma
 
-    def score(self, u_t: Snapshot, u_cand: Snapshot) -> float:
-        return arm_energy(u_t, u_cand, self.gamma).value
+    def score(self, cur: Snapshot, cands) -> np.ndarray:
+        check_same_grid(cur, cands)
+        e_t = _total(energy_density(cur, self.gamma))
+        return np.array([energy_violation(e_t, _total(energy_density(c, self.gamma)))
+                         for c in cands], dtype=np.float64)
 
 
 class OracleMseReward:
@@ -148,13 +133,10 @@ class OracleMseReward:
         self.norm = norm
         self._dt = float(truth.times[1] - truth.times[0])
 
-    def score(self, u_t: Snapshot, u_cand: Snapshot) -> float:
-        k = int(round(u_cand.t / self._dt))
-        target = self.truth.snapshots[k]
-        d = u_cand.fields() - target.fields()
-        if self.norm is not None:
-            d = d / self.norm.std[:, None, None]
-        return -float(np.mean(d * d))
+    def score(self, cur: Snapshot, cands) -> np.ndarray:
+        targets = (self.truth.snapshots[int(round(c.t / self._dt))] for c in cands)
+        return np.array([-norm_mse(c.fields(), target.fields(), self.norm)
+                         for c, target in zip(cands, targets)], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +161,6 @@ class TripletRecord:
             raise ValueError(f"triplet mse must be ascending, got {self.mse}")
 
 
-def _norm_mse(a_fields: np.ndarray, b_fields: np.ndarray,
-              norm: Normalization | None) -> float:
-    d = a_fields - b_fields
-    if norm is not None:
-        d = d / norm.std[:, None, None]
-    return float(np.mean(d * d))
-
-
 def build_prm_triplets(surrogate: Surrogate, dataset: Dataset, k_candidates: int,
                        seed: int, indices=None, log=None) -> list:
     """Rank K stochastic candidates per consecutive train pair.
@@ -208,7 +182,7 @@ def build_prm_triplets(surrogate: Surrogate, dataset: Dataset, k_candidates: int
             u_t = tr.snapshots[k]
             target = tr.snapshots[k + 1].fields()
             cands = surrogate.sample_candidates(u_t, k_candidates, pair_seed, t_index=k)
-            mses = np.array([_norm_mse(c.fields(), target, norm) for c in cands])
+            mses = np.array([norm_mse(c.fields(), target, norm) for c in cands])
             if float(mses.max() - mses.min()) < DEGENERATE_MSE_SPREAD:
                 continue
             order = np.argsort(mses, kind="stable")
@@ -286,15 +260,12 @@ class PRMConfig:
     epochs: int = 10
     patience: int = 3
     seed: int = 0
-    orientation: str = "higher_better"   # audit flag: flips the loss binding
 
     def __post_init__(self):
         if self.margin <= 0.0:
             raise ValueError("margin must be positive")
         if self.k_candidates < 3:
             raise ValueError("need K >= 3 candidates")
-        if self.orientation not in ("higher_better", "lower_better"):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
 
 
 def prm_backbone_config(model_cfg: ModelConfig) -> ModelConfig:
@@ -313,14 +284,12 @@ class ProcessRewardModel:
     model_id = "prm"
 
     def __init__(self, config: ModelConfig, normalization: Normalization,
-                 init_seed: int = 0, orientation: str = "higher_better",
-                 model: VisionTransformer | None = None):
+                 init_seed: int = 0, model: VisionTransformer | None = None):
         if config.head != "scalar":
             raise ValueError("PRM needs a scalar head")
         self.config = config
         self.norm = normalization
         self.init_seed = init_seed
-        self.orientation = orientation
         self.model = model or VisionTransformer(
             config, RngStream(init_seed, mix64(_PRM_INIT_TAG)))
         self.store = self.model.param_store()
@@ -344,15 +313,16 @@ class ProcessRewardModel:
                            cand_fields, np.atleast_1d(cand_t))
         return self.model.forward(x.astype(np.float32), MODE_DETERMINISTIC)
 
-    def score(self, u_t: Snapshot, u_cand: Snapshot) -> float:
-        s = self.score_batch(u_t.fields()[None], [u_t.t],
-                             u_cand.fields()[None], [u_cand.t])
-        return float(s[0])
+    def score(self, cur: Snapshot, cands) -> np.ndarray:
+        """One batch-1 forward per candidate: a batched float32 forward
+        rounds differently, so a candidate's score would depend on B."""
+        cur_fields = cur.fields()[None]
+        return np.array([self.score_batch(cur_fields, cur.t, c.fields()[None], c.t)[0]
+                         for c in cands], dtype=np.float64)
 
     def save(self, path) -> None:
         save_checkpoint(path, "prm", self.config, self.store, self.norm,
-                        extra={"init_seed": self.init_seed,
-                               "orientation": self.orientation})
+                        extra={"init_seed": self.init_seed})
 
     @classmethod
     def from_checkpoint(cls, source) -> "ProcessRewardModel":
@@ -360,15 +330,10 @@ class ProcessRewardModel:
         if ckpt.model_kind != "prm":
             raise ValueError(f"checkpoint holds a {ckpt.model_kind!r} model")
         prm = cls(ckpt.config, ckpt.normalization,
-                  init_seed=ckpt.extra.get("init_seed", 0),
-                  orientation=ckpt.extra.get("orientation", "higher_better"))
+                  init_seed=ckpt.extra.get("init_seed", 0))
         prm.store.load_values(ckpt.values)
         prm.store.step_count = ckpt.step_count
         return prm
-
-
-def prm_score(prm: ProcessRewardModel, u_t: Snapshot, u_cand: Snapshot) -> RewardScore:
-    return RewardScore(value=prm.score(u_t, u_cand), model_id="prm")
 
 
 def ranking_accuracy(prm: ProcessRewardModel, triplets: list,
@@ -386,10 +351,7 @@ def ranking_accuracy(prm: ProcessRewardModel, triplets: list,
         cand_t = np.array([r.best.t for r in chunk])
         s_best = prm.score_batch(cur, cur_t, best, cand_t)
         s_worst = prm.score_batch(cur, cur_t, worst, cand_t)
-        if prm.orientation == "higher_better":
-            correct += int(np.sum(s_best > s_worst))
-        else:
-            correct += int(np.sum(s_best < s_worst))
+        correct += int(np.sum(s_best > s_worst))
     return correct / len(triplets)
 
 
@@ -415,12 +377,10 @@ def train_prm(triplets: list, prm_cfg: PRMConfig, normalization: Normalization,
     """
     if not triplets:
         raise ValueError("need at least one triplet")
-    prm = ProcessRewardModel(prm_backbone_config_like(prm_cfg.backbone),
-                             normalization, init_seed=prm_cfg.seed,
-                             orientation=prm_cfg.orientation)
+    prm = ProcessRewardModel(prm_backbone_config(prm_cfg.backbone),
+                             normalization, init_seed=prm_cfg.seed)
     opt = AdamW(lr=prm_cfg.lr, weight_decay=prm_cfg.weight_decay)
     margin = prm_cfg.margin
-    flip = prm_cfg.orientation == "lower_better"
     history = []
     best = (-np.inf, prm.store.values_copy(), prm.store.step_count)
     stale = 0
@@ -442,18 +402,15 @@ def train_prm(triplets: list, prm_cfg: PRMConfig, normalization: Normalization,
             rng = RngStream(prm_cfg.seed, mix64(_PRM_DROPOUT_TAG, epoch, bi))
             scores = prm.model.forward(x, MODE_TRAIN, rng).reshape(nb, 3)
             s_w, s_m, s_b = scores[:, 0], scores[:, 1], scores[:, 2]
-            if flip:
-                s_w, s_b = s_b, s_w
             h1 = s_w - s_m + margin
             h2 = s_m - s_b + margin
             loss = float(np.mean(np.maximum(h1, 0.0) + np.maximum(h2, 0.0)))
             g1 = (h1 > 0.0).astype(np.float64) / nb
             g2 = (h2 > 0.0).astype(np.float64) / nb
             d = np.zeros((nb, 3))
-            w_col, b_col = (2, 0) if flip else (0, 2)
-            d[:, w_col] += g1
+            d[:, 0] += g1
             d[:, 1] += g2 - g1
-            d[:, b_col] -= g2
+            d[:, 2] -= g2
             if not np.isfinite(loss):
                 diverged = True
                 break
@@ -485,9 +442,3 @@ def train_prm(triplets: list, prm_cfg: PRMConfig, normalization: Normalization,
     prm.store.step_count = best[2]
     return PRMTrainResult(prm=prm, history=history, diverged=diverged)
 
-
-def prm_backbone_config_like(cfg: ModelConfig) -> ModelConfig:
-    """Accept either a surrogate-style or ready scalar-head config."""
-    if cfg.head == "scalar" and cfg.in_channels == 10:
-        return cfg
-    return prm_backbone_config(cfg)

@@ -15,15 +15,18 @@ Checkpoint layout:
 A sidecar <path>.json mirrors every container header for human
 inspection.
 
-Every file is written to a temporary file in its own directory and then
-moved over its path with os.replace, so an interrupted write leaves the
-previous file as it was.  Readers reject files with bytes after the
-declared payload.
+Every file is written to a temporary file in its own directory, synced
+to disk, and then moved over its path with os.replace, so an interrupted
+write or a power loss leaves the previous file or the complete new one,
+never a partial file.  Text outputs (rollout metadata, indexes, metrics,
+images) go through `write_text` for the same guarantee.  Readers reject
+files with bytes after the declared payload.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 import struct
@@ -57,18 +60,27 @@ def _write_header(fh, magic: bytes, header: dict) -> None:
 def _replacing(path: Path):
     """A binary file handle whose contents replace path once the block ends.
 
-    The data goes to a temporary file beside path; it is moved over path
-    only when the block completes, and removed if the block raises.
+    The data goes to a temporary file beside path; it is flushed and
+    fsynced, then moved over path only when the block completes, and
+    removed if the block raises.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """Replace the file at path with UTF-8 text, atomically and durably."""
+    with _replacing(Path(path)) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _check_end(fh, path) -> None:
@@ -80,7 +92,10 @@ def _read_header(fh, magic: bytes, path) -> dict:
     got = fh.read(len(magic))
     if got != magic:
         raise StorageError(f"{path}: bad magic {got[:16]!r}")
-    (n,) = struct.unpack("<Q", fh.read(8))
+    size = fh.read(8)
+    if len(size) != 8:
+        raise StorageError(f"{path}: truncated header")
+    (n,) = struct.unpack("<Q", size)
     try:
         return json.loads(fh.read(n).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -96,8 +111,8 @@ def write_container(path, header: dict, payload: np.ndarray) -> None:
     with _replacing(path) as fh:
         _write_header(fh, CONTAINER_MAGIC, header)
         fh.write(data)
-    with _replacing(path.with_suffix(path.suffix + ".json")) as fh:
-        fh.write((json.dumps(header, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+    write_text(path.with_suffix(path.suffix + ".json"),
+               json.dumps(header, sort_keys=True, indent=2) + "\n")
 
 
 def read_container(path, expect_type: str | None = None):
@@ -105,7 +120,7 @@ def read_container(path, expect_type: str | None = None):
     with open(path, "rb") as fh:
         header = _read_header(fh, CONTAINER_MAGIC, path)
         shape = tuple(header["payload_shape"])
-        n = int(np.prod(shape)) if shape else 0
+        n = int(np.prod(shape))
         raw = fh.read(4 * n)
         if len(raw) != 4 * n:
             raise StorageError(f"{path}: truncated payload")
@@ -115,6 +130,14 @@ def read_container(path, expect_type: str | None = None):
             f"{path}: record_type {header.get('record_type')!r}, wanted {expect_type!r}")
     payload = np.frombuffer(raw, dtype="<f4").reshape(shape)
     return header, payload
+
+
+def payload_digest(path) -> str:
+    """SHA-256 of a container's payload.  Unlike a digest of the file, it
+    does not depend on the header, which records the config (output path
+    included) that wrote the file."""
+    _, payload = read_container(path)
+    return hashlib.sha256(payload).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +169,7 @@ def save_dataset(path, ds: Dataset, config_digest: str | None = None) -> None:
     payload = np.empty((n, n_t, 4, ds.grid.nx, ds.grid.ny), dtype="<f4")
     for i, tr in enumerate(ds.trajectories):
         for k, s in enumerate(tr.snapshots):
-            for c, field in enumerate((s.rho, s.vx, s.vy, s.p)):
-                payload[i, k, c] = field
+            payload[i, k] = s.fields()
     write_container(path, header, payload)
 
 

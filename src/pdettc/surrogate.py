@@ -54,13 +54,6 @@ class TrainConfig:
             raise ValueError("loss_p must be >= 1")
 
 
-# Published hyperparameters of the reference setup, kept as a preset.
-PAPER_TRAIN = TrainConfig(lr=5e-6, weight_decay=1e-7)
-PAPER_FINETUNE = TrainConfig(lr=1e-5, weight_decay=0.01)
-# Desk-scale presets tuned for CPU runs of this package.
-DESK_TRAIN = TrainConfig(lr=3e-4, weight_decay=1e-7, batch_size=32, epochs=20)
-DESK_FINETUNE = TrainConfig(lr=1e-4, weight_decay=0.01, batch_size=32, epochs=30)
-
 PAPER_MODEL = ModelConfig(height=128, width=128, embed_dim=256, depth=6,
                           n_heads=8, mlp_ratio=4.0, dropout_p=0.1)
 DESK_MODEL = ModelConfig(height=64, width=64, embed_dim=64, depth=4,

@@ -1,17 +1,17 @@
 """Greedy best-of-B autoregressive rollouts under a pluggable reward.
 
-Each step draws B stochastic candidate next snapshots, scores every
-(current, candidate) pair with the reward model, and feeds the argmax
-candidate forward (ties broken by lowest candidate index).  Candidate
-RNG streams depend only on (rollout seed, timestep, candidate index),
-so the B=1 candidate is the first candidate of every larger-B run and
-sweeps over B are paired by construction.
+Each step draws B stochastic candidate next snapshots, scores them with
+the reward model's ``score(cur, cands)`` (see `pdettc.rewards`), and
+feeds the candidate that `select` picks forward.  Candidate RNG streams
+depend only on (rollout seed, timestep, candidate index), so the B=1
+candidate is the first candidate of every larger-B run and sweeps over B
+are paired by construction.
 
-A score is undefined (None) when the candidate is non-physical
-(non-finite fields, rho <= 0 or p <= 0; the reward is not called), when
-the reward raises `UndefinedReward`, or when it returns a non-finite
-value.  A step whose scores are all undefined falls back to candidate 0
-and is listed in ``fallback_steps``.
+A non-physical candidate (non-finite fields, rho <= 0 or p <= 0) is not
+passed to the reward; its score is undefined, as is a NaN or infinite
+score the reward returns.  `select` picks the lowest-index maximum of the
+defined scores; a step with none falls back to candidate 0 and is listed
+in ``fallback_steps``.  Records store an undefined score as None.
 """
 
 from __future__ import annotations
@@ -19,20 +19,29 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .euler import GAMMA_DEFAULT, Normalization, Snapshot, SolverError, Trajectory
 from .rewards import (EnergyReward, MassReward, MomentumReward,
-                      OracleMseReward, ProcessRewardModel, UndefinedReward)
+                      OracleMseReward, ProcessRewardModel)
 from .rng import mix64
-from .storage import read_container, write_container
+from .storage import read_container, write_container, write_text
 from .surrogate import Surrogate
 
-REWARD_NAMES = ("arm_mass", "arm_momentum_x", "arm_momentum_y", "arm_energy",
-                "prm", "oracle_mse")
+# Builders of the reward models by name; each takes the keywords of
+# `make_reward_model`.
+_REWARD_MODELS = {
+    "arm_mass": lambda **_: MassReward(),
+    "arm_momentum_x": lambda **_: MomentumReward("x"),
+    "arm_momentum_y": lambda **_: MomentumReward("y"),
+    "arm_energy": lambda gamma, **_: EnergyReward(gamma),
+    "prm": lambda prm, **_: prm,
+    "oracle_mse": lambda truth, norm, **_: OracleMseReward(truth, norm),
+}
+REWARD_NAMES = tuple(_REWARD_MODELS)
 
 
 @dataclass(frozen=True)
@@ -41,7 +50,6 @@ class TTCConfig:
     reward: str = "arm_mass"
     seed: int = 0
     n_steps: int = 20                 # rollout steps T
-    paired_streams: bool = True       # False: mix B into the stream seed
     teacher_forced: bool = False      # feed ground truth back instead of the pick
 
     def __post_init__(self):
@@ -52,10 +60,18 @@ class TTCConfig:
         if self.reward not in REWARD_NAMES:
             raise ValueError(f"unknown reward {self.reward!r}")
 
-    def to_dict(self) -> dict:
-        return {"n_branch": self.n_branch, "reward": self.reward, "seed": self.seed,
-                "n_steps": self.n_steps, "paired_streams": self.paired_streams,
-                "teacher_forced": self.teacher_forced}
+
+def select(scores) -> tuple[int, bool]:
+    """(index, fell_back) of the candidate a step keeps.
+
+    The index is the lowest one attaining the maximum of the finite
+    scores; with no finite score it is (0, True).
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    finite = np.isfinite(s)
+    if not finite.any():
+        return 0, True
+    return int(np.argmax(np.where(finite, s, -np.inf))), False
 
 
 @dataclass
@@ -77,57 +93,32 @@ class RolloutRecord:
     def verify_argmax(self) -> None:
         """Machine-check the selection contract on the stored record."""
         for k, (scores, sel) in enumerate(zip(self.rewards, self.selected)):
-            defined = [(i, s) for i, s in enumerate(scores) if s is not None]
-            if not defined:
-                if k not in self.fallback_steps or sel != 0:
-                    raise AssertionError(f"step {k}: bad fallback handling")
-                continue
-            best = max(s for _, s in defined)
-            winners = [i for i, s in defined if s == best]
-            if scores[sel] != best or sel != winners[0]:
+            want, fell_back = select(np.array(scores, dtype=np.float64))  # None -> NaN
+            if sel != want or fell_back != (k in self.fallback_steps):
                 raise AssertionError(
-                    f"step {k}: selected {sel} (score {scores[sel]}) is not the "
-                    f"lowest-index argmax {winners[0]} (score {best})")
+                    f"step {k}: selected {sel} (fallback {k in self.fallback_steps}), "
+                    f"but the rule picks {want} (fallback {fell_back}) from {scores}")
 
 
 def make_reward_model(name: str, *, gamma: float = GAMMA_DEFAULT,
                       prm: ProcessRewardModel | None = None,
                       truth: Trajectory | None = None,
                       norm: Normalization | None = None):
-    if name == "arm_mass":
-        return MassReward()
-    if name == "arm_momentum_x":
-        return MomentumReward("x")
-    if name == "arm_momentum_y":
-        return MomentumReward("y")
-    if name == "arm_energy":
-        return EnergyReward(gamma)
-    if name == "prm":
-        if prm is None:
-            raise ValueError("reward 'prm' needs a trained process reward model")
-        return prm
-    if name == "oracle_mse":
-        if truth is None:
-            raise ValueError("reward 'oracle_mse' needs the ground-truth trajectory")
-        return OracleMseReward(truth, norm)
-    raise ValueError(f"unknown reward {name!r}")
+    if name not in _REWARD_MODELS:
+        raise ValueError(f"unknown reward {name!r}")
+    if name == "prm" and prm is None:
+        raise ValueError("reward 'prm' needs a trained process reward model")
+    if name == "oracle_mse" and truth is None:
+        raise ValueError("reward 'oracle_mse' needs the ground-truth trajectory")
+    return _REWARD_MODELS[name](gamma=gamma, prm=prm, truth=truth, norm=norm)
 
 
-def _candidate_score(reward_model, state: Snapshot, cand: Snapshot) -> float | None:
-    """The reward of one candidate, or None where it is undefined.
-
-    Private, so that a tracer wrapping the public callables sees each
-    reward call as a direct child of `greedy_rollout`.
-    """
+def _physical(s: Snapshot) -> bool:
     try:
-        cand.validate()
+        s.validate()
     except SolverError:
-        return None
-    try:
-        score = float(reward_model.score(state, cand))
-    except UndefinedReward:
-        return None
-    return score if math.isfinite(score) else None
+        return False
+    return True
 
 
 def greedy_rollout(surrogate: Surrogate, reward_model, u_start: Snapshot,
@@ -140,21 +131,18 @@ def greedy_rollout(surrogate: Surrogate, reward_model, u_start: Snapshot,
     if cfg.teacher_forced and truth is None:
         raise ValueError("teacher-forced rollout needs the ground-truth trajectory")
     rec = RolloutRecord(config=cfg, ic_family="", ic_seed=0, start=u_start)
-    stream_seed = cfg.seed if cfg.paired_streams else mix64(cfg.seed, cfg.n_branch)
     state = u_start
     for k in range(cfg.n_steps):
         t0 = time.perf_counter()
-        candidates = surrogate.sample_candidates(state, cfg.n_branch, stream_seed,
+        candidates = surrogate.sample_candidates(state, cfg.n_branch, cfg.seed,
                                                  t_index=k)
-        scores = [_candidate_score(reward_model, state, c) for c in candidates]
-        defined = [(i, s) for i, s in enumerate(scores) if s is not None]
-        if defined:
-            best = max(s for _, s in defined)
-            sel = next(i for i, s in defined if s == best)
-        else:
-            sel = 0
+        physical = [i for i, c in enumerate(candidates) if _physical(c)]
+        scores = np.full(len(candidates), np.nan)
+        scores[physical] = reward_model.score(state, [candidates[i] for i in physical])
+        sel, fell_back = select(scores)
+        if fell_back:
             rec.fallback_steps.append(k)
-        rec.rewards.append(scores)
+        rec.rewards.append([float(s) if math.isfinite(s) else None for s in scores])
         rec.selected.append(sel)
         rec.chosen.append(candidates[sel])
         rec.wall_times.append(time.perf_counter() - t0)
@@ -165,8 +153,7 @@ def greedy_rollout(surrogate: Surrogate, reward_model, u_start: Snapshot,
 def rollout_sweep(surrogate: Surrogate, reward_name: str, trajectories: list,
                   b_list, seed: int, *, prm: ProcessRewardModel | None = None,
                   gamma: float = GAMMA_DEFAULT, n_steps: int = 20,
-                  paired_streams: bool = True, teacher_forced: bool = False,
-                  log=None) -> dict:
+                  teacher_forced: bool = False, log=None) -> dict:
     """Rollouts for every (trajectory, B); returns {(ic_index, B): record}.
 
     The per-IC stream seed is shared across B values, so smaller-B runs
@@ -182,8 +169,7 @@ def rollout_sweep(surrogate: Surrogate, reward_name: str, trajectories: list,
                                          truth=truth, norm=surrogate.norm)
         for b in b_list:
             cfg = TTCConfig(n_branch=b, reward=reward_name, seed=ic_seed,
-                            n_steps=n_steps, paired_streams=paired_streams,
-                            teacher_forced=teacher_forced)
+                            n_steps=n_steps, teacher_forced=teacher_forced)
             rec = greedy_rollout(surrogate, reward_model, truth.snapshots[0], cfg,
                                  truth=truth)
             rec.ic_family = truth.ic.family
@@ -203,7 +189,7 @@ def save_rollout_record(base_path, rec: RolloutRecord) -> None:
     states = rec.states()
     grid_shape = states[0].rho.shape
     meta = {
-        "config": rec.config.to_dict(),
+        "config": asdict(rec.config),
         "ic_family": rec.ic_family,
         "ic_seed": rec.ic_seed,
         "times": [s.t for s in states],
@@ -212,7 +198,7 @@ def save_rollout_record(base_path, rec: RolloutRecord) -> None:
         "fallback_steps": rec.fallback_steps,
         "wall_times": rec.wall_times,
     }
-    base.with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n")
+    write_text(base.with_suffix(".json"), json.dumps(meta, indent=2) + "\n")
     header = {"record_type": "ROLLOUT", "channel_order": ["rho", "vx", "vy", "p"],
               "times": meta["times"],
               "grid": {"nx": grid_shape[0], "ny": grid_shape[1]}}
@@ -226,7 +212,7 @@ def load_rollout_record(base_path) -> RolloutRecord:
     header, payload = read_container(base.with_suffix(".bin"), expect_type="ROLLOUT")
     times = meta["times"]
     states = [Snapshot.from_fields(payload[i], times[i]) for i in range(len(times))]
-    rec = RolloutRecord(
+    return RolloutRecord(
         config=TTCConfig(**meta["config"]),
         ic_family=meta["ic_family"], ic_seed=meta["ic_seed"],
         start=states[0], chosen=states[1:],
@@ -236,4 +222,3 @@ def load_rollout_record(base_path) -> RolloutRecord:
         fallback_steps=list(meta["fallback_steps"]),
         wall_times=list(meta["wall_times"]),
     )
-    return rec

@@ -1,6 +1,9 @@
 import json
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from pdettc import cli, metrics, storage, ttc
 
 
@@ -67,3 +70,65 @@ def test_evaluate_scores_against_the_split_the_rollouts_ran_on(tmp_path, monkeyp
     # a second sweep over another split makes the records dir ambiguous
     assert cli.main([*rollout, "--split", "test", "--out-dir", "records/test"]) == cli.EXIT_OK
     assert cli.main(evaluate) == cli.EXIT_CONFIG
+
+
+def _fails_with_one_line(capsys, argv, match):
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and match in err, err
+
+
+@pytest.mark.parametrize("split", ["a,b,c", "0.5", "0.5,0.5", "0.5,0.75,-0.25", "0.5,0.5,0.5"])
+def test_gen_data_rejects_bad_split_fractions(tmp_path, monkeypatch, capsys, split):
+    monkeypatch.chdir(tmp_path)
+    _fails_with_one_line(capsys, ["gen-data", "--split", split, "--out", "d.pdt"],
+                         "--split")
+    assert not (tmp_path / "d.pdt").exists()
+
+
+@pytest.mark.parametrize("b", ["1,x", "0", "4,-1", ""])
+def test_rollout_rejects_bad_branching_factors(tmp_path, monkeypatch, capsys, b):
+    monkeypatch.chdir(tmp_path)
+    _fails_with_one_line(capsys, ["rollout", "--surrogate", "s.ckpt", "--data", "d.pdt",
+                                  "--B", b, "--out-dir", "r"], "--B")
+
+
+def test_missing_or_corrupt_inputs_exit_with_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    train = ["train", "--data", "data.pdt", "--epochs", "1", "--out", "s.ckpt"]
+    _fails_with_one_line(capsys, train, "no such file: data.pdt")
+    assert cli.main(["gen-data", "--families", "rp", "--n", "1", "--grid", "16",
+                     "--split", "1,0,0", "--out", "data.pdt"]) == cli.EXIT_OK
+    whole = Path("data.pdt").read_bytes()
+    Path("data.pdt").write_bytes(whole[:-10])
+    _fails_with_one_line(capsys, train, "truncated payload")
+    Path("data.pdt").write_bytes(whole[:20])
+    _fails_with_one_line(capsys, train, "truncated header")
+    Path("data.pdt").write_bytes(b"not a container at all")
+    _fails_with_one_line(capsys, train, "bad magic")
+    storage.write_container("data.pdt", {"record_type": "TRIPLET"}, np.zeros((1, 2)))
+    _fails_with_one_line(capsys, train, "record_type 'TRIPLET'")
+
+
+def test_evaluate_rejects_records_of_another_dataset(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PDETTC_SEED", raising=False)
+    Path("short.json").write_text(json.dumps({"ttc": {"n_steps": 2}}))
+    gen = ["gen-data", "--families", "rp", "--n", "2", "--grid", "16", "--split", "0.5,0,0.5"]
+    calls = [
+        [*gen, "--seed", "3", "--out", "data.pdt"],
+        [*gen, "--seed", "4", "--out", "other.pdt"],
+        ["train", "--seed", "3", "--data", "data.pdt", "--epochs", "1", "--out", "s.ckpt"],
+        ["rollout", "--seed", "3", "--config", "short.json", "--surrogate", "s.ckpt",
+         "--data", "data.pdt", "--B", "1,2", "--reward", "arm_mass", "--out-dir", "records"],
+    ]
+    for argv in calls:
+        assert cli.main(argv) == cli.EXIT_OK, argv[0]
+    index = json.loads(Path("records/index.json").read_text())
+    assert index["dataset_digest"] == storage.payload_digest("data.pdt")
+    for command in ("evaluate", "report"):
+        argv = [command, "--records-dir", "records", "--out-dir", command]
+        assert cli.main([*argv, "--data", "other.pdt"]) == cli.EXIT_CONFIG
+        assert not Path(command).exists()
+        assert cli.main([*argv, "--data", "data.pdt"]) == cli.EXIT_OK

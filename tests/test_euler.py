@@ -452,3 +452,18 @@ def test_normalization_roundtrip():
     f = ds.trajectories[0].snapshots[5].fields()
     back = ds.normalization.unapply(ds.normalization.apply(f))
     assert np.max(np.abs(back - f)) < 1e-12
+
+
+def test_snapshot_is_one_array_with_channel_views():
+    f = np.arange(4 * 8 * 9, dtype=np.float64).reshape(4, 8, 9)
+    s = Snapshot.from_fields(f, 0.5)
+    assert s.fields() is s.data and np.shares_memory(s.fields(), f)   # no copy
+    for i, name in enumerate(euler.CHANNELS):
+        view = getattr(s, name)
+        assert view.shape == (8, 9) and np.shares_memory(view, s.fields())
+        assert np.array_equal(view, f[i])
+    s32 = Snapshot.from_fields(f.astype(np.float32), 0.5)
+    assert s32.fields().dtype == np.float64 and np.array_equal(s32.fields(), f)
+    for shape in ((3, 8, 9), (4, 8), (1, 4, 8, 9)):
+        with pytest.raises(ValueError, match="shape"):
+            Snapshot.from_fields(np.ones(shape), 0.0)

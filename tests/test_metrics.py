@@ -7,7 +7,7 @@ import pytest
 
 from pdettc import metrics
 from pdettc.euler import GridSpec, Normalization, sample_ic, solve_trajectory
-from pdettc.rewards import UndefinedReward, arm_energy, arm_mass, arm_momentum
+from pdettc.rewards import EnergyReward, MassReward, MomentumReward
 from pdettc.ttc import RolloutRecord, TTCConfig
 
 GAMMA = 1.4
@@ -51,17 +51,16 @@ def test_conservation_trace_equals_the_arms_pair_by_pair(family):
     traj = solve_trajectory(sample_ic(family, seed=3), GridSpec(16, 16))
     states = traj.snapshots[:6]
     trace = metrics.conservation_trace(record_from(states, family), GAMMA)
+    rewards = {"mass": MassReward(), "momentum_x": MomentumReward("x"),
+               "momentum_y": MomentumReward("y"), "energy": EnergyReward(GAMMA)}
     for k in range(5):
         u_t, u_n = states[k], states[k + 1]
-        assert trace["mass"][k] == arm_mass(u_t, u_n).value
-        assert trace["energy"][k] == arm_energy(u_t, u_n, GAMMA).value
-        for comp in ("x", "y"):
-            try:
-                want = arm_momentum(u_t, u_n, comp).value
-            except UndefinedReward:      # kh has no net y-momentum
-                assert np.isnan(trace[f"momentum_{comp}"][k])
+        for name, reward in rewards.items():
+            want = reward.score(u_t, [u_n])[0]
+            if np.isnan(want):               # kh has no net y-momentum
+                assert name == "momentum_y" and np.isnan(trace[name][k])
             else:
-                assert trace[f"momentum_{comp}"][k] == want
+                assert trace[name][k] == want
     assert np.isfinite(trace["momentum_x"]).all()
 
 
@@ -70,8 +69,7 @@ def test_conservation_trace_is_nan_where_momentum_is_undefined():
     grid = GridSpec(16, 16)
     traj = solve_trajectory(sample_ic("gauss", seed=2), grid)
     states = traj.snapshots[:4]
-    with pytest.raises(UndefinedReward):
-        arm_momentum(states[0], states[1], "x")
+    assert np.isnan(MomentumReward("x").score(states[0], states[1:])).all()
     trace = metrics.conservation_trace(record_from(states, "gauss"), GAMMA)
     assert np.all(np.isnan(trace["momentum_x"])) and np.all(np.isnan(trace["momentum_y"]))
     assert np.all(np.isfinite(trace["mass"])) and np.all(np.isfinite(trace["energy"]))

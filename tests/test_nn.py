@@ -137,7 +137,8 @@ def test_mhsa_single_token_is_value_projection():
                                    rng=RngStream(5, 1))
     x = np.random.default_rng(2).normal(size=(1, 1, 6))
     out = layer.forward(x, False, None)
-    assert np.allclose(layer.attention_weights(), 1.0)
+    attn = layer._cache[3]                      # pre-dropout attention of that forward
+    assert attn.shape == (1, 2, 1, 1) and np.allclose(attn, 1.0)
     v = layer.qkv.forward(x)[..., 12:]          # value slice of qkv
     assert np.allclose(out, layer.proj.forward(v), atol=1e-12)
 
@@ -146,7 +147,7 @@ def test_mhsa_attention_rows_stochastic(np_rng):
     layer = MultiHeadSelfAttention(dim=8, n_heads=4, dropout_p=0.0,
                                    rng=RngStream(6, 1))
     layer.forward(np_rng.normal(size=(3, 5, 8)), False, None)
-    attn = layer.attention_weights()
+    attn = layer._cache[3]                      # pre-dropout attention of that forward
     assert attn.shape == (3, 4, 5, 5)
     assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-12
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from pdettc.euler import GridSpec, ICSpec, Snapshot, generate_dataset, make_initial_condition, solve_trajectory
-from pdettc.rewards import (PRMConfig, ProcessRewardModel, TripletRecord,
-                            UndefinedReward, arm_energy, arm_mass, arm_momentum,
-                            build_prm_triplets, load_triplets, prm_score,
+from pdettc.euler import (GridSpec, ICSpec, Normalization, Snapshot, generate_dataset,
+                          make_initial_condition, sample_ic, solve_trajectory)
+from pdettc.rewards import (EnergyReward, MassReward, MomentumReward,
+                            OracleMseReward, PRMConfig, ProcessRewardModel,
+                            TripletRecord, build_prm_triplets, load_triplets,
                             ranking_accuracy, save_triplets, train_prm,
                             triplet_loss)
 from pdettc.surrogate import Surrogate, TrainConfig, train
@@ -23,27 +24,38 @@ def flat_snapshot(nx, ny, rho, vx, vy, p, t=0.0):
 # analytical rewards
 
 
+def arm(reward, u_t, u_n) -> float:
+    """The score of one candidate under the score(cur, cands) protocol."""
+    scores = reward.score(u_t, [u_n])
+    assert scores.shape == (1,) and scores.dtype == np.float64
+    return float(scores[0])
+
+
+MASS, MOM_X, MOM_Y, ENERGY = (MassReward(), MomentumReward("x"), MomentumReward("y"),
+                              EnergyReward(GAMMA))
+
+
 def test_arm_zero_for_identical_snapshots():
     u = flat_snapshot(8, 8, 1.0, 0.2, -0.1, 0.7)
-    assert arm_mass(u, u).value == 0.0
-    assert arm_momentum(u, u, "x").value == 0.0
-    assert arm_momentum(u, u, "y").value == 0.0
-    assert arm_energy(u, u, GAMMA).value == 0.0
+    assert arm(MASS, u, u) == 0.0
+    assert arm(MOM_X, u, u) == 0.0
+    assert arm(MOM_Y, u, u) == 0.0
+    assert arm(ENERGY, u, u) == 0.0
 
 
 def test_arm_mass_direct_arithmetic():
     n = 64
     u_t = flat_snapshot(8, 8, 100.0 / n, 0.0, 0.0, 1.0)
     u_n = flat_snapshot(8, 8, 101.0 / n, 0.0, 0.0, 1.0)
-    assert arm_mass(u_t, u_n).value == pytest.approx(-0.01, abs=1e-14)
-    assert arm_mass(u_t, u_n).model_id == "arm_mass"
+    assert arm(MASS, u_t, u_n) == pytest.approx(-0.01, abs=1e-14)
+    assert MASS.model_id == "arm_mass"
 
 
 def test_arm_momentum_direct_arithmetic():
     n = 64
     u_t = flat_snapshot(8, 8, 1.0, 2.0 / n, 0.0, 1.0)
     u_n = flat_snapshot(8, 8, 1.0, 1.9 / n, 0.0, 1.0)
-    assert arm_momentum(u_t, u_n, "x").value == pytest.approx(-0.05, abs=1e-12)
+    assert arm(MOM_X, u_t, u_n) == pytest.approx(-0.05, abs=1e-12)
 
 
 def test_arm_energy_direct_arithmetic():
@@ -52,7 +64,7 @@ def test_arm_energy_direct_arithmetic():
     p_n = 49.0 * (GAMMA - 1.0) / n
     u_t = flat_snapshot(8, 8, 1.0, 0.0, 0.0, p_t)
     u_n = flat_snapshot(8, 8, 1.0, 0.0, 0.0, p_n)
-    assert arm_energy(u_t, u_n, GAMMA).value == pytest.approx(-0.02, abs=1e-12)
+    assert arm(ENERGY, u_t, u_n) == pytest.approx(-0.02, abs=1e-12)
 
 
 def test_arm_values_never_positive():
@@ -60,8 +72,8 @@ def test_arm_values_never_positive():
     for _ in range(20):
         a = flat_snapshot(8, 8, *rng.uniform(0.5, 1.5, size=4))
         b = flat_snapshot(8, 8, *rng.uniform(0.5, 1.5, size=4))
-        assert arm_mass(a, b).value <= 0.0
-        assert arm_energy(a, b).value <= 0.0
+        assert arm(MASS, a, b) <= 0.0
+        assert arm(EnergyReward(), a, b) <= 0.0
 
 
 def test_arm_on_consecutive_solver_snapshots():
@@ -70,8 +82,8 @@ def test_arm_on_consecutive_solver_snapshots():
                       "amp": 0.01, "k_mode": 1, "p0": 2.5}, seed=0),
         GridSpec(16, 16))
     for a, b in zip(traj.snapshots[:-1], traj.snapshots[1:]):
-        assert arm_mass(a, b).value >= -1e-10
-        assert arm_energy(a, b, GAMMA).value >= -1e-10
+        assert arm(MASS, a, b) >= -1e-10
+        assert arm(ENERGY, a, b) >= -1e-10
 
 
 def test_zero_net_momentum_is_undefined():
@@ -79,8 +91,7 @@ def test_zero_net_momentum_is_undefined():
     spec = ICSpec("kh", {"rho_in": 1.0, "rho_out": 1.0, "u0": 0.5, "delta": 0.03,
                          "amp": 0.01, "k_mode": 1, "p0": 2.5}, seed=0)
     u = make_initial_condition(spec, GridSpec(32, 32))
-    with pytest.raises(UndefinedReward):
-        arm_momentum(u, u, "x")
+    assert np.isnan(MOM_X.score(u, [u, u])).all()
 
 
 def test_arm_invariant_under_shared_periodic_shift():
@@ -93,21 +104,33 @@ def test_arm_invariant_under_shared_periodic_shift():
     def roll(s):
         return Snapshot.from_fields(np.roll(s.fields(), (5, -3), axis=(1, 2)), s.t)
 
-    assert arm_mass(a, b).value == arm_mass(roll(a), roll(b)).value
-    assert arm_energy(a, b).value == arm_energy(roll(a), roll(b)).value
-    assert arm_momentum(a, b, "x").value == arm_momentum(roll(a), roll(b), "x").value
+    assert arm(MASS, a, b) == arm(MASS, roll(a), roll(b))
+    assert arm(EnergyReward(), a, b) == arm(EnergyReward(), roll(a), roll(b))
+    assert arm(MOM_X, a, b) == arm(MOM_X, roll(a), roll(b))
 
 
 def test_arm_input_validation():
     u = flat_snapshot(8, 8, 1.0, 0.1, 0.0, 1.0)
     v = flat_snapshot(16, 16, 1.0, 0.1, 0.0, 1.0)
     with pytest.raises(ValueError, match="grid mismatch"):
-        arm_mass(u, v)
+        MASS.score(u, [u, v])
     bad = flat_snapshot(8, 8, -1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="positive"):
-        arm_mass(bad, bad)
+        MASS.score(bad, [bad])
     with pytest.raises(ValueError, match="component"):
-        arm_momentum(u, u, "z")
+        MomentumReward("z")
+
+
+def test_oracle_scores_minus_normalized_mse_against_truth():
+    traj = solve_trajectory(sample_ic("rp", seed=2), GridSpec(16, 16))
+    norm = Normalization(mean=np.zeros(4), std=np.array([1.0, 2.0, 2.0, 4.0]))
+    oracle = OracleMseReward(traj, norm)
+    cur = traj.snapshots[4]
+    noisy = Snapshot.from_fields(traj.snapshots[5].fields() + 0.01, traj.snapshots[5].t)
+    scores = oracle.score(cur, [traj.snapshots[5], noisy])
+    assert scores[0] == 0.0
+    want = np.mean((0.01 / norm.std[:, None, None]) ** 2 * np.ones((4, 16, 16)))
+    assert scores[1] == pytest.approx(-want, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +209,11 @@ def test_build_triplets_k3_is_sorted_candidates(mini_surrogate, mini_dataset):
     pair_seed = None
     # regenerate the candidate set and check the triple is its MSE-sorted form
     from pdettc.rng import mix64
-    from pdettc.rewards import _TRIPLET_TAG, _norm_mse
+    from pdettc.rewards import _TRIPLET_TAG, norm_mse
     pair_seed = mix64(4, _TRIPLET_TAG, recs[0].traj_index)
     cands = mini_surrogate.sample_candidates(u, 3, pair_seed, t_index=t_idx)
     truth = mini_dataset.trajectories[recs[0].traj_index].snapshots[t_idx + 1]
-    mses = sorted(_norm_mse(c.fields(), truth.fields(), mini_surrogate.norm)
+    mses = sorted(norm_mse(c.fields(), truth.fields(), mini_surrogate.norm)
                   for c in cands)
     assert list(recs[0].mse) == pytest.approx(mses)
 
@@ -272,13 +295,16 @@ def test_prm_scoring_deterministic_and_stateless(mini_dataset):
     a = mini_dataset.trajectories[0].snapshots[0]
     b = mini_dataset.trajectories[0].snapshots[1]
     c = mini_dataset.trajectories[0].snapshots[2]
-    s1 = prm.score(a, b)
-    s2 = prm.score(a, b)
-    assert s1 == s2                       # dropout off when scoring
-    before = prm.score(a, c)
-    prm.score(a, b)                       # interleaved call must not matter
-    assert prm.score(a, c) == before
-    assert prm_score(prm, a, b).model_id == "prm"
+    s1 = prm.score(a, [b])
+    s2 = prm.score(a, [b])
+    assert s1.dtype == np.float64 and s1.shape == (1,)
+    assert s1[0] == s2[0]                 # dropout off when scoring
+    before = prm.score(a, [c])[0]
+    prm.score(a, [b])                     # interleaved call must not matter
+    assert prm.score(a, [c])[0] == before
+    assert prm.score(a, [c, b]).tolist() == [before, s1[0]]
+    assert prm.score(a, []).shape == (0,)
+    assert prm.model_id == "prm"
 
 
 def rewards_backbone(cfg):
@@ -310,7 +336,7 @@ def test_prm_checkpoint_roundtrip(tmp_path, mini_dataset):
     back = ProcessRewardModel.from_checkpoint(path)
     a = mini_dataset.trajectories[0].snapshots[0]
     b = mini_dataset.trajectories[0].snapshots[1]
-    assert back.score(a, b) == prm.score(a, b)
+    assert back.score(a, [b])[0] == prm.score(a, [b])[0]
 
 
 def test_prm_score_follows_load_values(mini_dataset):
@@ -320,9 +346,9 @@ def test_prm_score_follows_load_values(mini_dataset):
     a = ProcessRewardModel(cfg, mini_dataset.normalization, init_seed=1)
     b = ProcessRewardModel(cfg, mini_dataset.normalization, init_seed=2)
     u, v = mini_dataset.trajectories[0].snapshots[:2]
-    before = a.score(u, v)
+    before = a.score(u, [v])[0]
     a.store.load_values(b.store.values_copy())
-    assert a.score(u, v) == b.score(u, v) != before
+    assert a.score(u, [v])[0] == b.score(u, [v])[0] != before
 
 
 def test_prm_config_validation():
@@ -331,5 +357,3 @@ def test_prm_config_validation():
         PRMConfig(backbone=cfg, margin=0.0)
     with pytest.raises(ValueError):
         PRMConfig(backbone=cfg, k_candidates=2)
-    with pytest.raises(ValueError):
-        PRMConfig(backbone=cfg, orientation="sideways")

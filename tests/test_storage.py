@@ -2,9 +2,14 @@ import builtins
 import errno
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pdettc import storage
 from pdettc.euler import (Dataset, GridSpec, ICSpec, Normalization, Snapshot,
@@ -203,3 +208,28 @@ def test_failed_write_leaves_previous_files_intact(tmp_path, small_dataset, monk
     save_dataset(path, other)
     assert load_dataset(path).trajectories[0].ic.family == "kh"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.pdt", "ds.pdt.json", "m.ckpt"]
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**53, 2**53),
+                          st.floats(allow_nan=False, allow_infinity=False),
+                          st.text(max_size=8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(header=st.dictionaries(st.text(max_size=8).filter(lambda k: k != "payload_shape"),
+                              st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3)),
+                              max_size=4),
+       payload=hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0,
+                                                        max_side=5)))
+def test_container_round_trip(header, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.pdt"
+        write_container(path, header, payload)
+        got_header, got = read_container(path)
+        first = path.read_bytes()
+        write_container(path, header, payload)
+        assert path.read_bytes() == first
+        sidecar = json.loads((Path(tmp) / "c.pdt.json").read_text())
+    assert got_header == sidecar == {**header, "payload_shape": list(payload.shape)}
+    assert got.dtype == np.dtype("<f4") and got.shape == payload.shape
+    assert got.tobytes() == payload.astype("<f4").tobytes()       # NaN payloads too

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from pdettc.euler import GridSpec, Snapshot, generate_dataset
-from pdettc.rewards import MassReward, UndefinedReward
+from pdettc.rewards import MassReward, ProcessRewardModel, prm_backbone_config
 from pdettc.surrogate import Surrogate
-from pdettc.ttc import (TTCConfig, greedy_rollout, load_rollout_record,
-                        save_rollout_record)
+from pdettc.ttc import (REWARD_NAMES, RolloutRecord, TTCConfig, greedy_rollout,
+                        load_rollout_record, make_reward_model,
+                        save_rollout_record, select)
 from pdettc.vit import ModelConfig
 
 
@@ -26,18 +27,17 @@ def model(dataset):
 
 
 class Scripted:
-    """Reward that returns (or raises) the next scripted value per call."""
+    """Reward that scores the candidates it is given with the next scripted
+    values; records the candidate lists it was called with."""
 
     def __init__(self, values):
         self.values = list(values)
-        self.calls = 0
+        self.seen = []
 
-    def score(self, u_t, u_cand):
-        v = self.values[self.calls]
-        self.calls += 1
-        if isinstance(v, Exception):
-            raise v
-        return v
+    def score(self, cur, cands):
+        done = sum(len(c) for c in self.seen)
+        self.seen.append(list(cands))
+        return np.array(self.values[done:done + len(cands)], dtype=np.float64)
 
 
 class Fixed:
@@ -68,6 +68,23 @@ def _run(scores, n_branch=4, n_steps=1, candidates=None):
     return rec, reward
 
 
+def test_select_ties_go_to_lowest_index():
+    assert select([-3.0, -1.0, -2.0, -1.0]) == (1, False)
+    assert select(np.array([0.0, -0.0])) == (0, False)
+    assert select([-0.0, 0.0]) == (0, False)
+
+
+def test_select_without_a_finite_score_falls_back_to_zero():
+    assert select([math.nan] * 3) == (0, True)
+    assert select([math.inf, -math.inf, math.nan]) == (0, True)
+    assert select([]) == (0, True)
+
+
+def test_select_ignores_infinities():
+    assert select([math.inf, -5.0, -math.inf, -4.0]) == (3, False)
+    assert select([math.nan, -math.inf, -1e300]) == (2, False)
+
+
 def test_ties_go_to_lowest_index():
     rec, _ = _run([-3.0, -1.0, -2.0, -1.0])
     assert rec.selected == [1]
@@ -75,7 +92,8 @@ def test_ties_go_to_lowest_index():
 
 
 def test_all_undefined_falls_back_to_candidate_zero():
-    rec, _ = _run([UndefinedReward("x")] * 4 + [float("nan")] * 4, n_steps=2)
+    rec, reward = _run([float("nan")] * 4 + [float("-inf")] * 4, n_steps=2)
+    assert len(reward.seen) == 2                  # one call per step
     assert rec.selected == [0, 0]
     assert rec.fallback_steps == [0, 1]
     assert rec.rewards == [[None] * 4, [None] * 4]
@@ -95,9 +113,13 @@ def test_nan_and_inf_rewards_are_undefined_not_raised():
 def test_non_physical_candidate_is_undefined_without_reward_call(bad):
     cands = [_uniform(0.05, **bad), _uniform(0.05)]
     rec, reward = _run([-1.0], n_branch=2, candidates=cands)
-    assert reward.calls == 1                  # only the physical candidate
+    assert len(reward.seen) == 1 and len(reward.seen[0]) == 1
+    assert reward.seen[0][0] is cands[1]      # only the physical candidate is scored
     assert rec.rewards == [[None, -1.0]]
     assert rec.selected == [1]
+    rec, reward = _run([], n_branch=1, candidates=cands[:1])
+    assert reward.seen == [[]]                # nothing physical to score
+    assert rec.rewards == [[None]] and rec.fallback_steps == [0]
 
 
 def test_b_prefix_pairing_on_the_float32_path(model, dataset):
@@ -132,7 +154,7 @@ def test_teacher_forced_feeds_truth_back(model, dataset):
 
 def test_rollout_record_round_trip_is_exact(tmp_path, model, dataset):
     truth = dataset.trajectories[0]
-    rec = greedy_rollout(model, Scripted([-1.0, UndefinedReward("x"), math.nan, -1.0]),
+    rec = greedy_rollout(model, Scripted([-1.0, math.inf, math.nan, -1.0]),
                          truth.snapshots[0], TTCConfig(n_branch=2, seed=5, n_steps=2))
     rec.ic_family, rec.ic_seed = "rp", 123
     save_rollout_record(tmp_path / "a", rec)
@@ -150,3 +172,39 @@ def test_rollout_record_round_trip_is_exact(tmp_path, model, dataset):
     for suffix in (".json", ".bin"):
         assert ((tmp_path / "a").with_suffix(suffix).read_bytes()
                 == (tmp_path / "b").with_suffix(suffix).read_bytes())
+
+
+def test_verify_argmax_agrees_with_select_on_stored_records(tmp_path, model, dataset):
+    start = dataset.trajectories[0].snapshots[0]
+    rows = [[-1.0, -1.0, -3.0], [None, None, None], [None, -2.0, -0.5], [0.0, -0.0, None]]
+    cands = model.sample_candidates(start, 3, 9, t_index=0)
+    rec = RolloutRecord(config=TTCConfig(n_branch=3, n_steps=len(rows)), ic_family="rp",
+                        ic_seed=0, start=start, chosen=[cands[0]] * len(rows),
+                        rewards=rows, selected=[0, 0, 2, 0], fallback_steps=[1],
+                        wall_times=[0.0] * len(rows))
+    save_rollout_record(tmp_path / "r", rec)
+    back = load_rollout_record(tmp_path / "r")
+    back.verify_argmax()
+    assert [select(np.array(r, dtype=np.float64)) for r in back.rewards] == [
+        (0, False), (0, True), (2, False), (0, False)]
+    for selected, fallback_steps in (([0, 0, 1, 0], [1]), ([1, 0, 2, 0], [1]),
+                                     ([0, 0, 2, 0], []), ([0, 0, 2, 0], [1, 2])):
+        back.selected, back.fallback_steps = selected, fallback_steps
+        with pytest.raises(AssertionError):
+            back.verify_argmax()
+
+
+@pytest.mark.parametrize("name", REWARD_NAMES)
+def test_candidate_scores_do_not_depend_on_b(name, model, dataset):
+    truth = dataset.trajectories[0]
+    prm = ProcessRewardModel(prm_backbone_config(model.config), dataset.normalization,
+                             init_seed=2)
+    reward = make_reward_model(name, prm=prm, truth=truth, norm=dataset.normalization)
+    start = truth.snapshots[1]
+    scores = {b: reward.score(start, model.sample_candidates(start, b, 23, t_index=1))
+              for b in (1, 4, 16)}
+    assert scores[16].shape == (16,)
+    for b in (1, 4):
+        assert scores[b].tobytes() == scores[16][:b].tobytes()
+    if not name.startswith("arm_momentum"):
+        assert np.isfinite(scores[16]).all() and len(set(scores[16].tolist())) > 1
