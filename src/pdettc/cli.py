@@ -129,6 +129,7 @@ def load_config(path: str | None) -> dict:
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
         _validate(doc, DEFAULTS)
+        _parse_list_values(doc)
         _deep_update(cfg, doc)
     env_seed = os.environ.get("PDETTC_SEED")
     if env_seed is not None:
@@ -473,6 +474,21 @@ def _split_fractions(text: str) -> list:
         return euler.check_split_fractions([float(x) for x in text.split(",")]).tolist()
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# Config-file lists that have a flag, checked and converted by the flag's
+# parser before anything runs.
+_LIST_PARSERS = {("data", "split"): _split_fractions, ("ttc", "b_list"): _positive_ints}
+
+
+def _parse_list_values(doc: dict) -> None:
+    for (section, key), parse in _LIST_PARSERS.items():
+        if key in doc.get(section, {}):
+            text = ",".join(str(v) for v in doc[section][key])
+            try:
+                doc[section][key] = parse(text)
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigError(f"config key '{section}.{key}': {exc}") from None
 
 
 def _add_common(p):

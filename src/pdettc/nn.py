@@ -5,16 +5,26 @@ every layer caches what its backward pass needs during ``forward`` and
 releases gradients in reverse order through ``backward``.  There is no
 general-purpose taping; the graph is the object tree.
 
-Dtype rule: parameters are float64 masters, and a forward pass computes
-in its input's dtype.  A float64 input reads the masters themselves; a
-float32 input reads a float32 copy of each parameter (`Param.like`),
-dropped whenever `ParamStore.load_values` or `AdamW.step` changes the
-masters and rebuilt on its next use.  Backward passes and the optimizer
-are float64 only: training forwards float64 inputs.  Module constants
-that meet activations are Python floats, because a NumPy float64 scalar
-would promote a float32 array to float64.  GELU evaluates erf with
-`scipy.special.erf` in float64 and with a float32 rational approximation
-(`_erf32`, max abs error below 1e-6) in float32.
+Dtype rule: compute in the input's dtype, keep state in float64.  The
+parameter masters, the gradient accumulators and the AdamW moments are
+float64.  A forward pass computes in its input's dtype, and a backward
+pass in the dtype of its incoming gradient, which is the forward's: a
+float64 input reads the masters themselves, a float32 one a float32 copy
+of each parameter (`Param.like`), dropped whenever `ParamStore.load_values`
+or `AdamW.step` changes the masters and rebuilt on its next use.  Float32
+gradient products are added into the float64 accumulators, and no loss
+scaling is needed at float32.  Training and sampling run float32; the
+finite-difference gradient checks run float64 through the same code.
+Module constants that meet activations are Python floats, because a
+NumPy float64 scalar would promote a float32 array to float64.  GELU
+evaluates erf with `scipy.special.erf` in float64 and with a float32
+rational approximation (`_erf32`, max abs error below 1e-6) in float32.
+
+Each layer drops its forward cache at the end of its backward, so a
+trained model holds no activations between steps.  Attention caches its
+softmax output but not the dropped-out copy, which backward rebuilds from
+the dropout mask.  A dropout layer keeps its bool mask until its next
+forward, because attention's backward applies the mask twice.
 
 Dropout is the only stochastic layer.  Each mask is one draw of raw
 16-bit values from an :class:`~pdettc.rng.RngStream` (`RngStream.bits16`),
@@ -54,8 +64,8 @@ class NonFiniteActivation(RuntimeError):
 
 
 class Param:
-    """Learnable float64 tensor with its gradient buffer, AdamW moments
-    and a float32 copy for float32 forwards."""
+    """Learnable float64 tensor with its float64 gradient buffer and AdamW
+    moments, and a float32 copy for float32 passes."""
 
     __slots__ = ("value", "grad", "m", "v", "_f32")
 
@@ -153,7 +163,8 @@ class Affine:
         dy2d = dy.reshape(-1, dy.shape[-1])
         self.w.grad += self._x2d.T @ dy2d
         self.b.grad += dy2d.sum(axis=0)
-        dx = dy2d @ self.w.value.T
+        dx = dy2d @ self.w.like(dy).T
+        self._x2d = None
         return dx.reshape(*self._lead, -1)
 
 
@@ -182,10 +193,12 @@ class LayerNorm:
         axes = tuple(range(dy.ndim - 1))
         self.g.grad += (dy * self._xhat).sum(axis=axes)
         self.b.grad += dy.sum(axis=axes)
-        dxhat = dy * self.g.value
+        dxhat = dy * self.g.like(dy)
         mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
         mean_dxhat_xhat = (dxhat * self._xhat).mean(axis=-1, keepdims=True)
-        return self._inv * (dxhat - mean_dxhat - self._xhat * mean_dxhat_xhat)
+        dx = self._inv * (dxhat - mean_dxhat - self._xhat * mean_dxhat_xhat)
+        self._xhat = self._inv = None
+        return dx
 
 
 def _erf32(x: np.ndarray) -> np.ndarray:
@@ -211,6 +224,11 @@ def _erf32(x: np.ndarray) -> np.ndarray:
     return p
 
 
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf in x's dtype: `_erf32` for float32, scipy's erf otherwise."""
+    return _erf32(x) if x.dtype == np.float32 else erf(x)
+
+
 class Gelu:
     """x * Phi(x) with the exact normal CDF: erf from scipy in float64,
     from `_erf32` in float32."""
@@ -223,8 +241,7 @@ class Gelu:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        z = x * _INV_SQRT2
-        y = _erf32(z) if x.dtype == np.float32 else erf(z)
+        y = _erf(x * _INV_SQRT2)
         y += 1.0
         y *= x
         y *= 0.5
@@ -232,8 +249,9 @@ class Gelu:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
-        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
+        self._x = None
         return dy * (cdf + x * pdf)
 
 
@@ -308,23 +326,25 @@ class MultiHeadSelfAttention:
         ctx = ctx.transpose(0, 2, 1, 3).reshape(b, n, d)
         out = self.proj.forward(ctx)
         out = self.proj_drop.forward(out, active, rng)
-        self._cache = (q, k, v, attn, attn_d)
+        self._cache = (q, k, v, attn)
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        q, k, v, attn, attn_d = self._cache
+        q, k, v, attn = self._cache
+        self._cache = None
         b, h, n, dh = q.shape
         d = h * dh
         dout = self.proj_drop.backward(dy)
         dctx = self.proj.backward(dout)
         dctx = dctx.reshape(b, n, h, dh).transpose(0, 2, 1, 3)
-        dattn_d = dctx @ v.swapaxes(-1, -2)
+        attn_d = self.attn_drop.backward(attn)      # the forward's dropped attention
         dv = attn_d.swapaxes(-1, -2) @ dctx
-        dattn = self.attn_drop.backward(dattn_d)
+        del attn_d
+        dattn = self.attn_drop.backward(dctx @ v.swapaxes(-1, -2))
         dscores = softmax_backward(attn, dattn) * self.scale
         dq = dscores @ k
         dk = dscores.swapaxes(-1, -2) @ q
-        dqkv = np.empty((b, n, 3, h, dh))
+        dqkv = np.empty((b, n, 3, h, dh), dtype=dy.dtype)
         for i, g in enumerate((dq, dk, dv)):
             dqkv[:, :, i] = g.transpose(0, 2, 1, 3)
         return self.qkv.backward(dqkv.reshape(b, n, 3 * d))
@@ -463,7 +483,7 @@ class PatchDecode:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         e = self.e
         b = dy.shape[0]
-        dimg = np.zeros((b, self.c_out, e.hp, e.wp))
+        dimg = np.zeros((b, self.c_out, e.hp, e.wp), dtype=dy.dtype)
         dimg[:, :, : e.h, : e.w] = dy
         dt = dimg.reshape(b, self.c_out, e.nh, e.p, e.nw, e.p)
         dt = dt.transpose(0, 2, 4, 1, 3, 5).reshape(b, e.n_tokens, -1)

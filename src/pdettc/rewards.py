@@ -27,7 +27,7 @@ import numpy as np
 
 from .euler import (CHANNELS, GAMMA_DEFAULT, Dataset, GridSpec, Normalization,
                     Snapshot, Trajectory, check_same_grid, energy_density)
-from .nn import AdamW, NonFiniteGradient
+from .nn import AdamW, NonFiniteActivation, NonFiniteGradient
 from .rng import RngStream, mix64
 from .storage import (Checkpoint, load_checkpoint, read_container,
                       save_checkpoint, write_container)
@@ -373,7 +373,10 @@ def train_prm(triplets: list, prm_cfg: PRMConfig, normalization: Normalization,
     """Minimize the mean triplet margin loss over ranked candidate triples.
 
     ``holdout`` triplets drive early stopping on pairwise ranking
-    accuracy; without them the train loss is used.
+    accuracy; without them the train loss is used.  The PRM forwards
+    float32 inputs and keeps float64 parameters (see `pdettc.nn`).  A
+    non-finite loss, activation or gradient stops training with
+    ``diverged`` set and the best weights seen kept.
     """
     if not triplets:
         raise ValueError("need at least one triplet")
@@ -385,59 +388,57 @@ def train_prm(triplets: list, prm_cfg: PRMConfig, normalization: Normalization,
     best = (-np.inf, prm.store.values_copy(), prm.store.step_count)
     stale = 0
     diverged = False
-    for epoch in range(prm_cfg.epochs):
-        t0 = time.perf_counter()
-        order = RngStream(prm_cfg.seed, mix64(_PRM_SHUFFLE_TAG, epoch)).permutation(len(triplets))
-        losses = []
-        for bi, start in enumerate(range(0, len(order), prm_cfg.batch_triplets)):
-            sel = order[start:start + prm_cfg.batch_triplets]
-            chunk = [triplets[j] for j in sel]
-            nb = len(chunk)
-            cur = np.repeat(np.stack([r.current.fields() for r in chunk]), 3, axis=0)
-            cur_t = np.repeat(np.array([r.current.t for r in chunk]), 3)
-            cand = np.stack([f for r in chunk
-                             for f in (r.worst.fields(), r.median.fields(), r.best.fields())])
-            cand_t = np.repeat(np.array([r.best.t for r in chunk]), 3)
-            x = prm.pack_pair(cur, cur_t, cand, cand_t)
-            rng = RngStream(prm_cfg.seed, mix64(_PRM_DROPOUT_TAG, epoch, bi))
-            scores = prm.model.forward(x, MODE_TRAIN, rng).reshape(nb, 3)
-            s_w, s_m, s_b = scores[:, 0], scores[:, 1], scores[:, 2]
-            h1 = s_w - s_m + margin
-            h2 = s_m - s_b + margin
-            loss = float(np.mean(np.maximum(h1, 0.0) + np.maximum(h2, 0.0)))
-            g1 = (h1 > 0.0).astype(np.float64) / nb
-            g2 = (h2 > 0.0).astype(np.float64) / nb
-            d = np.zeros((nb, 3))
-            d[:, 0] += g1
-            d[:, 1] += g2 - g1
-            d[:, 2] -= g2
-            if not np.isfinite(loss):
-                diverged = True
-                break
-            prm.store.zero_grad()
-            prm.model.backward(d.reshape(-1))
-            try:
+    try:
+        for epoch in range(prm_cfg.epochs):
+            t0 = time.perf_counter()
+            order = RngStream(prm_cfg.seed,
+                              mix64(_PRM_SHUFFLE_TAG, epoch)).permutation(len(triplets))
+            losses = []
+            for bi, start in enumerate(range(0, len(order), prm_cfg.batch_triplets)):
+                sel = order[start:start + prm_cfg.batch_triplets]
+                chunk = [triplets[j] for j in sel]
+                nb = len(chunk)
+                cur = np.repeat(np.stack([r.current.fields() for r in chunk]), 3, axis=0)
+                cur_t = np.repeat(np.array([r.current.t for r in chunk]), 3)
+                cand = np.stack([f for r in chunk
+                                 for f in (r.worst.fields(), r.median.fields(),
+                                           r.best.fields())])
+                cand_t = np.repeat(np.array([r.best.t for r in chunk]), 3)
+                x = prm.pack_pair(cur, cur_t, cand, cand_t).astype(np.float32)
+                rng = RngStream(prm_cfg.seed, mix64(_PRM_DROPOUT_TAG, epoch, bi))
+                scores = prm.model.forward(x, MODE_TRAIN, rng).reshape(nb, 3)
+                s_w, s_m, s_b = scores[:, 0], scores[:, 1], scores[:, 2]
+                h1 = s_w - s_m + margin
+                h2 = s_m - s_b + margin
+                loss = float(np.mean(np.maximum(h1, 0.0) + np.maximum(h2, 0.0)))
+                if not np.isfinite(loss):
+                    raise NonFiniteActivation(f"non-finite loss {loss}")
+                g1 = (h1 > 0.0).astype(np.float64) / nb
+                g2 = (h2 > 0.0).astype(np.float64) / nb
+                d = np.zeros((nb, 3))
+                d[:, 0] += g1
+                d[:, 1] += g2 - g1
+                d[:, 2] -= g2
+                prm.store.zero_grad()
+                prm.model.backward(d.reshape(-1))
                 opt.step(prm.store)
-            except NonFiniteGradient:
-                diverged = True
+                losses.append(loss)
+            acc = ranking_accuracy(prm, holdout) if holdout else np.nan
+            track = acc if holdout else -float(np.mean(losses))
+            if track > best[0]:
+                best = (track, prm.store.values_copy(), prm.store.step_count)
+                stale = 0
+            else:
+                stale += 1
+            rec = {"epoch": epoch, "train_loss": float(np.mean(losses)),
+                   "holdout_accuracy": acc, "seconds": time.perf_counter() - t0}
+            history.append(rec)
+            if log:
+                log(rec)
+            if stale > prm_cfg.patience:
                 break
-            losses.append(loss)
-        if diverged:
-            break
-        acc = ranking_accuracy(prm, holdout) if holdout else np.nan
-        track = acc if holdout else -float(np.mean(losses))
-        if track > best[0]:
-            best = (track, prm.store.values_copy(), prm.store.step_count)
-            stale = 0
-        else:
-            stale += 1
-        rec = {"epoch": epoch, "train_loss": float(np.mean(losses)),
-               "holdout_accuracy": acc, "seconds": time.perf_counter() - t0}
-        history.append(rec)
-        if log:
-            log(rec)
-        if stale > prm_cfg.patience:
-            break
+    except (NonFiniteActivation, NonFiniteGradient):
+        diverged = True
     prm.store.load_values(best[1])
     prm.store.step_count = best[2]
     return PRMTrainResult(prm=prm, history=history, diverged=diverged)

@@ -16,11 +16,12 @@ A sidecar <path>.json mirrors every container header for human
 inspection.
 
 Every file is written to a temporary file in its own directory, synced
-to disk, and then moved over its path with os.replace, so an interrupted
-write or a power loss leaves the previous file or the complete new one,
-never a partial file.  Text outputs (rollout metadata, indexes, metrics,
-images) go through `write_text` for the same guarantee.  Readers reject
-files with bytes after the declared payload.
+to disk, moved over its path with os.replace, and the directory synced,
+so an interrupted write or a power loss leaves the previous file or the
+complete new one, never a partial file, and a completed write stays.
+Text outputs (rollout metadata, indexes, metrics, images) go through
+`write_text` for the same guarantee.  Readers reject files with bytes
+after the declared payload.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def _replacing(path: Path):
 
     The data goes to a temporary file beside path; it is flushed and
     fsynced, then moved over path only when the block completes, and
-    removed if the block raises.
+    removed if the block raises.  The directory is fsynced after the
+    move, so that the new directory entry is on disk too.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
@@ -71,6 +73,11 @@ def _replacing(path: Path):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)

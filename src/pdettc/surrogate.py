@@ -10,9 +10,14 @@ Stochastic inference keeps dropout active and draws each candidate's
 masks from its own counter-based stream, so candidate i at timestep k
 is the same array no matter how many other candidates are requested.
 
-`Surrogate.predict_fields`, and with it `predict` and
-`sample_candidates`, runs the transformer in float32 and returns
-float64 fields; training and `_val_mse` forward float64 inputs.
+The dtype rule is `pdettc.nn`'s: compute in float32, keep state in
+float64.  `Surrogate.predict_fields` (with it `predict` and
+`sample_candidates`), training and `_val_mse` forward float32 inputs;
+the parameters, their gradients and the AdamW moments stay float64, and
+losses and predicted fields are float64.
+
+Training stops, keeps the best weights seen and reports ``diverged``
+when a loss, an activation or a gradient is non-finite.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .euler import Dataset, Normalization, Snapshot
-from .nn import AdamW, NonFiniteGradient
+from .nn import AdamW, NonFiniteActivation, NonFiniteGradient
 from .rng import RngStream, mix64
 from .storage import Checkpoint, load_checkpoint, save_checkpoint
 from .vit import (MODE_DETERMINISTIC, MODE_STOCHASTIC, MODE_TRAIN, ModelConfig,
@@ -182,7 +187,7 @@ def _val_mse(surrogate: Surrogate, dataset: Dataset, pairs, batch: int) -> float
     for start in range(0, len(pairs), batch):
         sel = range(start, min(start + batch, len(pairs)))
         fields, times, targets = _gather(dataset, pairs, sel)
-        x = surrogate.pack_inputs(fields, times)
+        x = surrogate.pack_inputs(fields, times).astype(np.float32)
         pred = surrogate.model.forward(x, MODE_DETERMINISTIC)
         d = pred - surrogate.norm.apply(targets)
         total += float(np.sum(d * d))
@@ -202,45 +207,41 @@ def _run_training(surrogate: Surrogate, dataset: Dataset, train_pairs, val_pairs
     history = []
     best = (np.inf, surrogate.store.values_copy(), surrogate.store.step_count)
     diverged = False
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        order = RngStream(cfg.seed, mix64(_SHUFFLE_TAG, epoch)).permutation(len(train_pairs))
-        losses = []
-        for bi, start in enumerate(range(0, len(order), cfg.batch_size)):
-            sel = order[start:start + cfg.batch_size]
-            fields, times, targets = _gather(dataset, train_pairs, sel)
-            x = surrogate.pack_inputs(fields, times)
-            rng = RngStream(cfg.seed, mix64(_DROPOUT_TAG, epoch, bi))
-            pred = surrogate.model.forward(x, MODE_TRAIN, rng)
-            d = pred - surrogate.norm.apply(targets)
-            if p == 2.0:
-                loss = float(np.mean(d * d))
-                grad = 2.0 * d / d.size
-            else:
-                ad = np.abs(d)
-                loss = float(np.mean(ad ** p))
-                grad = p * np.sign(d) * ad ** (p - 1.0) / d.size
-            if not np.isfinite(loss):
-                diverged = True
-                break
-            surrogate.store.zero_grad()
-            surrogate.model.backward(grad)
-            try:
+    try:
+        for epoch in range(cfg.epochs):
+            t0 = time.perf_counter()
+            order = RngStream(cfg.seed, mix64(_SHUFFLE_TAG, epoch)).permutation(len(train_pairs))
+            losses = []
+            for bi, start in enumerate(range(0, len(order), cfg.batch_size)):
+                sel = order[start:start + cfg.batch_size]
+                fields, times, targets = _gather(dataset, train_pairs, sel)
+                x = surrogate.pack_inputs(fields, times).astype(np.float32)
+                rng = RngStream(cfg.seed, mix64(_DROPOUT_TAG, epoch, bi))
+                pred = surrogate.model.forward(x, MODE_TRAIN, rng)
+                d = pred - surrogate.norm.apply(targets)
+                if p == 2.0:
+                    loss = float(np.mean(d * d))
+                    grad = 2.0 * d / d.size
+                else:
+                    ad = np.abs(d)
+                    loss = float(np.mean(ad ** p))
+                    grad = p * np.sign(d) * ad ** (p - 1.0) / d.size
+                if not np.isfinite(loss):
+                    raise NonFiniteActivation(f"non-finite loss {loss}")
+                surrogate.store.zero_grad()
+                surrogate.model.backward(grad)
                 opt.step(surrogate.store)
-            except NonFiniteGradient:
-                diverged = True
-                break
-            losses.append(loss)
-        if diverged:
-            break
-        val = _val_mse(surrogate, dataset, val_pairs, cfg.batch_size)
-        if val < best[0]:
-            best = (val, surrogate.store.values_copy(), surrogate.store.step_count)
-        rec = {"epoch": epoch, "train_loss": float(np.mean(losses)), "val_mse": val,
-               "seconds": time.perf_counter() - t0}
-        history.append(rec)
-        if log:
-            log(rec)
+                losses.append(loss)
+            val = _val_mse(surrogate, dataset, val_pairs, cfg.batch_size)
+            if val < best[0]:
+                best = (val, surrogate.store.values_copy(), surrogate.store.step_count)
+            rec = {"epoch": epoch, "train_loss": float(np.mean(losses)), "val_mse": val,
+                   "seconds": time.perf_counter() - t0}
+            history.append(rec)
+            if log:
+                log(rec)
+    except (NonFiniteActivation, NonFiniteGradient):
+        diverged = True
     surrogate.store.load_values(best[1])
     surrogate.store.step_count = best[2]
     if not history:

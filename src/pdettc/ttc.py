@@ -11,7 +11,11 @@ A non-physical candidate (non-finite fields, rho <= 0 or p <= 0) is not
 passed to the reward; its score is undefined, as is a NaN or infinite
 score the reward returns.  `select` picks the lowest-index maximum of the
 defined scores; a step with none falls back to candidate 0 and is listed
-in ``fallback_steps``.  Records store an undefined score as None.
+in ``fallback_steps``.  A rollout never continues from a non-physical
+state: when the kept candidate is non-physical (a fallback step, where
+no candidate was defined), the step's chosen state is the current state
+with its time advanced by the surrogate's ``dt_out``, and the next step
+starts from it.  Records store an undefined score as None.
 """
 
 from __future__ import annotations
@@ -144,9 +148,11 @@ def greedy_rollout(surrogate: Surrogate, reward_model, u_start: Snapshot,
             rec.fallback_steps.append(k)
         rec.rewards.append([float(s) if math.isfinite(s) else None for s in scores])
         rec.selected.append(sel)
-        rec.chosen.append(candidates[sel])
+        chosen = (candidates[sel] if sel in physical
+                  else Snapshot(state.data, state.t + surrogate.dt_out))
+        rec.chosen.append(chosen)
         rec.wall_times.append(time.perf_counter() - t0)
-        state = truth.snapshots[k + 1] if cfg.teacher_forced else candidates[sel]
+        state = truth.snapshots[k + 1] if cfg.teacher_forced else chosen
     return rec
 
 

@@ -6,10 +6,11 @@ pre-norm residual blocks.  The image head projects tokens back to pixel
 patches (next-snapshot prediction); the scalar head mean-pools tokens to
 a single score (reward model).
 
-A forward pass computes in its input's dtype (see `pdettc.nn`): float32
-for sampling and scoring, float64 for training, validation and gradient
-checks.  Train mode takes float64 input only, because backward passes
-and the optimizer run on the float64 parameter masters.
+The dtype rule is `pdettc.nn`'s: compute in the input's dtype, keep
+state in float64.  Training, validation, sampling and scoring forward
+float32 inputs; the gradient checks forward float64 ones through the
+same code.  `backward` computes in the dtype of the forward it follows
+and accumulates into the float64 parameter gradients.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ class VisionTransformer:
             self.decode = None
             self.score = Affine(c.embed_dim, 1, init_rng, name="score")
         self._n_tok = None
+        self._dtype = None
 
     @property
     def n_tokens(self) -> int:
@@ -97,6 +99,7 @@ class VisionTransformer:
 
     def _run(self, x: np.ndarray, active: bool, rng: RngStream | None,
              probe: list | None = None) -> np.ndarray:
+        self._dtype = x.dtype
         z = self.embed.forward(x) + self.pos.like(x)
         z = self.pos_drop.forward(z, active, rng)
         if probe is not None:
@@ -123,8 +126,6 @@ class VisionTransformer:
         """
         if mode not in _MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == MODE_TRAIN and x.dtype != np.float64:
-            raise ValueError(f"train mode needs float64 input, got {x.dtype}")
         active = mode in (MODE_TRAIN, MODE_STOCHASTIC) and self.cfg.dropout_p > 0.0
         if active and rng is None:
             raise ValueError("dropout active but no rng stream given")
@@ -144,7 +145,12 @@ class VisionTransformer:
         return "head"
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients; returns gradient w.r.t. input."""
+        """Accumulate parameter gradients; returns gradient w.r.t. input.
+
+        dy is cast to the dtype of the last forward, which backward
+        computes in.
+        """
+        dy = dy.astype(self._dtype, copy=False)
         if self.decode is not None:
             dz = self.decode.backward(dy)
         else:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pdettc import cli, metrics, storage, ttc
+from pdettc.surrogate import Surrogate
 
 
 def test_pipeline_end_to_end_in_process(tmp_path, monkeypatch):
@@ -132,3 +133,56 @@ def test_evaluate_rejects_records_of_another_dataset(tmp_path, monkeypatch):
         assert cli.main([*argv, "--data", "other.pdt"]) == cli.EXIT_CONFIG
         assert not Path(command).exists()
         assert cli.main([*argv, "--data", "data.pdt"]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"data": {"split": [0.5, 0.5, 0.5]}}, "data.split"),
+    ({"data": {"split": [0.5, 0.5]}}, "data.split"),
+    ({"data": {"split": [0.5, -0.5, 1.0]}}, "data.split"),
+    ({"data": {"split": ["a", 0.5, 0.5]}}, "data.split"),
+    ({"ttc": {"b_list": [1, 0]}}, "ttc.b_list"),
+    ({"ttc": {"b_list": [4, -1]}}, "ttc.b_list"),
+    ({"ttc": {"b_list": []}}, "ttc.b_list"),
+    ({"ttc": {"b_list": [1.5]}}, "ttc.b_list"),
+    ({"ttc": {"b_list": [True]}}, "ttc.b_list"),
+])
+def test_config_file_lists_are_checked_before_anything_runs(tmp_path, monkeypatch, capsys,
+                                                            doc, key):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text(json.dumps(doc))
+
+    def solve(_):
+        raise AssertionError("solved a trajectory with a bad config")
+
+    monkeypatch.setattr(cli, "_solve_one", solve)
+    for argv in (["gen-data", "--families", "rp", "--n", "1", "--grid", "16",
+                  "--out", "d.pdt"],
+                 ["rollout", "--surrogate", "s.ckpt", "--data", "d.pdt", "--out-dir", "r"]):
+        _fails_with_one_line(capsys, [*argv, "--config", "bad.json"], f"'{key}'")
+    assert not Path("d.pdt").exists()
+
+
+def test_config_file_lists_give_the_effective_config_of_their_flags(tmp_path):
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps({"data": {"split": [1, 0, 0]}, "ttc": {"b_list": [1, 4]}}))
+    from_file = cli.load_config(str(path))
+    from_flags = cli.load_config(None)
+    from_flags["data"]["split"] = cli._split_fractions("1,0,0")
+    from_flags["ttc"]["b_list"] = cli._positive_ints("1,4")
+    assert from_file == from_flags
+    assert cli.config_digest(from_file) == cli.config_digest(from_flags)
+
+
+def test_train_divergence_writes_the_last_good_checkpoint(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PDETTC_SEED", raising=False)
+    assert cli.main(["gen-data", "--seed", "3", "--families", "rp", "--n", "2", "--grid",
+                     "16", "--split", "0.5,0.5,0", "--out", "data.pdt"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["train", "--seed", "3", "--data", "data.pdt", "--epochs", "2",
+                     "--lr", "1e20", "--out", "s.ckpt"]) == cli.EXIT_NUMERICAL
+    assert "training diverged; kept last good checkpoint" in capsys.readouterr().err
+    back = Surrogate.from_checkpoint("s.ckpt")
+    assert back.store.step_count == 0          # diverged in the first epoch: the init
+    assert all(np.isfinite(p.value).all() for p in back.store.params.values())
+    assert Path("s.ckpt.loss.csv").exists()

@@ -128,6 +128,29 @@ def test_mhsa_grads_match_fd(seed):
     assert fd.check_input_grad(loss, x, dx, rng) < fd.REL_TOL
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_mhsa_grads_match_fd_with_dropout_active(seed):
+    # backward rebuilds the dropped attention from the mask; every loss call
+    # replays the same masks from the same stream state
+    rng = np.random.default_rng(250 + seed)
+    layer = MultiHeadSelfAttention(dim=6, n_heads=2, dropout_p=0.3,
+                                   rng=RngStream(seed, 3))
+    x = rng.normal(size=(2, 4, 6))
+    w = rng.normal(size=(2, 4, 6))
+
+    def loss():
+        return float(np.sum(layer.forward(x, True, RngStream(seed, 4)) * w))
+
+    store = _store(layer)
+    store.zero_grad()
+    loss()
+    assert np.any(layer.attn_drop._mask == 0)
+    dx = layer.backward(w)
+    assert layer._cache is None
+    assert fd.check_param_grads(loss, store, rng, max_per_tensor=8) < fd.REL_TOL
+    assert fd.check_input_grad(loss, x, dx, rng) < fd.REL_TOL
+
+
 # ---------------------------------------------------------------------------
 # attention semantics
 
@@ -349,10 +372,47 @@ def test_float32_copy_follows_adamw_step_and_load_values(tiny_model, np_rng):
     assert not np.allclose(halved32, after32, rtol=1e-4, atol=1e-5)
 
 
-def test_train_mode_refuses_float32_input(tiny_model):
-    with pytest.raises(ValueError, match="float64"):
-        tiny_model.forward(np.zeros((1, 5, 8, 8), dtype=np.float32), MODE_TRAIN,
-                           RngStream(0))
+def _train_grads(model, x, dy):
+    """Parameter gradients of one train-mode forward and backward."""
+    store = model.param_store()
+    store.zero_grad()
+    model.forward(x, MODE_TRAIN, RngStream(6, 2))
+    model.backward(dy)
+    return {name: p.grad.copy() for name, p in store.params.items()}
+
+
+def _head_model(tiny_cfg, head):
+    return VisionTransformer(dataclasses.replace(tiny_cfg, depth=2, head=head),
+                             RngStream(0, 1))
+
+
+@pytest.mark.parametrize("head", ["image", "scalar"])
+def test_float32_train_accumulates_float64_gradients(tiny_cfg, np_rng, head):
+    model = _head_model(tiny_cfg, head)
+    x = _f32(np_rng, 3, 5, 8, 8)
+    dy = np_rng.normal(size=(3, 4, 8, 8) if head == "image" else (3,))
+    store = model.param_store()
+    store.zero_grad()
+    assert model.forward(x, MODE_TRAIN, RngStream(6, 2)).dtype == np.float32
+    dx = model.backward(dy)                         # float64 dy, float32 forward
+    assert dx.dtype == np.float32
+    for name, p in store.params.items():
+        assert p.value.dtype == p.grad.dtype == np.float64, name
+        assert np.all(np.isfinite(p.grad)) and np.any(p.grad != 0.0), name
+    AdamW(lr=1e-3).step(store)
+    for name, p in store.params.items():
+        assert p.m.dtype == p.v.dtype == p.value.dtype == np.float64, name
+
+
+@pytest.mark.parametrize("head", ["image", "scalar"])
+def test_float32_gradient_norms_match_float64(tiny_cfg, np_rng, head):
+    model = _head_model(tiny_cfg, head)
+    x = np_rng.normal(size=(3, 5, 8, 8))
+    dy = np_rng.normal(size=(3, 4, 8, 8) if head == "image" else (3,))
+    g64 = _train_grads(model, x, dy)
+    g32 = _train_grads(model, x.astype(np.float32), dy)
+    for name, g in g64.items():
+        assert np.linalg.norm(g32[name]) == pytest.approx(np.linalg.norm(g), rel=1e-4), name
 
 
 # ---------------------------------------------------------------------------

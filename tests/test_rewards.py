@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdettc.euler import (GridSpec, ICSpec, Normalization, Snapshot, generate_dataset,
                           make_initial_condition, sample_ic, solve_trajectory)
@@ -74,6 +76,50 @@ def test_arm_values_never_positive():
         b = flat_snapshot(8, 8, *rng.uniform(0.5, 1.5, size=4))
         assert arm(MASS, a, b) <= 0.0
         assert arm(EnergyReward(), a, b) <= 0.0
+
+
+def _random_state(rng, nx, ny, t=0.0):
+    """A physical state with non-uniform fields: rho, p > 0."""
+    return Snapshot.from_fields(np.stack([
+        rng.uniform(0.1, 2.0, (nx, ny)), rng.normal(size=(nx, ny)),
+        rng.normal(size=(nx, ny)), rng.uniform(0.1, 2.0, (nx, ny))]), t)
+
+
+_STATES = dict(seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 9), ny=st.integers(1, 9),
+               n_cands=st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_STATES)
+def test_arms_are_never_positive_and_zero_on_the_current_state(seed, nx, ny, n_cands):
+    rng = np.random.default_rng(seed)
+    cur = _random_state(rng, nx, ny)
+    cands = [_random_state(rng, nx, ny, 0.05) for _ in range(n_cands)] + [cur]
+    for reward in (MASS, MOM_X, MOM_Y, ENERGY):
+        scores = reward.score(cur, cands)
+        assert scores.dtype == np.float64 and scores.shape == (n_cands + 1,)
+        if reward in (MOM_X, MOM_Y) and np.isnan(scores).any():
+            assert np.isnan(scores).all()       # undefined by the current total alone
+            continue
+        assert np.all(scores <= 0.0), reward.model_id
+        assert scores[-1] == 0.0, reward.model_id
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_STATES, shift=st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
+def test_arms_are_exactly_invariant_under_a_shared_periodic_shift(seed, nx, ny, n_cands,
+                                                                   shift):
+    rng = np.random.default_rng(seed)
+    cur = _random_state(rng, nx, ny)
+    cands = [_random_state(rng, nx, ny, 0.05) for _ in range(n_cands)]
+
+    def roll(s):
+        return Snapshot.from_fields(np.roll(s.fields(), shift, axis=(1, 2)), s.t)
+
+    for reward in (MASS, MOM_X, MOM_Y, ENERGY):
+        plain = reward.score(cur, cands)
+        shifted = reward.score(roll(cur), [roll(c) for c in cands])
+        assert shifted.tobytes() == plain.tobytes(), reward.model_id
 
 
 def test_arm_on_consecutive_solver_snapshots():
@@ -284,6 +330,21 @@ def test_train_prm_learns_noise_ranking(mini_dataset):
     assert res.history[-1]["train_loss"] < res.history[0]["train_loss"]
     assert res.best_accuracy >= 0.8
     assert ranking_accuracy(res.prm, holdout) >= 0.8
+
+
+def test_train_prm_non_finite_forward_diverges_and_keeps_the_best_weights(mini_dataset):
+    triplets = _noise_triplets(mini_dataset, np.random.default_rng(7))
+    cfg = ModelConfig(height=16, width=16, patch_size=3, in_channels=5,
+                      out_channels=4, embed_dim=16, depth=1, n_heads=2,
+                      mlp_ratio=2.0, dropout_p=0.1)
+    init = ProcessRewardModel(rewards_backbone(cfg), mini_dataset.normalization, init_seed=0)
+    for holdout in (None, triplets[:6]):
+        res = train_prm(triplets[6:], PRMConfig(backbone=cfg, epochs=3, lr=1e20,
+                                                batch_triplets=8, seed=0),
+                        mini_dataset.normalization, holdout=holdout)
+        assert res.diverged
+        for name in init.store.names():      # diverged in the first epoch: the init
+            assert np.array_equal(res.prm.store[name].value, init.store[name].value), name
 
 
 def test_prm_scoring_deterministic_and_stateless(mini_dataset):

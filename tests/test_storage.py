@@ -2,6 +2,8 @@ import builtins
 import errno
 import hashlib
 import json
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -233,3 +235,19 @@ def test_container_round_trip(header, payload):
     assert got_header == sidecar == {**header, "payload_shape": list(payload.shape)}
     assert got.dtype == np.dtype("<f4") and got.shape == payload.shape
     assert got.tobytes() == payload.astype("<f4").tobytes()       # NaN payloads too
+
+
+def test_a_write_fsyncs_the_file_before_and_the_directory_after_the_rename(
+        tmp_path, monkeypatch):
+    path = tmp_path / "a.txt"
+    synced = []
+    fsync = os.fsync
+
+    def record(fd):
+        synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), path.exists()))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", record)
+    storage.write_text(path, "x")
+    assert synced == [(False, False), (True, True)]
+    assert path.read_text() == "x" and os.listdir(tmp_path) == ["a.txt"]

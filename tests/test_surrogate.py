@@ -136,6 +136,17 @@ def test_divergent_lr_aborts_with_flag(rp_dataset):
         np.concatenate([p.value.ravel() for p in res.surrogate.store.params.values()])))
 
 
+def test_non_finite_forward_diverges_and_keeps_the_best_weights(rp_dataset):
+    cfg = small_cfg(rp_dataset.grid)
+    res = train(rp_dataset, cfg, TrainConfig(lr=1e20, epochs=3, batch_size=8, seed=0))
+    assert res.diverged
+    init = Surrogate(cfg, rp_dataset.normalization, init_seed=0)
+    for name in init.store.names():           # diverged in the first epoch: the init
+        assert np.array_equal(res.surrogate.store[name].value, init.store[name].value), name
+    assert [h["epoch"] for h in res.history] == [-1]
+    assert np.isfinite(res.history[0]["val_mse"])
+
+
 def test_finetune_zero_trajectories_is_identity(rp_surrogate, rp_dataset):
     out = finetune(rp_surrogate, rp_dataset, 0, TrainConfig(lr=1e-3, seed=0))
     assert out.history == [] and not out.diverged

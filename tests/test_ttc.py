@@ -43,6 +43,8 @@ class Scripted:
 class Fixed:
     """Surrogate stand-in returning given candidates; records its inputs."""
 
+    dt_out = 0.05
+
     def __init__(self, candidates):
         self.candidates = candidates
         self.states = []
@@ -120,6 +122,32 @@ def test_non_physical_candidate_is_undefined_without_reward_call(bad):
     rec, reward = _run([], n_branch=1, candidates=cands[:1])
     assert reward.seen == [[]]                # nothing physical to score
     assert rec.rewards == [[None]] and rec.fallback_steps == [0]
+
+
+class PerStep(Fixed):
+    """Surrogate stand-in returning the candidate list scripted for each step."""
+
+    def sample_candidates(self, u, n_branch, rollout_seed, t_index=None):
+        self.states.append(u)
+        return self.candidates[t_index][:n_branch]
+
+
+def test_no_physical_candidate_continues_from_the_last_physical_state():
+    start = _uniform(0.0, rho=2.0)
+    negative = [_uniform(0.05, rho=-1.0), _uniform(0.05, rho=-1.0)]
+    good = [_uniform(0.15, rho=2.0), _uniform(0.15, rho=1.5)]
+    stand_in = PerStep([negative, negative, good])
+    rec = greedy_rollout(stand_in, MassReward(), start, TTCConfig(n_branch=2, n_steps=3))
+    rec.verify_argmax()
+    assert rec.fallback_steps == [0, 1]
+    assert rec.selected == [0, 0, 0]
+    assert rec.rewards == [[None, None], [None, None], [0.0, -0.25]]
+    for k in (0, 1):                              # the start state, its time advanced
+        assert rec.chosen[k].fields() is start.fields()
+        assert rec.chosen[k].t == pytest.approx(0.05 * (k + 1))
+    assert rec.chosen[2] is good[0]
+    assert stand_in.states == [start, rec.chosen[0], rec.chosen[1]]
+    assert all(s.t == pytest.approx(0.05 * k) for k, s in enumerate(rec.states()[:3]))
 
 
 def test_b_prefix_pairing_on_the_float32_path(model, dataset):
