@@ -1,11 +1,17 @@
 """Command-line experiment harness.
 
 Subcommands: gen-data, train, finetune, train-prm, rollout, evaluate,
-report.  All take an optional JSON config (schema-checked, unknown keys
-rejected); command-line flags override file values, and the env var
-PDETTC_SEED overrides the config seed (flags still win).  Every command
-is deterministic given its effective config; artifacts embed the
-config digest that produced them.
+report.  All take an optional JSON config; command-line flags override
+file values, and the env var PDETTC_SEED overrides the config seed
+(flags still win).  `DEFAULTS` is the config schema: a key that is not
+in it is rejected, and each value must have its default's type (an int
+is accepted for a float).  Every config-bound flag has its dotted config
+key as its argparse ``dest`` (``--epochs`` of train is ``train.epochs``),
+except ``--grid``, which sets both ``grid.nx`` and ``grid.ny``.  Values
+are checked where they become a grid, a training or PRM config, a family
+list or a rollout length, before a command does any work.  Every command
+is deterministic given its effective config; artifacts embed the config
+digest that produced them.
 
 Exit codes: 0 ok, 2 config or input error (a bad flag or config value, a
 missing, corrupt or mismatched input file; one line on stderr), 3
@@ -19,12 +25,9 @@ import copy
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import euler, metrics, render, rewards, storage, surrogate as sg, ttc
 from .nn import NonFiniteActivation, NonFiniteGradient
@@ -39,53 +42,39 @@ class ConfigError(ValueError):
     pass
 
 
-def _field_defaults(cls) -> dict:
-    """Defaults of a config dataclass's fields, leaving out the ones set
-    from elsewhere (the seed and the PRM's backbone)."""
-    return {f.name: f.default for f in dataclasses.fields(cls)
+def _field_defaults(config) -> dict:
+    """Field values of a config dataclass or instance, leaving out the ones
+    set from elsewhere (the seed and the PRM's backbone)."""
+    return {f.name: getattr(config, f.name) for f in dataclasses.fields(config)
             if f.name not in ("seed", "backbone")}
 
 
 DEFAULTS = {
     "seed": 0,
-    "output_dir": "runs/out",
     "jobs": 1,
     "grid": {"nx": 64, "ny": 64},
     "data": {
         "families": ["rp"],
         "n_per_family": 16,
         "split": [0.75, 0.125, 0.125],
-        "gamma": 1.4,
-        "cfl": 0.4,
+        "gamma": euler.GAMMA_DEFAULT,
+        "cfl": euler.CFL_DEFAULT,
         "path": "dataset.pdt",
     },
     "model": {"preset": "desk", "patch": "vit5", "time_channel": True},
     "train": _field_defaults(sg.TrainConfig),
-    "finetune": {"n_traj": 32, "lr": 1e-4, "weight_decay": 0.01, "batch_size": 32,
-                 "epochs": 30, "loss_p": 2.0},
+    "finetune": {**_field_defaults(sg.FINETUNE_CONFIG), "n_traj": 32},
     "prm": {**_field_defaults(rewards.PRMConfig),
             "train_trajectories": 0, "holdout_trajectories": 0},
     "ttc": {"b_list": [1, 4, 16, 64], "reward": "prm", "n_steps": 20,
             "teacher_forced": False, "n_ics": 0, "split": "test"},
 }
 
-_SCHEMA_TYPES = {
-    "seed": int, "output_dir": str, "jobs": int,
-    "grid.nx": int, "grid.ny": int,
-    "data.families": list, "data.n_per_family": int, "data.split": list,
-    "data.gamma": float, "data.cfl": float, "data.path": str,
-    "model.preset": str, "model.patch": str, "model.time_channel": bool,
-    "train.lr": float, "train.weight_decay": float, "train.batch_size": int,
-    "train.epochs": int, "train.loss_p": float,
-    "finetune.n_traj": int, "finetune.lr": float, "finetune.weight_decay": float,
-    "finetune.batch_size": int, "finetune.epochs": int, "finetune.loss_p": float,
-    "prm.k_candidates": int, "prm.margin": float, "prm.lr": float,
-    "prm.weight_decay": float, "prm.batch_triplets": int, "prm.epochs": int,
-    "prm.patience": int, "prm.train_trajectories": int,
-    "prm.holdout_trajectories": int,
-    "ttc.b_list": list, "ttc.reward": str, "ttc.n_steps": int,
-    "ttc.teacher_forced": bool, "ttc.n_ics": int, "ttc.split": str,
-}
+# Dotted names of the config values, e.g. "seed" and "train.epochs".
+_CONFIG_KEYS = frozenset(
+    [name for name, value in DEFAULTS.items() if not isinstance(value, dict)]
+    + [f"{name}.{key}" for name, value in DEFAULTS.items() if isinstance(value, dict)
+       for key in value])
 
 
 def _validate(doc, defaults, prefix="") -> None:
@@ -93,17 +82,15 @@ def _validate(doc, defaults, prefix="") -> None:
         path = f"{prefix}{key}"
         if key not in defaults:
             raise ConfigError(f"unknown config key '{path}'")
-        if isinstance(defaults[key], dict):
+        want = type(defaults[key])
+        if want is dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key '{path}' must be an object")
             _validate(value, defaults[key], prefix=f"{path}.")
             continue
-        want = _SCHEMA_TYPES[path]
-        ok = isinstance(value, want) or (want is float and isinstance(value, int)
-                                         and not isinstance(value, bool))
-        if want is int and isinstance(value, bool):
-            ok = False
-        if not ok:
+        accepted = (int, float) if want is float else want
+        # bool is a subclass of int: a bool is accepted for a bool key only
+        if not (isinstance(value, accepted) and isinstance(value, bool) == (want is bool)):
             raise ConfigError(
                 f"config key '{path}' must be {want.__name__}, got {type(value).__name__}")
 
@@ -145,14 +132,13 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _set(cfg, dotted, value):
-    if value is None:
-        return
-    node = cfg
-    keys = dotted.split(".")
-    for k in keys[:-1]:
-        node = node[k]
-    node[keys[-1]] = value
+def _checked(key: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with the ValueError it raises for a bad
+    config value reported as a ConfigError naming the config key."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"config '{key}': {exc}") from None
 
 
 _PATCH = {"vit3": 3, "vit5": 5, "vit7": 7}
@@ -177,28 +163,16 @@ def model_config_for(cfg: dict, grid: euler.GridSpec) -> ModelConfig:
         dropout_p=base.dropout_p)
 
 
-def _solve_one(args):
-    spec, grid, gamma, cfl = args
-    return euler.solve_trajectory(spec, grid, gamma, cfl)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
 
 def cmd_gen_data(cfg: dict) -> int:
     d = cfg["data"]
-    grid = euler.GridSpec(cfg["grid"]["nx"], cfg["grid"]["ny"])
-    specs = euler.dataset_ic_specs(d["families"], d["n_per_family"], cfg["seed"])
-    jobs = max(1, cfg["jobs"])
-    work = [(s, grid, d["gamma"], d["cfl"]) for s in specs]
-    if jobs > 1 and len(work) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            trajectories = pool.map(_solve_one, work)
-    else:
-        trajectories = [_solve_one(w) for w in work]
-    ds = euler.assemble_dataset(trajectories, grid, cfg["seed"], d["families"],
-                                tuple(d["split"]), d["gamma"])
+    grid = _checked("grid", euler.GridSpec, cfg["grid"]["nx"], cfg["grid"]["ny"])
+    _checked("data", euler.check_solver_inputs, d["families"], d["gamma"], d["cfl"])
+    ds = euler.generate_dataset(d["families"], d["n_per_family"], grid, cfg["seed"],
+                                tuple(d["split"]), d["gamma"], d["cfl"], jobs=cfg["jobs"])
     out = Path(d["path"])
     out.parent.mkdir(parents=True, exist_ok=True)
     storage.save_dataset(out, ds, config_digest(cfg))
@@ -216,8 +190,15 @@ def cmd_gen_data(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _train_config_from(section: dict, seed: int) -> sg.TrainConfig:
-    return sg.TrainConfig(seed=seed, **{k: section[k] for k in DEFAULTS["train"]})
+def _train_config(cfg: dict, section: str) -> sg.TrainConfig:
+    """The TrainConfig of the 'train' or 'finetune' section."""
+    return _checked(section, sg.TrainConfig, seed=cfg["seed"],
+                    **{k: cfg[section][k] for k in DEFAULTS["train"]})
+
+
+def _log_epoch(rec) -> None:
+    print(f"epoch {rec['epoch']}: loss {rec['train_loss']:.6g} "
+          f"val {rec['val_mse']:.6g} ({rec['seconds']:.1f}s)")
 
 
 def _write_history_csv(path, history) -> None:
@@ -227,15 +208,14 @@ def _write_history_csv(path, history) -> None:
     storage.write_text(path, "".join(lines))
 
 
-def _finish_training(result, out_path, cfg, label) -> int:
+def _finish_training(result, out_path, label) -> int:
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     result.surrogate.save(out)
     _write_history_csv(out.with_suffix(out.suffix + ".loss.csv"), result.history)
     if result.history:
-        best = min(h["val_mse"] for h in result.history)
-        print(f"{label}: best val MSE {best:.6g} over {len(result.history)} epochs; "
-              f"checkpoint {out}")
+        print(f"{label}: best val MSE {result.best_val_mse:.6g} over "
+              f"{len(result.history)} epochs; checkpoint {out}")
     else:
         print(f"{label}: no training epochs ran; checkpoint {out}")
     if result.diverged:
@@ -245,42 +225,38 @@ def _finish_training(result, out_path, cfg, label) -> int:
 
 
 def cmd_train(cfg: dict, data_path: str, out_path: str, resume: str | None) -> int:
+    tc = _train_config(cfg, "train")
     ds = storage.load_dataset(data_path)
-    tc = _train_config_from(cfg["train"], cfg["seed"])
-
-    def log(rec):
-        print(f"epoch {rec['epoch']}: loss {rec['train_loss']:.6g} "
-              f"val {rec['val_mse']:.6g} ({rec['seconds']:.1f}s)")
-
     if resume:
         base = sg.Surrogate.from_checkpoint(resume)
         result = sg._run_training(
             base, ds, sg.consecutive_pairs(ds, ds.split["train"]),
-            sg.consecutive_pairs(ds, ds.split["val"]), tc, log)
+            sg.consecutive_pairs(ds, ds.split["val"]), tc, _log_epoch)
     else:
         mc = model_config_for(cfg, ds.grid)
-        result = sg.train(ds, mc, tc, log)
-    return _finish_training(result, out_path, cfg, "train")
+        result = sg.train(ds, mc, tc, _log_epoch)
+    return _finish_training(result, out_path, "train")
 
 
 def cmd_finetune(cfg: dict, from_path: str, data_path: str, out_path: str) -> int:
+    tc = _train_config(cfg, "finetune")
+    n_traj = cfg["finetune"]["n_traj"]
     ds = storage.load_dataset(data_path)
+    if not 0 <= n_traj <= len(ds.split["train"]):
+        raise ConfigError(f"config 'finetune.n_traj': {n_traj} is outside 0 ... "
+                          f"{len(ds.split['train'])}, the train trajectories of {data_path}")
     base = sg.Surrogate.from_checkpoint(from_path)
-    tc = _train_config_from(cfg["finetune"], cfg["seed"])
-
-    def log(rec):
-        print(f"epoch {rec['epoch']}: loss {rec['train_loss']:.6g} "
-              f"val {rec['val_mse']:.6g} ({rec['seconds']:.1f}s)")
-
-    result = sg.finetune(base, ds, cfg["finetune"]["n_traj"], tc, log)
-    return _finish_training(result, out_path, cfg, "finetune")
+    result = sg.finetune(base, ds, n_traj, tc, _log_epoch)
+    return _finish_training(result, out_path, "finetune")
 
 
 def cmd_train_prm(cfg: dict, from_path: str, data_path: str, out_path: str,
                   triplets_in: str | None, triplets_out: str | None) -> int:
-    ds = storage.load_dataset(data_path)
     model = sg.Surrogate.from_checkpoint(from_path)
     p = cfg["prm"]
+    prm_cfg = _checked("prm", rewards.PRMConfig, backbone=model.config, seed=cfg["seed"],
+                       **{k: p[k] for k in _field_defaults(rewards.PRMConfig)})
+    ds = storage.load_dataset(data_path)
     if triplets_in:
         train_triplets = rewards.load_triplets(triplets_in)
         holdout = []
@@ -300,8 +276,6 @@ def cmd_train_prm(cfg: dict, from_path: str, data_path: str, out_path: str,
         if triplets_out:
             rewards.save_triplets(triplets_out, train_triplets, ds.grid, ds.gamma)
             print(f"wrote {len(train_triplets)} triplets to {triplets_out}")
-    prm_cfg = rewards.PRMConfig(backbone=model.config, seed=cfg["seed"],
-                                **{k: p[k] for k in _field_defaults(rewards.PRMConfig)})
 
     def log(rec):
         print(f"epoch {rec['epoch']}: loss {rec['train_loss']:.6g} "
@@ -312,7 +286,7 @@ def cmd_train_prm(cfg: dict, from_path: str, data_path: str, out_path: str,
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     result.prm.save(out)
-    print(f"train-prm: {len(train_triplets)} triplets, best holdout accuracy "
+    print(f"train-prm: {len(train_triplets)} triplets, best early-stopping accuracy "
           f"{result.best_accuracy:.3f}; checkpoint {out}")
     return EXIT_NUMERICAL if result.diverged else EXIT_OK
 
@@ -321,24 +295,33 @@ def _select_trajectories(ds: euler.Dataset, which: str, n: int) -> list:
     """The first n trajectories of a dataset split (all of them when n is 0)."""
     if which not in ds.split:
         raise ConfigError(f"unknown dataset split {which!r}")
+    if n < 0:
+        raise ConfigError(f"config 'ttc.n_ics' must be >= 0, got {n}")
     trajs = ds.split_trajectories(which)
     return trajs[:n] if n else trajs
 
 
 def cmd_rollout(cfg: dict, surrogate_path: str, data_path: str, prm_path: str | None,
                 out_dir: str) -> int:
+    reward, n_steps = cfg["ttc"]["reward"], cfg["ttc"]["n_steps"]
+    if reward not in ttc.REWARD_NAMES:
+        raise ConfigError(f"config 'ttc.reward': unknown reward {reward!r} "
+                          f"({' | '.join(ttc.REWARD_NAMES)})")
     ds = storage.load_dataset(data_path)
+    trajs = _select_trajectories(ds, cfg["ttc"]["split"], cfg["ttc"]["n_ics"])
+    # a step's truth (teacher forcing, the oracle, evaluate) is the next snapshot
+    if trajs and not 1 <= n_steps <= len(trajs[0]) - 1:
+        raise ConfigError(f"config 'ttc.n_steps': {n_steps} is outside 1 ... "
+                          f"{len(trajs[0]) - 1}, the steps of the trajectories in {data_path}")
     model = sg.Surrogate.from_checkpoint(surrogate_path)
-    reward = cfg["ttc"]["reward"]
     prm = rewards.ProcessRewardModel.from_checkpoint(prm_path) if prm_path else None
     if reward == "prm" and prm is None:
         raise ConfigError("reward 'prm' needs --prm CHECKPOINT")
-    trajs = _select_trajectories(ds, cfg["ttc"]["split"], cfg["ttc"]["n_ics"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = ttc.rollout_sweep(
         model, reward, trajs, cfg["ttc"]["b_list"], cfg["seed"], prm=prm,
-        gamma=ds.gamma, n_steps=cfg["ttc"]["n_steps"],
+        gamma=ds.gamma, n_steps=n_steps,
         teacher_forced=cfg["ttc"]["teacher_forced"],
         log=lambda m: print(m))
     index = {"config_digest": config_digest(cfg), "dataset": str(data_path),
@@ -491,6 +474,14 @@ def _parse_list_values(doc: dict) -> None:
                 raise ConfigError(f"config key '{section}.{key}': {exc}") from None
 
 
+def _names(text: str) -> list:
+    """Comma list of names, e.g. 'rp,kh'; empty entries are dropped."""
+    names = [f.strip() for f in text.split(",") if f.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"no names in {text!r}")
+    return names
+
+
 def _add_common(p):
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="override config seed")
@@ -498,27 +489,31 @@ def _add_common(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line.  A flag that sets a config value has the value's
+    dotted key as its dest (see `_apply_flags`)."""
     ap = _Parser(prog="pdettc", description="PDE surrogate test-time computing harness")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a solver dataset")
     _add_common(p)
-    p.add_argument("--families", help="comma list, e.g. rp,kh")
-    p.add_argument("--n", type=int, help="trajectories per family")
+    p.add_argument("--families", dest="data.families", type=_names,
+                   help="comma list, e.g. rp,kh")
+    p.add_argument("--n", dest="data.n_per_family", type=int, help="trajectories per family")
     p.add_argument("--grid", type=int, help="cells per side")
-    p.add_argument("--split", type=_split_fractions, help="train,val,test fractions")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--cfl", type=float)
-    p.add_argument("--out", help="dataset path")
+    p.add_argument("--split", dest="data.split", type=_split_fractions,
+                   help="train,val,test fractions")
+    p.add_argument("--gamma", dest="data.gamma", type=float)
+    p.add_argument("--cfl", dest="data.cfl", type=float)
+    p.add_argument("--out", dest="data.path", help="dataset path")
 
     p = sub.add_parser("train", help="pretrain the surrogate")
     _add_common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--preset", choices=["desk", "paper"])
-    p.add_argument("--model", choices=["vit3", "vit5", "vit7"])
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--preset", dest="model.preset", choices=["desk", "paper"])
+    p.add_argument("--model", dest="model.patch", choices=list(_PATCH))
+    p.add_argument("--epochs", dest="train.epochs", type=int)
+    p.add_argument("--lr", dest="train.lr", type=float)
+    p.add_argument("--batch", dest="train.batch_size", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--resume", help="continue from a checkpoint")
 
@@ -526,9 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--from", dest="from_path", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--n-traj", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--n-traj", dest="finetune.n_traj", type=int)
+    p.add_argument("--epochs", dest="finetune.epochs", type=int)
+    p.add_argument("--lr", dest="finetune.lr", type=float)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train-prm", help="build triplets and train the PRM")
@@ -536,10 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_path", required=True,
                    help="surrogate checkpoint")
     p.add_argument("--data", required=True)
-    p.add_argument("--K", type=int, help="candidates per pair")
-    p.add_argument("--alpha", type=float, help="triplet margin")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--K", dest="prm.k_candidates", type=int, help="candidates per pair")
+    p.add_argument("--alpha", dest="prm.margin", type=float, help="triplet margin")
+    p.add_argument("--epochs", dest="prm.epochs", type=int)
+    p.add_argument("--lr", dest="prm.lr", type=float)
     p.add_argument("--triplets-in", help="reuse a saved triplet store")
     p.add_argument("--triplets-out", help="save the built triplet store")
     p.add_argument("--out", required=True)
@@ -549,11 +544,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surrogate", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--prm", help="PRM checkpoint (for --reward prm)")
-    p.add_argument("--reward", choices=list(ttc.REWARD_NAMES))
-    p.add_argument("--B", type=_positive_ints, help="comma list of branching factors")
-    p.add_argument("--n-ics", type=int)
-    p.add_argument("--split", dest="ttc_split", choices=["train", "val", "test"])
-    p.add_argument("--teacher-forced", action="store_true", default=None)
+    p.add_argument("--reward", dest="ttc.reward", choices=list(ttc.REWARD_NAMES))
+    p.add_argument("--B", dest="ttc.b_list", type=_positive_ints,
+                   help="comma list of branching factors")
+    p.add_argument("--n-ics", dest="ttc.n_ics", type=int)
+    p.add_argument("--split", dest="ttc.split", choices=["train", "val", "test"])
+    p.add_argument("--teacher-forced", dest="ttc.teacher_forced", action="store_true",
+                   default=None)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("evaluate", help="metrics CSV + summary from records")
@@ -571,37 +568,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_flags(cfg: dict, args: argparse.Namespace) -> None:
-    _set(cfg, "seed", args.seed)
-    _set(cfg, "jobs", getattr(args, "jobs", None))
-    if getattr(args, "families", None):
-        cfg["data"]["families"] = [f.strip() for f in args.families.split(",") if f.strip()]
-    _set(cfg, "data.n_per_family", getattr(args, "n", None))
-    if getattr(args, "grid", None):
-        cfg["grid"]["nx"] = cfg["grid"]["ny"] = args.grid
-    _set(cfg, "data.split", getattr(args, "split", None))
-    _set(cfg, "data.gamma", getattr(args, "gamma", None))
-    _set(cfg, "data.cfl", getattr(args, "cfl", None))
-    if getattr(args, "out", None) and args.command == "gen-data":
-        cfg["data"]["path"] = args.out
-    _set(cfg, "model.preset", getattr(args, "preset", None))
-    _set(cfg, "model.patch", getattr(args, "model", None))
-    section = {"train": "train", "finetune": "finetune"}.get(args.command)
-    if section:
-        _set(cfg, f"{section}.epochs", getattr(args, "epochs", None))
-        _set(cfg, f"{section}.lr", getattr(args, "lr", None))
-        _set(cfg, f"{section}.batch_size", getattr(args, "batch", None))
-    _set(cfg, "finetune.n_traj", getattr(args, "n_traj", None))
-    if args.command == "train-prm":
-        _set(cfg, "prm.k_candidates", getattr(args, "K", None))
-        _set(cfg, "prm.margin", getattr(args, "alpha", None))
-        _set(cfg, "prm.epochs", getattr(args, "epochs", None))
-        _set(cfg, "prm.lr", getattr(args, "lr", None))
-    if args.command == "rollout":
-        _set(cfg, "ttc.b_list", args.B)
-        _set(cfg, "ttc.reward", args.reward)
-        _set(cfg, "ttc.n_ics", args.n_ics)
-        _set(cfg, "ttc.split", args.ttc_split)
-        _set(cfg, "ttc.teacher_forced", args.teacher_forced)
+    """Write each flag given into the config key that is its dest; --grid
+    sets both grid.nx and grid.ny."""
+    for dest, value in vars(args).items():
+        if value is None:
+            continue
+        keys = ("grid.nx", "grid.ny") if dest == "grid" else (dest,)
+        for key in keys:
+            if key in _CONFIG_KEYS:
+                section, _, name = key.rpartition(".")
+                (cfg[section] if section else cfg)[name] = value
 
 
 def main(argv=None) -> int:

@@ -37,8 +37,11 @@ shock hitting a corrugated density interface (rm).
 
 from __future__ import annotations
 
+import math
+import multiprocessing
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -233,14 +236,16 @@ def energy_density(s: Snapshot, gamma: float) -> np.ndarray:
     return s.p / (gamma - 1.0) + 0.5 * s.rho * (s.vx * s.vx + s.vy * s.vy)
 
 
+def total(density: np.ndarray) -> float:
+    """Correctly rounded sum of a per-cell density, so a total does not
+    depend on cell order."""
+    return math.fsum(density.ravel().tolist())
+
+
 def totals(s: Snapshot, gamma: float) -> np.ndarray:
-    """Discrete sums of (mass, x-momentum, y-momentum, energy)."""
-    return np.array([
-        s.rho.sum(),
-        (s.rho * s.vx).sum(),
-        (s.rho * s.vy).sum(),
-        energy_density(s, gamma).sum(),
-    ])
+    """Correctly rounded sums of (mass, x-momentum, y-momentum, energy)."""
+    return np.array([total(s.rho), total(s.rho * s.vx), total(s.rho * s.vy),
+                     total(energy_density(s, gamma))])
 
 
 def _prim_to_cons(U, rho, vx, vy, p, gamma, a, b) -> None:
@@ -788,13 +793,16 @@ def split_indices(n: int, fractions, seed: int) -> dict:
     }
 
 
-def dataset_ic_specs(families, n_per_family: int, seed: int) -> list:
-    """The deterministic ICSpec list of a dataset, in storage order."""
-    families = tuple(families)
+def check_solver_inputs(families, gamma: float, cfl: float) -> None:
+    """ValueError unless every IC family is known, gamma > 1 and
+    0 < cfl <= 1 (fv_step refuses a step above the CFL bound of 1)."""
     for f in families:
         if f not in FAMILIES:
             raise InvalidInitialCondition(f"unknown IC family {f!r}")
-    return [sample_ic(fam, seed, i) for fam in families for i in range(n_per_family)]
+    if not gamma > 1.0:
+        raise ValueError(f"gamma must be > 1, got {gamma}")
+    if not 0.0 < cfl <= 1.0:
+        raise ValueError(f"cfl must be in (0, 1], got {cfl}")
 
 
 def assemble_dataset(trajectories: list, grid: GridSpec, seed: int, families,
@@ -810,12 +818,24 @@ def assemble_dataset(trajectories: list, grid: GridSpec, seed: int, families,
 def generate_dataset(families, n_per_family: int, grid: GridSpec, seed: int,
                      split_fractions=(0.75, 0.125, 0.125),
                      gamma: float = GAMMA_DEFAULT, cfl: float = CFL_DEFAULT,
-                     n_snapshots: int = N_SNAPSHOTS) -> Dataset:
+                     n_snapshots: int = N_SNAPSHOTS, jobs: int = 1) -> Dataset:
     """Solve n_per_family trajectories per family into a split dataset.
 
     Deterministic given (families, n_per_family, grid, seed): the i-th
-    trajectory of a family depends only on those values.
+    trajectory of a family depends only on those values, so the result
+    is the same for every ``jobs``.  With ``jobs`` > 1 the trajectories
+    are solved by a pool of at most that many worker processes, started
+    fresh (spawned) rather than forked from a process that may hold
+    threads.
     """
-    specs = dataset_ic_specs(families, n_per_family, seed)
-    trajectories = [solve_trajectory(s, grid, gamma, cfl, n_snapshots) for s in specs]
+    check_solver_inputs(families, gamma, cfl)
+    check_split_fractions(split_fractions)
+    specs = [sample_ic(fam, seed, i) for fam in families for i in range(n_per_family)]
+    solve = partial(solve_trajectory, grid=grid, gamma=gamma, cfl=cfl,
+                    n_snapshots=n_snapshots)
+    if jobs > 1 and len(specs) > 1:
+        with multiprocessing.get_context("spawn").Pool(min(jobs, len(specs))) as pool:
+            trajectories = pool.map(solve, specs)
+    else:
+        trajectories = list(map(solve, specs))
     return assemble_dataset(trajectories, grid, seed, families, split_fractions, gamma)

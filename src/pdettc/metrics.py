@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .euler import (GAMMA_DEFAULT, Normalization, Snapshot, Trajectory,
-                    check_same_grid)
+                    check_same_grid, totals)
 from .rewards import (energy_violation, mass_violation, momentum_violation,
-                      norm_mse, snapshot_totals)
+                      norm_mse)
 from .storage import write_text
 from .ttc import RolloutRecord
 
@@ -55,12 +55,12 @@ def conservation_trace(record: RolloutRecord, gamma: float = GAMMA_DEFAULT) -> d
     are NaN.
     """
     states = record.states()
-    totals = [snapshot_totals(s, gamma) for s in states]   # each state once
+    sums = [totals(s, gamma) for s in states]   # each state once
     n = len(states) - 1
     out = {k: np.empty(n) for k in ("mass", "momentum_x", "momentum_y", "energy")}
     for k in range(n):
         check_same_grid(states[k], [states[k + 1]])
-        (m_t, px_t, py_t, e_t), (m_n, px_n, py_n, e_n) = totals[k], totals[k + 1]
+        (m_t, px_t, py_t, e_t), (m_n, px_n, py_n, e_n) = sums[k], sums[k + 1]
         n_cells = states[k].rho.size
         out["mass"][k] = mass_violation(m_t, m_n)
         out["momentum_x"][k] = momentum_violation(px_t, px_n, n_cells)

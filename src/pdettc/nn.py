@@ -107,9 +107,6 @@ class ParamStore:
         for p in self.params.values():
             p.grad.fill(0.0)
 
-    def n_params(self) -> int:
-        return sum(p.value.size for p in self.params.values())
-
     def values_copy(self) -> dict[str, np.ndarray]:
         return {k: p.value.copy() for k, p in self.params.items()}
 

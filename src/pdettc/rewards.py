@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .euler import (CHANNELS, GAMMA_DEFAULT, Dataset, GridSpec, Normalization,
-                    Snapshot, Trajectory, check_same_grid, energy_density)
+                    Snapshot, Trajectory, check_same_grid, energy_density, total)
 from .nn import AdamW, NonFiniteActivation, NonFiniteGradient
 from .rng import RngStream, mix64
 from .storage import (Checkpoint, load_checkpoint, read_container,
@@ -42,17 +42,6 @@ _TRIPLET_TAG = 0x7319
 
 MOMENTUM_EPS_PER_CELL = 1e-12
 DEGENERATE_MSE_SPREAD = 1e-14
-
-
-def _total(density: np.ndarray) -> float:
-    """Correctly rounded sum, so a total does not depend on cell order."""
-    return math.fsum(density.ravel().tolist())
-
-
-def snapshot_totals(s: Snapshot, gamma: float = GAMMA_DEFAULT) -> tuple:
-    """Correctly rounded (mass, x-momentum, y-momentum, energy) totals."""
-    return (_total(s.rho), _total(s.rho * s.vx), _total(s.rho * s.vy),
-            _total(energy_density(s, gamma)))
 
 
 def mass_violation(m_t: float, m_next: float) -> float:
@@ -89,8 +78,8 @@ class MassReward:
 
     def score(self, cur: Snapshot, cands) -> np.ndarray:
         check_same_grid(cur, cands)
-        m_t = _total(cur.rho)
-        return np.array([mass_violation(m_t, _total(c.rho)) for c in cands],
+        m_t = total(cur.rho)
+        return np.array([mass_violation(m_t, total(c.rho)) for c in cands],
                         dtype=np.float64)
 
 
@@ -105,8 +94,8 @@ class MomentumReward:
     def score(self, cur: Snapshot, cands) -> np.ndarray:
         check_same_grid(cur, cands)
         c = self._channel
-        p_t = _total(cur.rho * cur.data[c])
-        return np.array([momentum_violation(p_t, _total(s.rho * s.data[c]), cur.rho.size)
+        p_t = total(cur.rho * cur.data[c])
+        return np.array([momentum_violation(p_t, total(s.rho * s.data[c]), cur.rho.size)
                          for s in cands], dtype=np.float64)
 
 
@@ -118,8 +107,8 @@ class EnergyReward:
 
     def score(self, cur: Snapshot, cands) -> np.ndarray:
         check_same_grid(cur, cands)
-        e_t = _total(energy_density(cur, self.gamma))
-        return np.array([energy_violation(e_t, _total(energy_density(c, self.gamma)))
+        e_t = total(energy_density(cur, self.gamma))
+        return np.array([energy_violation(e_t, total(energy_density(c, self.gamma)))
                          for c in cands], dtype=np.float64)
 
 
@@ -262,10 +251,12 @@ class PRMConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.margin <= 0.0:
-            raise ValueError("margin must be positive")
+        if not self.margin > 0.0:
+            raise ValueError(f"margin must be positive, got {self.margin}")
         if self.k_candidates < 3:
-            raise ValueError("need K >= 3 candidates")
+            raise ValueError(f"need K >= 3 candidates, got {self.k_candidates}")
+        if self.batch_triplets < 1:
+            raise ValueError(f"batch_triplets must be >= 1, got {self.batch_triplets}")
 
 
 def prm_backbone_config(model_cfg: ModelConfig) -> ModelConfig:
@@ -363,6 +354,10 @@ class PRMTrainResult:
 
     @property
     def best_accuracy(self) -> float:
+        """The highest holdout accuracy over the epochs (NaN without a
+        holdout).  Training early-stops on that same holdout, so this is
+        the best early-stopping accuracy: it is biased upwards and does
+        not estimate accuracy on unseen triplets."""
         accs = [h["holdout_accuracy"] for h in self.history
                 if np.isfinite(h["holdout_accuracy"])]
         return max(accs) if accs else np.nan

@@ -3,7 +3,8 @@
 Every random draw in this package is a pure function of
 (seed, stream, counter).  A stream never touches global state, so
 independent consumers (dropout layers, candidate samplers, dataset
-generators) can be given independent streams and replayed exactly.
+generators) can be given independent streams, and a draw is replayed
+exactly by a new ``RngStream(seed, stream, counter)`` at its counter.
 
 Each draw is one Philox4x64 bit generator keyed by (seed, stream).  Its
 128-bit key is built from a uint64 array, so every 64-bit seed and stream
@@ -77,9 +78,6 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen().permutation(n)
-
-    def clone(self) -> "RngStream":
-        return RngStream(self.seed, self.stream, self.counter)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream={self.stream}, counter={self.counter})"

@@ -53,10 +53,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
-        if self.loss_p < 1.0:
-            raise ValueError("loss_p must be >= 1")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.loss_p >= 1.0:
+            raise ValueError(f"loss_p must be >= 1, got {self.loss_p}")
+
+
+# Finetuning defaults: a smaller step and stronger weight decay than
+# pretraining, over more epochs of a small subset.
+FINETUNE_CONFIG = TrainConfig(lr=1e-4, weight_decay=0.01, batch_size=32, epochs=30,
+                              loss_p=2.0)
 
 
 PAPER_MODEL = ModelConfig(height=128, width=128, embed_dim=256, depth=6,

@@ -6,6 +6,11 @@ pre-norm residual blocks.  The image head projects tokens back to pixel
 patches (next-snapshot prediction); the scalar head mean-pools tokens to
 a single score (reward model).
 
+A forward checks each stage's output as it is produced (the embedding
+plus positions, every block, the head) and raises NonFiniteActivation
+naming the first stage that is not finite, so a failure is located in
+the same pass that produced it.
+
 The dtype rule is `pdettc.nn`'s: compute in the input's dtype, keep
 state in float64.  Training, validation, sampling and scoring forward
 float32 inputs; the gradient checks forward float64 ones through the
@@ -61,6 +66,12 @@ class ModelConfig:
         return cls(**d)
 
 
+def _finite(z: np.ndarray, stage: str) -> np.ndarray:
+    if not np.isfinite(z).all():
+        raise NonFiniteActivation(f"non-finite output from layer '{stage}'")
+    return z
+
+
 class VisionTransformer:
     def __init__(self, cfg: ModelConfig, init_rng: RngStream):
         self.cfg = cfg
@@ -97,52 +108,32 @@ class VisionTransformer:
     def param_store(self) -> ParamStore:
         return ParamStore(self.named_params())
 
-    def _run(self, x: np.ndarray, active: bool, rng: RngStream | None,
-             probe: list | None = None) -> np.ndarray:
-        self._dtype = x.dtype
-        z = self.embed.forward(x) + self.pos.like(x)
-        z = self.pos_drop.forward(z, active, rng)
-        if probe is not None:
-            probe.append(("embed+pos", z))
-        for i, blk in enumerate(self.blocks):
-            z = blk.forward(z, active, rng)
-            if probe is not None:
-                probe.append((f"blocks.{i}", z))
-        if self.decode is not None:
-            y = self.decode.forward(z)
-        else:
-            self._n_tok = z.shape[1]
-            pooled = z.mean(axis=1)
-            y = self.score.forward(pooled)[:, 0]
-        if probe is not None:
-            probe.append(("head", y))
-        return y
-
     def forward(self, x: np.ndarray, mode: str, rng: RngStream | None = None) -> np.ndarray:
         """Run the model on a batch (B, C, H, W).
 
         ``rng`` is required when dropout is active (train or stochastic
         inference with dropout_p > 0).  A float32 x gives a float32 output.
+        Each stage's output is checked as it is produced: a non-finite one
+        raises NonFiniteActivation naming the stage ('embed+pos',
+        'blocks.i' or 'head').
         """
         if mode not in _MODES:
             raise ValueError(f"unknown mode {mode!r}")
         active = mode in (MODE_TRAIN, MODE_STOCHASTIC) and self.cfg.dropout_p > 0.0
         if active and rng is None:
             raise ValueError("dropout active but no rng stream given")
-        rng0 = rng.clone() if (active and rng is not None) else None
-        y = self._run(x, active, rng)
-        if not np.all(np.isfinite(y)):
-            name = self._locate_nonfinite(x, active, rng0)
-            raise NonFiniteActivation(f"non-finite output from layer '{name}'")
-        return y
-
-    def _locate_nonfinite(self, x, active, rng0) -> str:
-        probe: list = []
-        self._run(x, active, rng0, probe=probe)
-        for name, z in probe:
-            if not np.all(np.isfinite(z)):
-                return name
-        return "head"
+        self._dtype = x.dtype
+        z = self.embed.forward(x) + self.pos.like(x)
+        z = _finite(self.pos_drop.forward(z, active, rng), "embed+pos")
+        for i, blk in enumerate(self.blocks):
+            z = _finite(blk.forward(z, active, rng), f"blocks.{i}")
+        if self.decode is not None:
+            y = self.decode.forward(z)
+        else:
+            self._n_tok = z.shape[1]
+            pooled = z.mean(axis=1)
+            y = self.score.forward(pooled)[:, 0]
+        return _finite(y, "head")
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients; returns gradient w.r.t. input.

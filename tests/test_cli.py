@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdettc import cli, metrics, storage, ttc
+from pdettc import cli, euler, metrics, storage, ttc
 from pdettc.surrogate import Surrogate
 
 
@@ -151,10 +151,10 @@ def test_config_file_lists_are_checked_before_anything_runs(tmp_path, monkeypatc
     monkeypatch.chdir(tmp_path)
     Path("bad.json").write_text(json.dumps(doc))
 
-    def solve(_):
+    def solve(*_, **__):
         raise AssertionError("solved a trajectory with a bad config")
 
-    monkeypatch.setattr(cli, "_solve_one", solve)
+    monkeypatch.setattr(euler, "solve_trajectory", solve)
     for argv in (["gen-data", "--families", "rp", "--n", "1", "--grid", "16",
                   "--out", "d.pdt"],
                  ["rollout", "--surrogate", "s.ckpt", "--data", "d.pdt", "--out-dir", "r"]):
@@ -186,3 +186,160 @@ def test_train_divergence_writes_the_last_good_checkpoint(tmp_path, monkeypatch,
     assert back.store.step_count == 0          # diverged in the first epoch: the init
     assert all(np.isfinite(p.value).all() for p in back.store.params.values())
     assert Path("s.ckpt.loss.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A 16x16 rp dataset (2 train, 2 test trajectories) and a 1-epoch
+    surrogate trained on it."""
+    root = tmp_path_factory.mktemp("small_run")
+    data, ckpt = str(root / "data.pdt"), str(root / "s.ckpt")
+    assert cli.main(["gen-data", "--seed", "3", "--families", "rp", "--n", "4", "--grid",
+                     "16", "--split", "0.5,0,0.5", "--out", data]) == cli.EXIT_OK
+    assert cli.main(["train", "--seed", "3", "--data", data, "--epochs", "1",
+                     "--out", ckpt]) == cli.EXIT_OK
+    return {"data": data, "ckpt": ckpt}
+
+
+@pytest.mark.parametrize("command,flags,match", [
+    ("gen-data", ["--grid", "4"], "grid must be at least 8x8"),
+    ("gen-data", ["--families", "rp,zz"], "unknown IC family 'zz'"),
+    ("gen-data", ["--families", ","], "--families: no names in ','"),
+    ("gen-data", ["--cfl", "0"], "cfl must be in (0, 1]"),
+    ("gen-data", ["--gamma", "1.0"], "gamma must be > 1"),
+    ("train", ["--lr", "-1"], "lr must be positive"),
+    ("train", ["--batch", "0"], "batch_size must be >= 1"),
+    ("finetune", ["--n-traj", "3"], "'finetune.n_traj'"),
+    ("train-prm", ["--K", "2"], "need K >= 3"),
+])
+def test_values_the_constructors_reject_exit_before_any_work(
+        small_run, tmp_path, monkeypatch, capsys, command, flags, match):
+    monkeypatch.chdir(tmp_path)
+
+    def solve(*_, **__):
+        raise AssertionError("solved a trajectory with a bad config")
+
+    monkeypatch.setattr(euler, "solve_trajectory", solve)
+    inputs = {"gen-data": [],
+              "train": ["--data", small_run["data"]],
+              "finetune": ["--from", small_run["ckpt"], "--data", small_run["data"]],
+              "train-prm": ["--from", small_run["ckpt"], "--data", small_run["data"]]}
+    _fails_with_one_line(capsys, [command, *inputs[command], *flags, "--out", "out"], match)
+    assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("ttc_section,flags,key", [
+    ({"n_steps": 21}, [], "ttc.n_steps"),
+    ({"n_steps": 25}, [], "ttc.n_steps"),
+    ({"n_steps": 0}, [], "ttc.n_steps"),
+    ({"n_steps": 21}, ["--teacher-forced"], "ttc.n_steps"),
+    ({"n_steps": 25}, ["--reward", "oracle_mse"], "ttc.n_steps"),
+    ({"n_ics": -1}, [], "ttc.n_ics"),
+    ({"reward": "zz"}, [], "ttc.reward"),
+])
+def test_rollout_refuses_steps_ics_and_rewards_it_cannot_run(
+        small_run, tmp_path, monkeypatch, capsys, ttc_section, flags, key):
+    monkeypatch.chdir(tmp_path)
+    Path("ttc.json").write_text(json.dumps({"ttc": {"reward": "arm_mass", **ttc_section}}))
+    argv = ["rollout", "--config", "ttc.json", "--surrogate", small_run["ckpt"],
+            "--data", small_run["data"], "--B", "1", *flags, "--out-dir", "records"]
+    _fails_with_one_line(capsys, argv, f"'{key}'")
+    assert not Path("records").exists()
+
+
+def test_rollout_runs_every_step_the_trajectories_hold(small_run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("steps.json").write_text(json.dumps({"ttc": {"n_steps": 20}}))
+    assert cli.main(["rollout", "--config", "steps.json", "--surrogate", small_run["ckpt"],
+                     "--data", small_run["data"], "--B", "1", "--reward", "oracle_mse",
+                     "--n-ics", "1", "--teacher-forced", "--out-dir", "records"]) == cli.EXIT_OK
+    assert cli.main(["evaluate", "--records-dir", "records", "--data", small_run["data"],
+                     "--out-dir", "eval"]) == cli.EXIT_OK
+
+
+def test_gen_data_with_a_pool_writes_the_payload_of_one_process(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    gen = ["gen-data", "--seed", "4", "--families", "rp,kh", "--n", "2", "--grid", "16",
+           "--split", "0.5,0.25,0.25"]
+    assert cli.main([*gen, "--jobs", "1", "--out", "one.pdt"]) == cli.EXIT_OK
+    assert cli.main([*gen, "--jobs", "2", "--out", "two.pdt"]) == cli.EXIT_OK
+    one, two = storage.read_container("one.pdt")[1], storage.read_container("two.pdt")[1]
+    assert one.dtype == two.dtype and one.tobytes() == two.tobytes()
+
+
+# Each config-bound flag, a value for it, and the config keys it sets to
+# that value.
+_FLAGS = {
+    "*": [("--seed", "7", ["seed"], 7), ("--jobs", "3", ["jobs"], 3)],
+    "gen-data": [
+        ("--families", "rp,kh", ["data.families"], ["rp", "kh"]),
+        ("--n", "5", ["data.n_per_family"], 5),
+        ("--grid", "32", ["grid.nx", "grid.ny"], 32),
+        ("--split", "0.5,0.25,0.25", ["data.split"], [0.5, 0.25, 0.25]),
+        ("--gamma", "1.67", ["data.gamma"], 1.67),
+        ("--cfl", "0.3", ["data.cfl"], 0.3),
+        ("--out", "x.pdt", ["data.path"], "x.pdt"),
+    ],
+    "train": [
+        ("--preset", "paper", ["model.preset"], "paper"),
+        ("--model", "vit3", ["model.patch"], "vit3"),
+        ("--epochs", "3", ["train.epochs"], 3),
+        ("--lr", "0.01", ["train.lr"], 0.01),
+        ("--batch", "8", ["train.batch_size"], 8),
+    ],
+    "finetune": [
+        ("--n-traj", "4", ["finetune.n_traj"], 4),
+        ("--epochs", "3", ["finetune.epochs"], 3),
+        ("--lr", "0.01", ["finetune.lr"], 0.01),
+    ],
+    "train-prm": [
+        ("--K", "5", ["prm.k_candidates"], 5),
+        ("--alpha", "0.2", ["prm.margin"], 0.2),
+        ("--epochs", "3", ["prm.epochs"], 3),
+        ("--lr", "0.01", ["prm.lr"], 0.01),
+    ],
+    "rollout": [
+        ("--reward", "arm_energy", ["ttc.reward"], "arm_energy"),
+        ("--B", "1,2", ["ttc.b_list"], [1, 2]),
+        ("--n-ics", "3", ["ttc.n_ics"], 3),
+        ("--split", "val", ["ttc.split"], "val"),
+        ("--teacher-forced", None, ["ttc.teacher_forced"], True),
+    ],
+}
+_REQUIRED = {
+    "gen-data": [],
+    "train": ["--data", "d", "--out", "o"],
+    "finetune": ["--from", "f", "--data", "d", "--out", "o"],
+    "train-prm": ["--from", "f", "--data", "d", "--out", "o"],
+    "rollout": ["--surrogate", "s", "--data", "d", "--out-dir", "r"],
+    "evaluate": ["--records-dir", "r", "--data", "d", "--out-dir", "e"],
+    "report": ["--records-dir", "r", "--data", "d", "--out-dir", "e"],
+}
+
+
+def _flat(cfg: dict) -> dict:
+    return {f"{name}.{key}" if isinstance(value, dict) else name: v
+            for name, value in cfg.items()
+            for key, v in (value.items() if isinstance(value, dict) else [(None, value)])}
+
+
+def _effective(argv: list) -> dict:
+    cfg = cli.load_config(None)
+    cli._apply_flags(cfg, cli.build_parser().parse_args(argv))
+    return _flat(cfg)
+
+
+@pytest.mark.parametrize("command", list(_REQUIRED))
+def test_each_config_flag_sets_exactly_its_key(monkeypatch, command):
+    monkeypatch.delenv("PDETTC_SEED", raising=False)
+    defaults = _flat(cli.DEFAULTS)
+    assert _effective([command, *_REQUIRED[command]]) == defaults
+    cases = _FLAGS["*"] + _FLAGS.get(command, [])
+    for flag, text, keys, value in cases:
+        got = _effective([command, *_REQUIRED[command], flag, *([text] if text else [])])
+        assert {k for k in got if got[k] != defaults[k]} == set(keys), flag
+        assert all(got[k] == value for k in keys), flag
+    sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
+    bound = {a.option_strings[0] for a in sub._actions
+             if a.dest in cli._CONFIG_KEYS or a.dest == "grid"}
+    assert bound == {flag for flag, *_ in cases}       # the table covers every flag

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import sys
 import threading
 from dataclasses import replace
@@ -83,6 +84,33 @@ def test_single_step_conserves_totals():
     before, after = totals(u, GAMMA), totals(out, GAMMA)
     scale = np.maximum(np.abs(before), np.abs(before[0]))
     assert np.all(np.abs(after - before) / scale < 1e-12)
+
+
+def test_totals_are_correctly_rounded_whatever_the_cell_order():
+    u = make_initial_condition(sample_ic("kh", seed=2), GridSpec(32, 32))
+    perm = np.random.default_rng(0).permutation(32 * 32)
+    shuffled = Snapshot(u.data.reshape(4, -1)[:, perm].reshape(u.data.shape), u.t)
+    assert np.array_equal(totals(shuffled, GAMMA), totals(u, GAMMA))
+    momentum = u.rho * u.vx
+    assert totals(u, GAMMA)[1] == math.fsum(float(v) for v in momentum.ravel())
+
+
+@pytest.mark.parametrize("families,gamma,cfl,split,match", [
+    (["rp", "zz"], GAMMA, 0.4, (1, 0, 0), "unknown IC family 'zz'"),
+    (["rp"], 1.0, 0.4, (1, 0, 0), "gamma must be > 1"),
+    (["rp"], GAMMA, 0.0, (1, 0, 0), "cfl must be in"),
+    (["rp"], GAMMA, 1.5, (1, 0, 0), "cfl must be in"),
+    (["rp"], GAMMA, 0.4, (0.5, 0.5, 0.5), "split fractions"),
+])
+def test_generate_dataset_checks_its_inputs_before_solving(monkeypatch, families, gamma,
+                                                           cfl, split, match):
+    def solve(*_, **__):
+        raise AssertionError("solved a trajectory with bad inputs")
+
+    monkeypatch.setattr(euler, "solve_trajectory", solve)
+    with pytest.raises(ValueError, match=match):
+        generate_dataset(families, 1, GridSpec(8, 8), seed=0, split_fractions=split,
+                         gamma=gamma, cfl=cfl)
 
 
 def test_cfl_violation_rejected():

@@ -308,6 +308,19 @@ def test_nan_in_a_float32_block_names_that_block(tiny_cfg, np_rng):
             model.forward(x, mode, RngStream(1))
 
 
+@pytest.mark.parametrize("head", ["image", "scalar"])
+def test_nan_at_either_end_names_that_stage(tiny_cfg, np_rng, head):
+    model = VisionTransformer(dataclasses.replace(tiny_cfg, head=head), RngStream(0, 1))
+    x = np_rng.normal(size=(1, 5, 8, 8)).astype(np.float32)
+    out = model.decode.proj if head == "image" else model.score
+    out.b.like(x)[0] = np.nan
+    with pytest.raises(NonFiniteActivation, match="'head'"):
+        model.forward(x, MODE_DETERMINISTIC)
+    model.pos.like(x)[0, 0] = np.nan
+    with pytest.raises(NonFiniteActivation, match="'embed\\+pos'"):
+        model.forward(x, MODE_DETERMINISTIC)
+
+
 def _f32(rng, *shape):
     return rng.normal(size=shape).astype(np.float32)
 
@@ -333,9 +346,12 @@ def test_every_layer_stays_float32_on_the_sampling_path(np_rng):
                           out_channels=4, embed_dim=8, depth=2, n_heads=2,
                           mlp_ratio=2.0, dropout_p=0.1, head=head)
         model = VisionTransformer(cfg, RngStream(0, 1))
-        probe: list = []
-        model._run(_f32(np_rng, 2, 5, 8, 8), True, RngStream(9), probe=probe)
-        outputs.update({f"{head}:{name}": z for name, z in probe})
+        x = _f32(np_rng, 2, 5, 8, 8)
+        z = model.pos_drop.forward(model.embed.forward(x) + model.pos.like(x), True, r)
+        outputs[f"{head}:embed+pos"] = z
+        for i, blk in enumerate(model.blocks):
+            z = outputs[f"{head}:blocks.{i}"] = blk.forward(z, True, r)
+        outputs[f"{head}:head"] = model.forward(x, MODE_STOCHASTIC, RngStream(9))
     for name, y in outputs.items():
         assert y.dtype == np.float32, name
 

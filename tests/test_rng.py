@@ -72,5 +72,5 @@ def test_mix64_streams_replay(seed, parts, counter):
     assert np.array_equal(a.normal(8), b.normal(8))
     assert np.array_equal(a.bits16((9,)), b.bits16((9,)))
     assert a.counter == b.counter == counter + 2
-    c = a.clone()
+    c = RngStream(seed, stream, a.counter)
     assert np.array_equal(a.uniform(3), c.uniform(3))
