@@ -196,6 +196,15 @@ def _train_config(cfg: dict, section: str) -> sg.TrainConfig:
                     **{k: cfg[section][k] for k in DEFAULTS["train"]})
 
 
+def _train_ids(ds: euler.Dataset, data_path: str, command: str) -> list:
+    """The dataset's train trajectories, which a training command needs."""
+    if not ds.split["train"]:
+        sizes = "/".join(str(len(ds.split[k])) for k in ("train", "val", "test"))
+        raise ConfigError(f"{command} needs train trajectories, and {data_path} has none "
+                          f"(train/val/test {sizes})")
+    return ds.split["train"]
+
+
 def _log_epoch(rec) -> None:
     print(f"epoch {rec['epoch']}: loss {rec['train_loss']:.6g} "
           f"val {rec['val_mse']:.6g} ({rec['seconds']:.1f}s)")
@@ -227,6 +236,7 @@ def _finish_training(result, out_path, label) -> int:
 def cmd_train(cfg: dict, data_path: str, out_path: str, resume: str | None) -> int:
     tc = _train_config(cfg, "train")
     ds = storage.load_dataset(data_path)
+    _train_ids(ds, data_path, "train")
     if resume:
         base = sg.Surrogate.from_checkpoint(resume)
         result = sg._run_training(
@@ -242,6 +252,7 @@ def cmd_finetune(cfg: dict, from_path: str, data_path: str, out_path: str) -> in
     tc = _train_config(cfg, "finetune")
     n_traj = cfg["finetune"]["n_traj"]
     ds = storage.load_dataset(data_path)
+    _train_ids(ds, data_path, "finetune")
     if not 0 <= n_traj <= len(ds.split["train"]):
         raise ConfigError(f"config 'finetune.n_traj': {n_traj} is outside 0 ... "
                           f"{len(ds.split['train'])}, the train trajectories of {data_path}")
@@ -260,8 +271,10 @@ def cmd_train_prm(cfg: dict, from_path: str, data_path: str, out_path: str,
     if triplets_in:
         train_triplets = rewards.load_triplets(triplets_in)
         holdout = []
+        if not train_triplets:
+            raise ConfigError(f"{triplets_in} holds no triplets")
     else:
-        train_ids = ds.split["train"]
+        train_ids = _train_ids(ds, data_path, "train-prm")
         if p["train_trajectories"]:
             train_ids = train_ids[: p["train_trajectories"]]
         holdout_ids = ds.split["val"]

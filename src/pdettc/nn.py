@@ -1,8 +1,8 @@
 """Differentiable layer kernel used by the surrogate and reward models.
 
 Tensors are plain ndarrays.  The model topology is a fixed layer graph:
-every layer caches what its backward pass needs during ``forward`` and
-releases gradients in reverse order through ``backward``.  There is no
+in a train ``forward`` every layer caches what its backward pass needs,
+and ``backward`` releases gradients in reverse order.  There is no
 general-purpose taping; the graph is the object tree.
 
 Dtype rule: compute in the input's dtype, keep state in float64.  The
@@ -20,11 +20,28 @@ NumPy float64 scalar would promote a float32 array to float64.  GELU
 evaluates erf with `scipy.special.erf` in float64 and with a float32
 rational approximation (`_erf32`, max abs error below 1e-6) in float32.
 
-Each layer drops its forward cache at the end of its backward, so a
-trained model holds no activations between steps.  Attention caches its
-softmax output but not the dropped-out copy, which backward rebuilds from
-the dropout mask.  A dropout layer keeps its bool mask until its next
-forward, because attention's backward applies the mask twice.
+Only a train forward caches.  Every forward takes ``train`` (default
+True); the model passes True in MODE_TRAIN only.  A train forward keeps
+what its backward needs, and each layer drops that cache at the end of
+its backward, so a trained model holds no activations between steps.  An
+inference forward (``train=False``) drops every cache the layer held, so
+a model that only samples or scores keeps no backward state, and it works
+in place where its input is a temporary that nothing else holds:
+dropout scales its input, and LayerNorm normalises, scales and shifts
+its centred copy.  Affine adds its bias into the matmul product and a
+block sums its residual into the attention output in every mode.  An
+inference forward computes bit for bit what a train forward computes.
+
+Attention runs key-major.  q is pre-scaled by head_dim**-0.5, the scores
+are sT = k @ q^T with shape (batch, heads, keys, queries), softmax runs
+along axis -2 (each column holds one query's weights), the dropout mask
+is drawn in that (b, h, key, query) layout, and ctx = attn_d^T @ v.
+Softmax's reductions and the mask then run across contiguous rows, which
+NumPy does about twice as fast as reductions along the last axis.  A train forward caches the scaled q, k, v and
+the normalised key-major attention, not the dropped-out copy, which
+backward rebuilds from the dropout mask.  A dropout layer keeps its bool
+mask until its next forward, because attention's backward applies the
+mask twice.
 
 Dropout is the only stochastic layer.  Each mask is one draw of raw
 16-bit values from an :class:`~pdettc.rng.RngStream` (`RngStream.bits16`),
@@ -146,15 +163,17 @@ class Affine:
         yield f"{prefix}.w", self.w
         yield f"{prefix}.b", self.b
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if x.shape[-1] != self.w.value.shape[0]:
             raise ValueError(
                 f"{self.name}: input dim {x.shape[-1]} != {self.w.value.shape[0]}"
             )
-        self._lead = x.shape[:-1]
-        self._x2d = x.reshape(-1, x.shape[-1])
-        y = self._x2d @ self.w.like(x) + self.b.like(x)
-        return y.reshape(*self._lead, -1)
+        lead = x.shape[:-1]
+        x2d = x.reshape(-1, x.shape[-1])
+        self._x2d, self._lead = (x2d, lead) if train else (None, None)
+        y = x2d @ self.w.like(x)
+        y += self.b.like(x)
+        return y.reshape(*lead, -1)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dy2d = dy.reshape(-1, dy.shape[-1])
@@ -178,13 +197,16 @@ class LayerNorm:
         yield f"{prefix}.g", self.g
         yield f"{prefix}.b", self.b
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         mu = x.mean(axis=-1, keepdims=True)
         xc = x - mu
         var = np.mean(xc * xc, axis=-1, keepdims=True)
-        self._inv = 1.0 / np.sqrt(var + LN_EPS)
-        self._xhat = xc * self._inv
-        return self.g.like(x) * self._xhat + self.b.like(x)
+        inv = 1.0 / np.sqrt(var + LN_EPS)
+        xc *= inv                                       # x-hat
+        self._xhat, self._inv = (xc, inv) if train else (None, None)
+        y = xc * self.g.like(x) if train else np.multiply(xc, self.g.like(x), out=xc)
+        y += self.b.like(x)
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         axes = tuple(range(dy.ndim - 1))
@@ -236,8 +258,8 @@ class Gelu:
     def named_params(self, prefix: str):
         return iter(())
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        self._x = x if train else None
         y = _erf(x * _INV_SQRT2)
         y += 1.0
         y *= x
@@ -274,12 +296,20 @@ class Dropout:
     def named_params(self, prefix: str):
         return iter(())
 
-    def forward(self, x: np.ndarray, active: bool, rng: RngStream | None) -> np.ndarray:
+    def forward(self, x: np.ndarray, active: bool, rng: RngStream | None,
+                train: bool = True) -> np.ndarray:
+        """x with this forward's mask applied when ``active``.
+
+        With ``train`` the result is a new array and the mask is kept for
+        backward; without it the mask is dropped and x is overwritten, so
+        x must be a temporary that nothing else holds.
+        """
         if not active or self.p == 0.0:
             self._mask = None
             return x
-        self._mask = rng.bits16(x.shape) >= self.threshold
-        y = x * self._mask
+        mask = rng.bits16(x.shape) >= self.threshold
+        self._mask = mask if train else None
+        y = x * mask if train else np.multiply(x, mask, out=x)
         y *= self.scale
         return y
 
@@ -311,23 +341,24 @@ class MultiHeadSelfAttention:
         yield from self.qkv.named_params(f"{prefix}.qkv")
         yield from self.proj.named_params(f"{prefix}.proj")
 
-    def forward(self, x: np.ndarray, active: bool, rng: RngStream | None) -> np.ndarray:
+    def forward(self, x: np.ndarray, active: bool, rng: RngStream | None,
+                train: bool = True) -> np.ndarray:
         b, n, d = x.shape
         h, dh = self.n_heads, self.head_dim
-        qkv = self.qkv.forward(x).reshape(b, n, 3, h, dh)
+        qkv = self.qkv.forward(x, train).reshape(b, n, 3, h, dh)
         q, k, v = (np.ascontiguousarray(qkv[:, :, i].transpose(0, 2, 1, 3)) for i in range(3))
-        scores = (q @ k.swapaxes(-1, -2)) * self.scale
-        attn = softmax(scores, axis=-1)
-        attn_d = self.attn_drop.forward(attn, active, rng)
-        ctx = attn_d @ v                       # (b, h, n, dh)
+        q *= self.scale
+        attn = softmax(k @ q.swapaxes(-1, -2), axis=-2)   # (b, h, key, query)
+        attn_d = self.attn_drop.forward(attn, active, rng, train)
+        ctx = attn_d.swapaxes(-1, -2) @ v                 # (b, h, query, dh)
         ctx = ctx.transpose(0, 2, 1, 3).reshape(b, n, d)
-        out = self.proj.forward(ctx)
-        out = self.proj_drop.forward(out, active, rng)
-        self._cache = (q, k, v, attn)
+        out = self.proj.forward(ctx, train)
+        out = self.proj_drop.forward(out, active, rng, train)
+        self._cache = (q, k, v, attn) if train else None
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        q, k, v, attn = self._cache
+        q, k, v, attn = self._cache                  # q is scaled, attn key-major
         self._cache = None
         b, h, n, dh = q.shape
         d = h * dh
@@ -335,12 +366,13 @@ class MultiHeadSelfAttention:
         dctx = self.proj.backward(dout)
         dctx = dctx.reshape(b, n, h, dh).transpose(0, 2, 1, 3)
         attn_d = self.attn_drop.backward(attn)      # the forward's dropped attention
-        dv = attn_d.swapaxes(-1, -2) @ dctx
+        dv = attn_d @ dctx
         del attn_d
-        dattn = self.attn_drop.backward(dctx @ v.swapaxes(-1, -2))
-        dscores = softmax_backward(attn, dattn) * self.scale
-        dq = dscores @ k
-        dk = dscores.swapaxes(-1, -2) @ q
+        dattn = self.attn_drop.backward(v @ dctx.swapaxes(-1, -2))
+        dscores = softmax_backward(attn, dattn, axis=-2)
+        dq = dscores.swapaxes(-1, -2) @ k
+        dq *= self.scale
+        dk = dscores @ q
         dqkv = np.empty((b, n, 3, h, dh), dtype=dy.dtype)
         for i, g in enumerate((dq, dk, dv)):
             dqkv[:, :, i] = g.transpose(0, 2, 1, 3)
@@ -361,12 +393,13 @@ class Mlp:
         yield from self.fc1.named_params(f"{prefix}.fc1")
         yield from self.fc2.named_params(f"{prefix}.fc2")
 
-    def forward(self, x: np.ndarray, active: bool, rng: RngStream | None) -> np.ndarray:
-        y = self.fc1.forward(x)
-        y = self.act.forward(y)
-        y = self.drop1.forward(y, active, rng)
-        y = self.fc2.forward(y)
-        return self.drop2.forward(y, active, rng)
+    def forward(self, x: np.ndarray, active: bool, rng: RngStream | None,
+                train: bool = True) -> np.ndarray:
+        y = self.fc1.forward(x, train)
+        y = self.act.forward(y, train)
+        y = self.drop1.forward(y, active, rng, train)
+        y = self.fc2.forward(y, train)
+        return self.drop2.forward(y, active, rng, train)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dy = self.drop2.backward(dy)
@@ -396,10 +429,12 @@ class Block:
         yield from self.ln2.named_params(f"{prefix}.ln2")
         yield from self.mlp.named_params(f"{prefix}.mlp")
 
-    def forward(self, x: np.ndarray, active: bool, rng: RngStream | None) -> np.ndarray:
-        a = self.attn.forward(self.ln1.forward(x), active, rng)
-        m = self.mlp.forward(self.ln2.forward(x), active, rng)
-        return x + a + m
+    def forward(self, x: np.ndarray, active: bool, rng: RngStream | None,
+                train: bool = True) -> np.ndarray:
+        y = self.attn.forward(self.ln1.forward(x, train), active, rng, train)
+        y += x
+        y += self.mlp.forward(self.ln2.forward(x, train), active, rng, train)
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dx = dy.copy()
@@ -439,8 +474,8 @@ class PatchEmbed:
         t = t.transpose(0, 2, 4, 1, 3, 5)
         return t.reshape(b, self.n_tokens, self.c * self.p * self.p)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.proj.forward(self.patchify(x))
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        return self.proj.forward(self.patchify(x), train)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dt = self.proj.backward(dy)
@@ -469,9 +504,9 @@ class PatchDecode:
     def named_params(self, prefix: str):
         yield from self.proj.named_params(f"{prefix}.proj")
 
-    def forward(self, tokens: np.ndarray) -> np.ndarray:
+    def forward(self, tokens: np.ndarray, train: bool = True) -> np.ndarray:
         e = self.e
-        t = self.proj.forward(tokens)
+        t = self.proj.forward(tokens, train)
         b = t.shape[0]
         img = t.reshape(b, e.nh, e.nw, self.c_out, e.p, e.p)
         img = img.transpose(0, 3, 1, 4, 2, 5).reshape(b, self.c_out, e.hp, e.wp)

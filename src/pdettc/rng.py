@@ -6,20 +6,32 @@ independent consumers (dropout layers, candidate samplers, dataset
 generators) can be given independent streams, and a draw is replayed
 exactly by a new ``RngStream(seed, stream, counter)`` at its counter.
 
-Each draw is one Philox4x64 bit generator keyed by (seed, stream).  Its
-128-bit key is built from a uint64 array, so every 64-bit seed and stream
-id is a distinct key.  Its block counter is [block, counter, kind, 0]:
-the draw counts its blocks in the first word, the stream counter sits in
-the second and the kind of draw (0 for the Generator methods, 1 for
-`RngStream.bits16`) in the third.  Draws at different counters or of
-different kinds therefore never share a block (Salmon et al., SC'11).
+A stream draws from one Philox4x64 bit generator keyed by (seed, stream).
+Its 128-bit key is built from a uint64 array, so every 64-bit seed and
+stream id is a distinct key.  Each draw's block counter is
+[block, counter, kind, 0]: the draw counts its blocks in the first word,
+the stream counter sits in the second and the kind of draw (0 for the
+Generator methods, 1 for `RngStream.bits16`) in the third.  Draws at
+different counters or of different kinds therefore never share a block
+(Salmon et al., SC'11).
+
+The stream builds its bit generator, and the `numpy.random.Generator`
+over it, once, at its first draw.  Every draw then resets the generator's
+state to counter [0, counter, kind, 0] with an empty buffer (buffer_pos 4,
+no buffered uint32), which is the state of a Philox newly built at that
+counter, so a draw is bit-identical to one from a fresh
+``RngStream(seed, stream, counter)`` whatever the stream drew before.
+A reset costs a quarter of a construction.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)   # unread once buffer_pos is 4
 
 
 def mix64(*parts: int) -> int:
@@ -44,18 +56,29 @@ class RngStream:
         self.seed = int(seed) & _MASK64
         self.stream = int(stream) & _MASK64
         self.counter = int(counter)
+        self._bitgen = None
+        self._generator = None
 
     def _philox(self, kind: int) -> np.random.Philox:
-        """The bit generator of the draw at the current counter; advances it."""
-        bitgen = np.random.Philox(
-            counter=np.array([0, self.counter & _MASK64, kind, 0], dtype=np.uint64),
-            key=np.array([self.seed, self.stream], dtype=np.uint64),
-        )
+        """The stream's bit generator, reset to the draw at the current
+        counter; advances the counter."""
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
+        if self._bitgen is None:
+            self._bitgen = np.random.Philox(key=key)
+            self._generator = np.random.Generator(self._bitgen)
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([0, self.counter & _MASK64, kind, 0],
+                                          dtype=np.uint64),
+                      "key": key},
+            "buffer": _EMPTY_BUFFER, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
         self.counter += 1
-        return bitgen
+        return self._bitgen
 
     def _gen(self) -> np.random.Generator:
-        return np.random.Generator(self._philox(0))
+        self._philox(0)
+        return self._generator
 
     def uniform(self, size=None) -> np.ndarray:
         return self._gen().random(size=size, dtype=np.float64)
@@ -66,7 +89,7 @@ class RngStream:
         The values are the draw's raw 64-bit Philox words split into four
         uint16 each, in memory order.
         """
-        n = int(np.prod(shape, dtype=np.int64))
+        n = math.prod(shape)
         raw = self._philox(1).random_raw((n + 3) // 4)
         return raw.view(np.uint16)[:n].reshape(shape)
 

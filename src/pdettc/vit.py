@@ -88,8 +88,7 @@ class VisionTransformer:
         else:
             self.decode = None
             self.score = Affine(c.embed_dim, 1, init_rng, name="score")
-        self._n_tok = None
-        self._dtype = None
+        self._dtype = None               # the last train forward's dtype
 
     @property
     def n_tokens(self) -> int:
@@ -115,39 +114,46 @@ class VisionTransformer:
         inference with dropout_p > 0).  A float32 x gives a float32 output.
         Each stage's output is checked as it is produced: a non-finite one
         raises NonFiniteActivation naming the stage ('embed+pos',
-        'blocks.i' or 'head').
+        'blocks.i' or 'head').  Only a MODE_TRAIN forward keeps what
+        `backward` needs; an inference forward drops every layer's cache.
         """
         if mode not in _MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        active = mode in (MODE_TRAIN, MODE_STOCHASTIC) and self.cfg.dropout_p > 0.0
+        train = mode == MODE_TRAIN
+        active = mode != MODE_DETERMINISTIC and self.cfg.dropout_p > 0.0
         if active and rng is None:
             raise ValueError("dropout active but no rng stream given")
-        self._dtype = x.dtype
-        z = self.embed.forward(x) + self.pos.like(x)
-        z = _finite(self.pos_drop.forward(z, active, rng), "embed+pos")
+        self._dtype = x.dtype if train else None
+        z = self.embed.forward(x, train)
+        z += self.pos.like(x)
+        z = _finite(self.pos_drop.forward(z, active, rng, train), "embed+pos")
         for i, blk in enumerate(self.blocks):
-            z = _finite(blk.forward(z, active, rng), f"blocks.{i}")
+            z = _finite(blk.forward(z, active, rng, train), f"blocks.{i}")
         if self.decode is not None:
-            y = self.decode.forward(z)
+            y = self.decode.forward(z, train)
         else:
-            self._n_tok = z.shape[1]
-            pooled = z.mean(axis=1)
-            y = self.score.forward(pooled)[:, 0]
+            y = self.score.forward(z.mean(axis=1), train)[:, 0]
         return _finite(y, "head")
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients; returns gradient w.r.t. input.
 
-        dy is cast to the dtype of the last forward, which backward
-        computes in.
+        Follows one MODE_TRAIN forward, in whose dtype it computes (dy is
+        cast to it).  Raises RuntimeError when the last forward was an
+        inference one or its backward already ran.
         """
+        if self._dtype is None:
+            raise RuntimeError("backward needs a MODE_TRAIN forward before it: "
+                               "inference forwards keep no backward state")
         dy = dy.astype(self._dtype, copy=False)
+        self._dtype = None
         if self.decode is not None:
             dz = self.decode.backward(dy)
         else:
+            n_tok = self.n_tokens
             dpooled = self.score.backward(dy[:, None])
-            dz = np.broadcast_to(dpooled[:, None, :] / self._n_tok,
-                                 (dy.shape[0], self._n_tok, dpooled.shape[-1])).copy()
+            dz = np.broadcast_to(dpooled[:, None, :] / n_tok,
+                                 (dy.shape[0], n_tok, dpooled.shape[-1])).copy()
         for blk in reversed(self.blocks):
             dz = blk.backward(dz)
         dz = self.pos_drop.backward(dz)

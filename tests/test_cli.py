@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdettc import cli, euler, metrics, storage, ttc
+from pdettc import cli, euler, metrics, rewards, storage, ttc
 from pdettc.surrogate import Surrogate
 
 
@@ -343,3 +343,27 @@ def test_each_config_flag_sets_exactly_its_key(monkeypatch, command):
     bound = {a.option_strings[0] for a in sub._actions
              if a.dest in cli._CONFIG_KEYS or a.dest == "grid"}
     assert bound == {flag for flag, *_ in cases}       # the table covers every flag
+
+
+@pytest.mark.parametrize("command", ["train", "finetune", "train-prm"])
+def test_training_on_a_dataset_without_train_trajectories_exits_2(
+        small_run, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen-data", "--seed", "3", "--families", "rp", "--n", "2", "--grid",
+                     "16", "--split", "0,1,0", "--out", "val_only.pdt"]) == cli.EXIT_OK
+    inputs = {"train": [], "finetune": ["--from", small_run["ckpt"], "--n-traj", "0"],
+              "train-prm": ["--from", small_run["ckpt"]]}
+    _fails_with_one_line(capsys, [command, *inputs[command], "--data", "val_only.pdt",
+                                  "--out", "out"],
+                         f"{command} needs train trajectories, and val_only.pdt has none")
+    assert not Path("out").exists()
+
+
+def test_train_prm_refuses_an_empty_triplet_store(small_run, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    ds = storage.load_dataset(small_run["data"])
+    rewards.save_triplets("empty.npz", [], ds.grid, ds.gamma)
+    _fails_with_one_line(capsys, ["train-prm", "--from", small_run["ckpt"],
+                                  "--data", small_run["data"], "--triplets-in", "empty.npz",
+                                  "--out", "out"], "empty.npz holds no triplets")
+    assert not Path("out").exists()

@@ -169,10 +169,33 @@ def test_mhsa_single_token_is_value_projection():
 def test_mhsa_attention_rows_stochastic(np_rng):
     layer = MultiHeadSelfAttention(dim=8, n_heads=4, dropout_p=0.0,
                                    rng=RngStream(6, 1))
-    layer.forward(np_rng.normal(size=(3, 5, 8)), False, None)
-    attn = layer._cache[3]                      # pre-dropout attention of that forward
-    assert attn.shape == (3, 4, 5, 5)
-    assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-12
+    layer.forward(np_rng.normal(size=(3, 6, 8)), False, None)
+    attn = layer._cache[3]                      # pre-dropout attention, (b, h, key, query)
+    assert attn.shape == (3, 4, 6, 6)
+    assert np.max(np.abs(attn.sum(axis=-2) - 1.0)) < 1e-12    # each query's weights
+    assert np.all(attn >= 0.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mhsa_matches_plain_softmax_attention(seed):
+    rng = np.random.default_rng(400 + seed)
+    dim, h = 12, 3
+    dh = dim // h
+    layer = MultiHeadSelfAttention(dim=dim, n_heads=h, dropout_p=0.3,
+                                   rng=RngStream(seed, 5))
+    x = rng.normal(size=(2, 7, dim))
+    qkv = x @ layer.qkv.w.value + layer.qkv.b.value
+    ctx = np.empty((2, 7, dim))
+    for head in range(h):
+        q, k, v = (qkv[..., (i * h + head) * dh:(i * h + head + 1) * dh] for i in range(3))
+        s = np.einsum("bqc,bkc->bqk", q, k) / np.sqrt(dh)
+        a = np.exp(s - s.max(axis=-1, keepdims=True))
+        a /= a.sum(axis=-1, keepdims=True)
+        ctx[..., head * dh:(head + 1) * dh] = a @ v
+    ref = ctx @ layer.proj.w.value + layer.proj.b.value
+    for train in (True, False):
+        out = layer.forward(x, False, None, train)      # dropout off
+        assert np.max(np.abs(out - ref)) <= 1e-12
 
 
 def test_mhsa_permutation_equivariance(np_rng):
@@ -550,18 +573,74 @@ def test_adamw_nonfinite_gradient_reports_name():
 
 
 def test_full_model_gradcheck(tiny_model, np_rng):
+    # train mode with dropout active: every loss call replays the same masks
+    assert tiny_model.cfg.dropout_p > 0.0
     store = tiny_model.param_store()
     x = np_rng.normal(size=(2, 5, 8, 8))
     w = np_rng.normal(size=(2, 4, 8, 8))
 
     def loss():
-        return float(np.sum(tiny_model.forward(x, MODE_DETERMINISTIC) * w))
+        return float(np.sum(tiny_model.forward(x, MODE_TRAIN, RngStream(6, 2)) * w))
 
     loss()
     store.zero_grad()
-    tiny_model.forward(x, MODE_DETERMINISTIC)
+    tiny_model.forward(x, MODE_TRAIN, RngStream(6, 2))
     tiny_model.backward(w)
     assert fd.check_param_grads(loss, store, np_rng, max_per_tensor=4) < fd.REL_TOL
+
+
+def _cached_arrays(obj, path="model"):
+    """Paths of every ndarray a layer of the model holds outside its Params."""
+    found = []
+    for name, v in vars(obj).items():
+        where = f"{path}.{name}"
+        items = v if isinstance(v, (list, tuple)) else [v]
+        for item in items:
+            if isinstance(item, np.ndarray):
+                found.append(where)
+            elif type(item).__module__.startswith("pdettc.") and hasattr(item, "__dict__"):
+                found += _cached_arrays(item, where)
+    return found
+
+
+@pytest.mark.parametrize("head", ["image", "scalar"])
+def test_inference_forwards_keep_no_layer_cache(tiny_cfg, np_rng, head):
+    model = _head_model(tiny_cfg, head)
+    x = _f32(np_rng, 2, 5, 8, 8)
+    model.forward(x, MODE_TRAIN, RngStream(6, 2))
+    assert len(_cached_arrays(model)) > 20         # the walk sees the train caches
+    for mode in (MODE_STOCHASTIC, MODE_DETERMINISTIC):
+        model.forward(x, mode, RngStream(6, 2))
+        assert _cached_arrays(model) == [], mode
+
+
+def test_backward_after_an_inference_forward_raises(tiny_model, np_rng):
+    x = np_rng.normal(size=(1, 5, 8, 8))
+    dy = np.ones((1, 4, 8, 8))
+    for mode in (MODE_STOCHASTIC, MODE_DETERMINISTIC):
+        tiny_model.forward(x, MODE_TRAIN, RngStream(1))
+        tiny_model.forward(x, mode, RngStream(1))
+        with pytest.raises(RuntimeError, match="MODE_TRAIN forward"):
+            tiny_model.backward(dy)
+    tiny_model.forward(x, MODE_TRAIN, RngStream(1))
+    tiny_model.backward(dy)
+    with pytest.raises(RuntimeError, match="MODE_TRAIN forward"):
+        tiny_model.backward(dy)                     # its caches are released
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_inference_forward_equals_the_train_forward_bitwise(tiny_model, np_rng, dtype):
+    # in-place inference kernels do the train forward's arithmetic, and leave x alone
+    x = np_rng.normal(size=(2, 5, 8, 8)).astype(dtype)
+    x0 = x.copy()
+    train = tiny_model.forward(x, MODE_TRAIN, RngStream(4, 2))
+    stoch = tiny_model.forward(x, MODE_STOCHASTIC, RngStream(4, 2))
+    assert np.array_equal(train, stoch)
+    det = tiny_model.forward(x, MODE_DETERMINISTIC)
+    off = dataclasses.replace(tiny_model.cfg, dropout_p=0.0)
+    twin = VisionTransformer(off, RngStream(0, 1))
+    assert np.array_equal(twin.forward(x, MODE_TRAIN), det)
+    assert np.array_equal(x, x0)
 
 
 def test_model_output_shape_matches_input_grid():

@@ -74,3 +74,34 @@ def test_mix64_streams_replay(seed, parts, counter):
     assert a.counter == b.counter == counter + 2
     c = RngStream(seed, stream, a.counter)
     assert np.array_equal(a.uniform(3), c.uniform(3))
+
+
+_OPS = {
+    "uniform": lambda r, n: r.uniform(n),
+    "normal": lambda r, n: r.normal(n, scale=2.0),
+    "integers": lambda r, n: r.integers(0, 1000, n),    # 32-bit draws, buffered in pairs
+    "integers64": lambda r, n: r.integers(0, 2**62, n),
+    "permutation": lambda r, n: r.permutation(n),
+    "bits16": lambda r, n: r.bits16((n, 3)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=U64, stream=U64, counter=st.integers(0, 2**40),
+       ops=st.lists(st.tuples(st.sampled_from(sorted(_OPS)), st.integers(1, 9)),
+                    min_size=1, max_size=12))
+@example(seed=1, stream=2, counter=0,
+         ops=[("integers", 3), ("bits16", 1), ("integers", 5), ("uniform", 2),
+              ("integers", 1), ("permutation", 7)])
+def test_a_reused_stream_draws_what_a_fresh_one_draws_at_each_counter(seed, stream,
+                                                                      counter, ops):
+    reused = RngStream(seed, stream, counter)
+    for name, n in ops:
+        at = reused.counter
+        got = _OPS[name](reused, n)
+        assert reused.counter == at + 1
+        assert np.array_equal(got, _OPS[name](RngStream(seed, stream, at), n)), (name, at)
+        if name == "integers" and n % 2:
+            # an odd count of 32-bit draws leaves half a word buffered, which
+            # the next draw's reset must discard
+            assert reused._bitgen.state["has_uint32"] == 1
