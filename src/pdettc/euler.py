@@ -441,18 +441,26 @@ def max_stable_dt(s: Snapshot, grid: GridSpec, gamma: float, cfl: float = 1.0) -
 
 
 def fv_step(u: Snapshot, dt: float, gamma: float = GAMMA_DEFAULT,
-            grid: GridSpec | None = None) -> Snapshot:
+            grid: GridSpec | None = None, cfl: float | None = None) -> Snapshot:
     """One conservative SSP-RK2 update with periodic boundaries.
 
-    Apart from the CFL check and the final validation it allocates only
-    the returned snapshot's fields; every intermediate lives in this
-    thread's workspace for the grid.
+    With ``cfl`` the step is min(dt, max_stable_dt(u, grid, gamma, cfl)),
+    so ``dt`` is the longest step wanted; either way a step beyond the
+    CFL bound at cfl 1 raises SolverError.  The wave speeds are computed
+    once per call.  Apart from the CFL check and the final validation it
+    allocates only the returned snapshot's fields; every intermediate
+    lives in this thread's workspace for the grid.
     """
     if grid is None:
         grid = GridSpec(nx=u.rho.shape[0], ny=u.rho.shape[1])
-    if dt <= 0.0:
+    limit = max_stable_dt(u, grid, gamma, 1.0 if cfl is None else cfl)
+    if cfl is not None:
+        dt = min(limit, dt)
+    if not dt > 0.0:
         raise SolverError("dt must be positive", u.t)
-    if dt > max_stable_dt(u, grid, gamma) * (1.0 + 1e-12):
+    if cfl is not None:
+        limit /= cfl                           # the bound at cfl 1
+    if dt > limit * (1.0 + 1e-12):
         raise SolverError(f"dt={dt:.3e} violates the CFL bound", u.t)
     ws = _workspace(*u.rho.shape)
     U, U1 = ws.U, ws.U1
@@ -489,8 +497,7 @@ def solve_trajectory(spec: ICSpec, grid: GridSpec, gamma: float = GAMMA_DEFAULT,
     snaps = [cur]
     for target in times[1:]:
         while cur.t < target - 1e-13:
-            dt = min(max_stable_dt(cur, grid, gamma, cfl), target - cur.t)
-            cur = fv_step(cur, dt, gamma, grid)
+            cur = fv_step(cur, target - cur.t, gamma, grid, cfl)
         cur = replace(cur, t=float(target))   # clear substep float drift
         snaps.append(cur)
     return Trajectory(ic=spec, snapshots=snaps, times=times)

@@ -23,8 +23,25 @@ rational approximation (`_erf32`, max abs error below 1e-6) in float32.
 Only a train forward caches.  Every forward takes ``train`` (default
 True); the model passes True in MODE_TRAIN only.  A train forward keeps
 what its backward needs, and each layer drops that cache at the end of
-its backward, so a trained model holds no activations between steps.  An
-inference forward (``train=False``) drops every cache the layer held, so
+its backward, so a trained model holds no activations between steps.
+What a train forward keeps, per layer:
+
+- Affine: its input as a 2-D array (PatchEmbed and PatchDecode cache
+  only through their Affine);
+- LayerNorm: x-hat and 1/sigma;
+- Gelu: its input and 1 + erf(x/sqrt(2)), which backward halves into
+  the normal CDF instead of evaluating erf again;
+- Dropout: its bool mask;
+- MultiHeadSelfAttention: the scaled q, k, v and the key-major
+  attention before dropout.
+
+Every cache is as large as the batch the forward saw.  Backward adds
+into the parameter gradients, so the training loops forward and
+backward one micro-batch (`VisionTransformer.micro_batch` samples) at a
+time, zero the gradients once per optimizer batch and step once: the
+caches hold one micro-batch, not the batch.
+
+An inference forward (``train=False``) drops every cache the layer held, so
 a model that only samples or scores keeps no backward state, and it works
 in place where its input is a temporary that nothing else holds:
 dropout scales its input, and LayerNorm normalises, scales and shifts
@@ -254,23 +271,24 @@ class Gelu:
 
     def __init__(self):
         self._x = None
+        self._cdf2 = None                # 1 + erf(x / sqrt(2)), i.e. 2 * Phi(x)
 
     def named_params(self, prefix: str):
         return iter(())
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        self._x = x if train else None
-        y = _erf(x * _INV_SQRT2)
-        y += 1.0
-        y *= x
+        cdf2 = _erf(x * _INV_SQRT2)
+        cdf2 += 1.0
+        self._x, self._cdf2 = (x, cdf2) if train else (None, None)
+        y = cdf2 * x if train else np.multiply(cdf2, x, out=cdf2)
         y *= 0.5
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
-        cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+        cdf = 0.5 * self._cdf2
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        self._x = None
+        self._x = self._cdf2 = None
         return dy * (cdf + x * pdf)
 
 

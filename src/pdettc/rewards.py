@@ -15,6 +15,12 @@ channel-concatenated pair, and is trained with a contrastive triplet
 margin loss on candidates ranked by MSE against ground truth.  It scores
 each candidate with its own batch-1 forward, so a candidate's score does
 not depend on which other candidates are scored with it.
+
+PRM training takes one AdamW step per batch of ``batch_triplets``
+triplets, accumulating gradients over micro-batches of whole triplets
+(max(1, micro_batch // 3) of them, 3 forward samples each) so that the
+layer caches hold one micro-batch; `ranking_accuracy` scores in chunks
+of `VisionTransformer.micro_batch` triplets.
 """
 
 from __future__ import annotations
@@ -327,14 +333,15 @@ class ProcessRewardModel:
         return prm
 
 
-def ranking_accuracy(prm: ProcessRewardModel, triplets: list,
-                     batch: int = 32) -> float:
-    """Fraction of triplets whose best candidate outscores the worst."""
+def ranking_accuracy(prm: ProcessRewardModel, triplets: list) -> float:
+    """Fraction of triplets whose best candidate outscores the worst,
+    scored one micro-batch of triplets at a time."""
     if not triplets:
         return np.nan
     correct = 0
-    for start in range(0, len(triplets), batch):
-        chunk = triplets[start:start + batch]
+    m = prm.model.micro_batch
+    for start in range(0, len(triplets), m):
+        chunk = triplets[start:start + m]
         cur = np.stack([r.current.fields() for r in chunk])
         cur_t = np.array([r.current.t for r in chunk])
         best = np.stack([r.best.fields() for r in chunk])
@@ -363,13 +370,49 @@ class PRMTrainResult:
         return max(accs) if accs else np.nan
 
 
+def accumulate_margin_grad(model: VisionTransformer, x: np.ndarray, margin: float,
+                           rng: RngStream | None) -> float:
+    """Add the gradient of the mean triplet margin loss over the batch
+    ``x`` to the parameter gradients, one micro-batch of whole triplets at
+    a time; returns the loss.
+
+    ``x`` holds (worst, median, best) pair inputs per triplet, in that
+    order.  A micro-batch holds max(1, micro_batch // 3) triplets.  Each
+    term is scaled by the whole batch's triplet count, so the accumulated
+    gradient and the summed loss are the whole-batch ones.  Dropout masks
+    come from ``rng``, whose counter runs on across micro-batches.  A
+    non-finite term raises NonFiniteActivation before its backward.
+    """
+    nb = len(x) // 3
+    m = 3 * max(1, model.micro_batch // 3)
+    loss = 0.0
+    for start in range(0, len(x), m):
+        scores = model.forward(x[start:start + m], MODE_TRAIN, rng).reshape(-1, 3)
+        s_w, s_m, s_b = scores[:, 0], scores[:, 1], scores[:, 2]
+        h1 = s_w - s_m + margin
+        h2 = s_m - s_b + margin
+        term = float(np.sum(np.maximum(h1, 0.0) + np.maximum(h2, 0.0))) / nb
+        if not np.isfinite(term):
+            raise NonFiniteActivation(f"non-finite loss {term}")
+        g1 = (h1 > 0.0).astype(np.float64) / nb
+        g2 = (h2 > 0.0).astype(np.float64) / nb
+        d = np.zeros(scores.shape)
+        d[:, 0] += g1
+        d[:, 1] += g2 - g1
+        d[:, 2] -= g2
+        model.backward(d.reshape(-1))
+        loss += term
+    return loss
+
+
 def train_prm(triplets: list, prm_cfg: PRMConfig, normalization: Normalization,
               holdout: list | None = None, log=None) -> PRMTrainResult:
     """Minimize the mean triplet margin loss over ranked candidate triples.
 
     ``holdout`` triplets drive early stopping on pairwise ranking
-    accuracy; without them the train loss is used.  The PRM forwards
-    float32 inputs and keeps float64 parameters (see `pdettc.nn`).  A
+    accuracy; without them the train loss is used.  Each batch is one
+    AdamW step over micro-batches (`accumulate_margin_grad`).  The PRM
+    forwards float32 inputs and keeps float64 parameters (see `pdettc.nn`).  A
     non-finite loss, activation or gradient stops training with
     ``diverged`` set and the best weights seen kept.
     """
@@ -392,7 +435,6 @@ def train_prm(triplets: list, prm_cfg: PRMConfig, normalization: Normalization,
             for bi, start in enumerate(range(0, len(order), prm_cfg.batch_triplets)):
                 sel = order[start:start + prm_cfg.batch_triplets]
                 chunk = [triplets[j] for j in sel]
-                nb = len(chunk)
                 cur = np.repeat(np.stack([r.current.fields() for r in chunk]), 3, axis=0)
                 cur_t = np.repeat(np.array([r.current.t for r in chunk]), 3)
                 cand = np.stack([f for r in chunk
@@ -401,21 +443,8 @@ def train_prm(triplets: list, prm_cfg: PRMConfig, normalization: Normalization,
                 cand_t = np.repeat(np.array([r.best.t for r in chunk]), 3)
                 x = prm.pack_pair(cur, cur_t, cand, cand_t).astype(np.float32)
                 rng = RngStream(prm_cfg.seed, mix64(_PRM_DROPOUT_TAG, epoch, bi))
-                scores = prm.model.forward(x, MODE_TRAIN, rng).reshape(nb, 3)
-                s_w, s_m, s_b = scores[:, 0], scores[:, 1], scores[:, 2]
-                h1 = s_w - s_m + margin
-                h2 = s_m - s_b + margin
-                loss = float(np.mean(np.maximum(h1, 0.0) + np.maximum(h2, 0.0)))
-                if not np.isfinite(loss):
-                    raise NonFiniteActivation(f"non-finite loss {loss}")
-                g1 = (h1 > 0.0).astype(np.float64) / nb
-                g2 = (h2 > 0.0).astype(np.float64) / nb
-                d = np.zeros((nb, 3))
-                d[:, 0] += g1
-                d[:, 1] += g2 - g1
-                d[:, 2] -= g2
                 prm.store.zero_grad()
-                prm.model.backward(d.reshape(-1))
+                loss = accumulate_margin_grad(prm.model, x, margin, rng)
                 opt.step(prm.store)
                 losses.append(loss)
             acc = ranking_accuracy(prm, holdout) if holdout else np.nan

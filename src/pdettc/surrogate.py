@@ -16,6 +16,16 @@ float64.  `Surrogate.predict_fields` (with it `predict` and
 the parameters, their gradients and the AdamW moments stay float64, and
 losses and predicted fields are float64.
 
+Each optimizer batch of ``TrainConfig.batch_size`` pairs is trained as
+a loop over micro-batches of `VisionTransformer.micro_batch` samples
+(4 on the desk model, 1 on the paper model): the gradients are zeroed
+once, each micro-batch runs a train forward and its backward with the
+loss scaled by the whole batch's element count, and AdamW steps once.
+So the layer caches hold one micro-batch, while the gradient is the
+whole batch's up to summation order.  All micro-batches of a batch draw
+their dropout masks from the batch's one stream, one after another.
+`_val_mse` forwards in chunks of the same size.
+
 Training stops, keeps the best weights seen and reports ``diverged``
 when a loss, an activation or a gradient is non-finite.
 """
@@ -188,12 +198,15 @@ def _gather(dataset: Dataset, pairs, sel) -> tuple:
     return np.stack(fields), np.asarray(times), np.stack(targets)
 
 
-def _val_mse(surrogate: Surrogate, dataset: Dataset, pairs, batch: int) -> float:
+def _val_mse(surrogate: Surrogate, dataset: Dataset, pairs) -> float:
+    """Deterministic one-step MSE over ``pairs``, in normalised units,
+    forwarded one micro-batch at a time."""
     if not pairs:
         return np.nan
     total, count = 0.0, 0
-    for start in range(0, len(pairs), batch):
-        sel = range(start, min(start + batch, len(pairs)))
+    m = surrogate.model.micro_batch
+    for start in range(0, len(pairs), m):
+        sel = range(start, min(start + m, len(pairs)))
         fields, times, targets = _gather(dataset, pairs, sel)
         x = surrogate.pack_inputs(fields, times).astype(np.float32)
         pred = surrogate.model.forward(x, MODE_DETERMINISTIC)
@@ -203,9 +216,40 @@ def _val_mse(surrogate: Surrogate, dataset: Dataset, pairs, batch: int) -> float
     return total / count
 
 
+def accumulate_loss_grad(model: VisionTransformer, x: np.ndarray, target: np.ndarray,
+                         p: float, rng: RngStream | None) -> float:
+    """Add the gradient of mean |pred - target|^p over the batch ``x`` to
+    the parameter gradients, one micro-batch at a time; returns the loss.
+
+    Each micro-batch's term is scaled by the whole batch's element count,
+    so the accumulated gradient and the summed loss are the whole-batch
+    ones.  Every micro-batch's dropout masks come from ``rng``, whose
+    counter runs on across them.  A non-finite term raises
+    NonFiniteActivation before its backward.
+    """
+    m = model.micro_batch
+    n = target.size
+    loss = 0.0
+    for start in range(0, len(x), m):
+        d = model.forward(x[start:start + m], MODE_TRAIN, rng) - target[start:start + m]
+        if p == 2.0:
+            term = float(np.sum(d * d)) / n
+            grad = 2.0 * d / n
+        else:
+            ad = np.abs(d)
+            term = float(np.sum(ad ** p)) / n
+            grad = p * np.sign(d) * ad ** (p - 1.0) / n
+        if not np.isfinite(term):
+            raise NonFiniteActivation(f"non-finite loss {term}")
+        model.backward(grad)
+        loss += term
+    return loss
+
+
 def _run_training(surrogate: Surrogate, dataset: Dataset, train_pairs, val_pairs,
                   cfg: TrainConfig, log=None) -> TrainResult:
-    """Shared loop: minimize mean |pred - next|^p over consecutive pairs."""
+    """Shared loop: minimize mean |pred - next|^p over consecutive pairs,
+    one AdamW step per batch of micro-batches (`accumulate_loss_grad`)."""
     if not train_pairs:
         raise ValueError("no training pairs available")
     if not val_pairs:
@@ -225,22 +269,12 @@ def _run_training(surrogate: Surrogate, dataset: Dataset, train_pairs, val_pairs
                 fields, times, targets = _gather(dataset, train_pairs, sel)
                 x = surrogate.pack_inputs(fields, times).astype(np.float32)
                 rng = RngStream(cfg.seed, mix64(_DROPOUT_TAG, epoch, bi))
-                pred = surrogate.model.forward(x, MODE_TRAIN, rng)
-                d = pred - surrogate.norm.apply(targets)
-                if p == 2.0:
-                    loss = float(np.mean(d * d))
-                    grad = 2.0 * d / d.size
-                else:
-                    ad = np.abs(d)
-                    loss = float(np.mean(ad ** p))
-                    grad = p * np.sign(d) * ad ** (p - 1.0) / d.size
-                if not np.isfinite(loss):
-                    raise NonFiniteActivation(f"non-finite loss {loss}")
                 surrogate.store.zero_grad()
-                surrogate.model.backward(grad)
+                loss = accumulate_loss_grad(surrogate.model, x,
+                                            surrogate.norm.apply(targets), p, rng)
                 opt.step(surrogate.store)
                 losses.append(loss)
-            val = _val_mse(surrogate, dataset, val_pairs, cfg.batch_size)
+            val = _val_mse(surrogate, dataset, val_pairs)
             if val < best[0]:
                 best = (val, surrogate.store.values_copy(), surrogate.store.step_count)
             rec = {"epoch": epoch, "train_loss": float(np.mean(losses)), "val_mse": val,
@@ -254,7 +288,7 @@ def _run_training(surrogate: Surrogate, dataset: Dataset, train_pairs, val_pairs
     surrogate.store.step_count = best[2]
     if not history:
         history.append({"epoch": -1, "train_loss": np.nan,
-                        "val_mse": _val_mse(surrogate, dataset, val_pairs, cfg.batch_size),
+                        "val_mse": _val_mse(surrogate, dataset, val_pairs),
                         "seconds": 0.0})
     return TrainResult(surrogate=surrogate, history=history, diverged=diverged)
 

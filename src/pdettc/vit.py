@@ -16,6 +16,15 @@ state in float64.  Training, validation, sampling and scoring forward
 float32 inputs; the gradient checks forward float64 ones through the
 same code.  `backward` computes in the dtype of the forward it follows
 and accumulates into the float64 parameter gradients.
+
+Training and evaluation forward at most `VisionTransformer.micro_batch`
+samples at a time: the most whose float32 attention scores
+(4 * n_heads * n_tokens**2 bytes each) fit in `L2_BYTES`.  A train
+forward caches activations for its own samples only, so accumulating
+gradients over micro-batches bounds activation memory by the
+micro-batch, not by the optimizer batch.  The image head is bitwise
+batch-invariant, the scalar head is not (its token mean and score
+matmul round with the batch size).
 """
 
 from __future__ import annotations
@@ -32,6 +41,8 @@ MODE_TRAIN = "train"
 MODE_STOCHASTIC = "stochastic_infer"
 MODE_DETERMINISTIC = "deterministic_infer"
 _MODES = (MODE_TRAIN, MODE_STOCHASTIC, MODE_DETERMINISTIC)
+
+L2_BYTES = 2 * 1024 * 1024      # a micro-batch's attention scores fit in this
 
 
 @dataclass(frozen=True)
@@ -93,6 +104,13 @@ class VisionTransformer:
     @property
     def n_tokens(self) -> int:
         return self.embed.n_tokens
+
+    @property
+    def micro_batch(self) -> int:
+        """Samples per training or evaluation forward: the most whose
+        float32 attention scores fit in `L2_BYTES`, at least 1."""
+        per_sample = 4 * self.cfg.n_heads * self.n_tokens ** 2
+        return max(1, L2_BYTES // per_sample)
 
     def named_params(self):
         yield from self.embed.named_params("embed")

@@ -20,3 +20,18 @@ def tiny_model(tiny_cfg):
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def forward_sizes(monkeypatch):
+    """(mode, batch size, micro_batch) of every VisionTransformer.forward
+    call made while the test runs."""
+    sizes = []
+    forward = VisionTransformer.forward
+
+    def record(self, x, mode, rng=None):
+        sizes.append((mode, len(x), self.micro_batch))
+        return forward(self, x, mode, rng)
+
+    monkeypatch.setattr(VisionTransformer, "forward", record)
+    return sizes

@@ -123,6 +123,38 @@ def test_cfl_violation_rejected():
         fv_step(u, -1e-3, GAMMA, grid)
 
 
+def test_fv_step_with_cfl_takes_the_shorter_of_dt_and_the_cfl_step():
+    grid = GridSpec(16, 16)
+    u = make_initial_condition(sample_ic("kh", seed=1), grid)
+    step = max_stable_dt(u, grid, GAMMA, 0.4)
+    out = fv_step(u, 1.0, GAMMA, grid, cfl=0.4)
+    assert out.t == step
+    assert np.array_equal(out.fields(), fv_step(u, step, GAMMA, grid).fields())
+    short = fv_step(u, 0.5 * step, GAMMA, grid, cfl=0.4)
+    assert short.t == 0.5 * step
+    with pytest.raises(SolverError, match="CFL"):
+        fv_step(u, 1.0, GAMMA, grid, cfl=2.0)       # beyond the bound at cfl 1
+    for cfl in (0.0, -0.4):
+        with pytest.raises(SolverError, match="positive"):
+            fv_step(u, 1.0, GAMMA, grid, cfl=cfl)
+
+
+def test_solve_evaluates_the_cfl_bound_once_per_step(monkeypatch):
+    counts = {"fv_step": 0, "max_stable_dt": 0}
+    for name in counts:
+        original = getattr(euler, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(euler, name, counted)
+    euler.solve_trajectory(sample_ic("rp", seed=2), GridSpec(16, 16), n_snapshots=3,
+                           t_final=0.1)
+    assert counts["fv_step"] > 2
+    assert counts["max_stable_dt"] == counts["fv_step"]
+
+
 def test_translation_equivariance_whole_cells():
     grid = GridSpec(24, 24)
     u = make_initial_condition(sample_ic("crp", seed=5), grid)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -13,7 +14,7 @@ from pdettc.nn import (AdamW, Affine, Block, Dropout, Gelu, LayerNorm, Mlp,
                        NonFiniteGradient, Param, ParamStore, PatchDecode,
                        PatchEmbed, _erf32, softmax, softmax_backward)
 from pdettc.rng import RngStream
-from pdettc.vit import (MODE_DETERMINISTIC, MODE_STOCHASTIC, MODE_TRAIN,
+from pdettc.vit import (L2_BYTES, MODE_DETERMINISTIC, MODE_STOCHASTIC, MODE_TRAIN,
                         ModelConfig, VisionTransformer)
 
 
@@ -320,6 +321,22 @@ def test_gelu_float64_and_softmax_bitwise_equal_to_the_plain_formulas(np_rng):
             got = softmax(z, axis=axis)
             assert got.dtype == dtype
             assert np.array_equal(got.view(view), old.view(view))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_backward_bitwise_equal_to_the_recomputed_formula(np_rng, dtype):
+    # backward reuses the forward's 1 + erf(x / sqrt 2) instead of recomputing it
+    x = np_rng.normal(scale=3.0, size=(3, 7, 33)).astype(dtype)
+    dy = np_rng.normal(size=x.shape).astype(dtype)
+    act = Gelu()
+    act.forward(x)
+    got = act.backward(dy)
+    erf_fn = _erf32 if dtype == np.float32 else erf
+    cdf = 0.5 * (1.0 + erf_fn(x * (1.0 / math.sqrt(2.0))))
+    pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
+    want = dy * (cdf + x * pdf)
+    assert got.dtype == dtype
+    assert np.array_equal(got, want)
 
 
 def test_nan_in_a_float32_block_names_that_block(tiny_cfg, np_rng):
@@ -651,6 +668,16 @@ def test_model_output_shape_matches_input_grid():
         model = VisionTransformer(cfg, RngStream(0, 4))
         y = model.forward(np.zeros((1, 5, h, w)), MODE_DETERMINISTIC)
         assert y.shape == (1, 4, h, w)
+
+
+def test_micro_batch_is_the_most_samples_whose_attention_scores_fit_in_l2():
+    from pdettc.surrogate import DESK_MODEL, PAPER_MODEL
+    desk = VisionTransformer(DESK_MODEL, RngStream(0, 4))
+    assert desk.n_tokens == 169 and desk.micro_batch == 4      # 4 * 4 * 169**2 B each
+    paper = dataclasses.replace(PAPER_MODEL, depth=1, embed_dim=8)  # same tokens, heads
+    assert VisionTransformer(paper, RngStream(0, 4)).micro_batch == 1
+    tiny = ModelConfig(height=8, width=8, patch_size=3, embed_dim=8, depth=1, n_heads=2)
+    assert VisionTransformer(tiny, RngStream(0, 4)).micro_batch == L2_BYTES // (4 * 2 * 9 ** 2)
 
 
 def test_even_patch_size_rejected():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,12 @@ from pdettc.euler import (GridSpec, ICSpec, Normalization, Snapshot, generate_da
                           make_initial_condition, sample_ic, solve_trajectory)
 from pdettc.rewards import (EnergyReward, MassReward, MomentumReward,
                             OracleMseReward, PRMConfig, ProcessRewardModel,
-                            TripletRecord, build_prm_triplets, load_triplets,
-                            ranking_accuracy, save_triplets, train_prm,
-                            triplet_loss)
+                            TripletRecord, accumulate_margin_grad,
+                            build_prm_triplets, load_triplets,
+                            prm_backbone_config, ranking_accuracy,
+                            save_triplets, train_prm, triplet_loss)
 from pdettc.surrogate import Surrogate, TrainConfig, train
-from pdettc.vit import ModelConfig
+from pdettc.vit import MODE_DETERMINISTIC, MODE_TRAIN, ModelConfig
 
 GAMMA = 1.4
 
@@ -345,6 +348,57 @@ def test_train_prm_non_finite_forward_diverges_and_keeps_the_best_weights(mini_d
         assert res.diverged
         for name in init.store.names():      # diverged in the first epoch: the init
             assert np.array_equal(res.prm.store[name].value, init.store[name].value), name
+
+
+# One token per cell: 256 tokens and 2 heads at 16x16 give a micro-batch
+# of 4 samples, so one triplet per training micro-batch.
+MICRO_CFG = ModelConfig(height=16, width=16, patch_size=1, in_channels=5,
+                        out_channels=4, embed_dim=8, depth=1, n_heads=2,
+                        mlp_ratio=2.0, dropout_p=0.1)
+
+
+def test_micro_batched_margin_gradients_equal_the_whole_batch_gradients(mini_dataset):
+    cfg = prm_backbone_config(dataclasses.replace(MICRO_CFG, dropout_p=0.0))
+    prm = ProcessRewardModel(cfg, mini_dataset.normalization, init_seed=4)
+    assert prm.model.micro_batch == 4
+    nb = 5
+    x = np.random.default_rng(8).normal(size=(3 * nb, 10, 16, 16))   # float64
+    scores = prm.model.forward(x, MODE_DETERMINISTIC).reshape(nb, 3)
+    margin = float(np.median(scores[:, 1] - scores[:, 0]))     # some hinges active
+    prm.store.zero_grad()
+    s = prm.model.forward(x, MODE_TRAIN).reshape(nb, 3)
+    h1 = s[:, 0] - s[:, 1] + margin
+    h2 = s[:, 1] - s[:, 2] + margin
+    assert 0 < np.sum(h1 > 0) < nb
+    whole_loss = float(np.mean(np.maximum(h1, 0.0) + np.maximum(h2, 0.0)))
+    g1, g2 = (h1 > 0) / nb, (h2 > 0) / nb
+    prm.model.backward(np.stack([g1, g2 - g1, -g2], axis=1).reshape(-1))
+    whole = {n: prm.store[n].grad.copy() for n in prm.store.names()}
+    prm.store.zero_grad()
+    loss = accumulate_margin_grad(prm.model, x, margin, None)
+    assert loss == pytest.approx(whole_loss, rel=1e-12)
+    # relative to the largest gradient entry: a triplet's score gradients sum
+    # to 0, so some bias gradients are exactly 0 up to round-off
+    scale = max(np.max(np.abs(w)) for w in whole.values())
+    for name in prm.store.names():
+        assert np.max(np.abs(prm.store[name].grad - whole[name])) <= 1e-12 * scale, name
+
+
+def test_prm_training_and_accuracy_forward_at_most_a_micro_batch(mini_dataset,
+                                                                 forward_sizes):
+    sizes = forward_sizes
+    triplets = _noise_triplets(mini_dataset, np.random.default_rng(7))
+    holdout, triplets = triplets[:6], triplets[6:]
+    res = train_prm(triplets, PRMConfig(backbone=MICRO_CFG, epochs=1, batch_triplets=8,
+                                        seed=0),
+                    mini_dataset.normalization, holdout=holdout)
+    assert all(n <= m == 4 for _, n, m in sizes)
+    train_sizes = [n for mode, n, _ in sizes if mode == MODE_TRAIN]
+    assert train_sizes == [3] * len(triplets)            # one whole triplet each
+    assert sum(n for mode, n, _ in sizes if mode == MODE_DETERMINISTIC) == 2 * len(holdout)
+    sizes.clear()
+    ranking_accuracy(res.prm, holdout)
+    assert [n for _, n, _ in sizes] == [4, 4, 2, 2]      # best and worst per chunk
 
 
 def test_prm_scoring_deterministic_and_stateless(mini_dataset):

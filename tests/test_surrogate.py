@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from pdettc.euler import GridSpec, ICSpec, assemble_dataset, generate_dataset, solve_trajectory
-from pdettc.surrogate import (Surrogate, TrainConfig, candidate_stream,
-                              consecutive_pairs, finetune,
+from pdettc.surrogate import (Surrogate, TrainConfig, _val_mse, accumulate_loss_grad,
+                              candidate_stream, consecutive_pairs, finetune,
                               select_finetune_trajectories, train)
-from pdettc.vit import (MODE_DETERMINISTIC, MODE_STOCHASTIC, ModelConfig)
+from pdettc.vit import MODE_DETERMINISTIC, MODE_STOCHASTIC, MODE_TRAIN, ModelConfig
 
 
 def small_cfg(grid, dropout=0.1, embed=16):
@@ -121,9 +121,8 @@ def test_training_improves_over_initialization(rp_dataset):
     cfg = small_cfg(rp_dataset.grid)
     tc = TrainConfig(lr=1e-3, epochs=6, batch_size=16, seed=4)
     init = Surrogate(cfg, rp_dataset.normalization, init_seed=tc.seed)
-    from pdettc.surrogate import _val_mse
     val_pairs = consecutive_pairs(rp_dataset, rp_dataset.split["val"])
-    before = _val_mse(init, rp_dataset, val_pairs, 16)
+    before = _val_mse(init, rp_dataset, val_pairs)
     res = train(rp_dataset, cfg, tc)
     assert res.best_val_mse < before
 
@@ -197,3 +196,63 @@ def test_predict_follows_load_values(rp_surrogate, rp_dataset):
     a = fresh.predict(u, MODE_STOCHASTIC, candidate_stream(2, 0, 0))
     b = rp_surrogate.predict(u, MODE_STOCHASTIC, candidate_stream(2, 0, 0))
     assert np.array_equal(a.fields(), b.fields())
+
+
+# ---------------------------------------------------------------------------
+# micro-batched training
+
+
+def micro_cfg(grid, dropout=0.1):
+    """One token per cell: 256 tokens and 2 heads at 16x16 give a
+    micro-batch of 4 samples."""
+    return ModelConfig(height=grid.nx, width=grid.ny, patch_size=1, in_channels=5,
+                       out_channels=4, embed_dim=8, depth=1, n_heads=2,
+                       mlp_ratio=2.0, dropout_p=dropout)
+
+
+def _grads(store):
+    return {n: store[n].grad.copy() for n in store.names()}
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_micro_batched_gradients_equal_the_whole_batch_gradients(rp_dataset, p):
+    s = Surrogate(micro_cfg(rp_dataset.grid, dropout=0.0), rp_dataset.normalization,
+                  init_seed=6)
+    assert s.model.micro_batch == 4
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(10, 5, 16, 16))                 # float64: 4 + 4 + 2 samples
+    target = rng.normal(size=(10, 4, 16, 16))
+    s.store.zero_grad()
+    d = s.model.forward(x, MODE_TRAIN) - target
+    whole_loss = float(np.mean(np.abs(d) ** p))
+    s.model.backward(p * np.sign(d) * np.abs(d) ** (p - 1.0) / d.size)
+    whole = _grads(s.store)
+    s.store.zero_grad()
+    loss = accumulate_loss_grad(s.model, x, target, p, None)
+    assert loss == pytest.approx(whole_loss, rel=1e-12)
+    for name, g in _grads(s.store).items():
+        assert np.max(np.abs(g - whole[name])) <= 1e-12 * np.max(np.abs(whole[name])), name
+
+
+def test_training_and_validation_forward_at_most_a_micro_batch(rp_dataset, forward_sizes):
+    sizes = forward_sizes
+    cfg = micro_cfg(rp_dataset.grid)
+    res = train(rp_dataset, cfg, TrainConfig(lr=1e-3, epochs=1, batch_size=16, seed=2))
+    n_train = len(consecutive_pairs(rp_dataset, rp_dataset.split["train"]))
+    n_val = len(consecutive_pairs(rp_dataset, rp_dataset.split["val"]))
+    assert all(n <= m == 4 for _, n, m in sizes)
+    assert sum(n for mode, n, _ in sizes if mode == MODE_TRAIN) == n_train
+    assert sum(n for mode, n, _ in sizes if mode == MODE_DETERMINISTIC) == n_val
+    sizes.clear()
+    pairs = consecutive_pairs(rp_dataset, rp_dataset.split["val"])
+    _val_mse(res.surrogate, rp_dataset, pairs)
+    assert [n for _, n, _ in sizes] == [4] * (n_val // 4) + [n_val % 4] * (n_val % 4 > 0)
+
+
+def test_training_twice_on_one_seed_gives_identical_checkpoints(rp_dataset, tmp_path):
+    cfg = micro_cfg(rp_dataset.grid)
+    tc = TrainConfig(lr=1e-3, epochs=2, batch_size=8, seed=5)
+    paths = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
+    for path in paths:
+        train(rp_dataset, cfg, tc).surrogate.save(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
