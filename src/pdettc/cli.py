@@ -25,6 +25,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -205,30 +206,45 @@ def _train_ids(ds: euler.Dataset, data_path: str, command: str) -> list:
     return ds.split["train"]
 
 
+def _check_grid(model, path, shape, against) -> None:
+    """The model of the checkpoint at path must be for the (nx, ny) grid
+    ``shape`` of the artifact ``against``."""
+    got = (model.config.height, model.config.width)
+    if got != tuple(shape):
+        raise ConfigError(f"{path} holds a model for a {got[0]}x{got[1]} grid, but "
+                          f"{against} is on a {shape[0]}x{shape[1]} grid")
+
+
 def _log_epoch(rec) -> None:
     print(f"epoch {rec['epoch']}: loss {rec['train_loss']:.6g} "
           f"val {rec['val_mse']:.6g} ({rec['seconds']:.1f}s)")
 
 
-def _write_history_csv(path, history) -> None:
-    lines = ["epoch,train_loss,val_mse,seconds\n"]
-    for h in history:
-        lines.append(f"{h['epoch']},{h['train_loss']},{h['val_mse']},{h['seconds']}\n")
-    storage.write_text(path, "".join(lines))
+def _val_summary(result) -> str:
+    """The summary of a surrogate's training.  A run in which no epoch ran
+    has only the epoch -1 record of the weights it kept."""
+    if not result.history:
+        return "no training epochs ran"
+    ran = sum(h["epoch"] >= 0 for h in result.history)
+    return (f"best val MSE {min(h['val_mse'] for h in result.history):.6g} "
+            f"over {ran} epochs")
 
 
-def _finish_training(result, out_path, label) -> int:
+def _finish_training(result, out_path: str, command: str, figure: str,
+                     summary: str) -> int:
+    """Save the trained model at out_path and its history, with the
+    records' ``figure`` column, as <out_path>.loss.csv; print the summary
+    line, and on divergence a line on stderr, returning exit 3."""
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    result.surrogate.save(out)
-    _write_history_csv(out.with_suffix(out.suffix + ".loss.csv"), result.history)
-    if result.history:
-        print(f"{label}: best val MSE {result.best_val_mse:.6g} over "
-              f"{len(result.history)} epochs; checkpoint {out}")
-    else:
-        print(f"{label}: no training epochs ran; checkpoint {out}")
+    result.model.save(out)
+    columns = ("epoch", "train_loss", figure, "seconds")
+    rows = [columns] + [[h[c] for c in columns] for h in result.history]
+    storage.write_text(out.with_suffix(out.suffix + ".loss.csv"),
+                       "".join(",".join(map(str, row)) + "\n" for row in rows))
+    print(f"{command}: {summary}; checkpoint {out}")
     if result.diverged:
-        print(f"{label}: training diverged; kept last good checkpoint", file=sys.stderr)
+        print(f"{command}: training diverged; kept last good checkpoint", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -239,13 +255,11 @@ def cmd_train(cfg: dict, data_path: str, out_path: str, resume: str | None) -> i
     _train_ids(ds, data_path, "train")
     if resume:
         base = sg.Surrogate.from_checkpoint(resume)
-        result = sg._run_training(
-            base, ds, sg.consecutive_pairs(ds, ds.split["train"]),
-            sg.consecutive_pairs(ds, ds.split["val"]), tc, _log_epoch)
+        _check_grid(base, resume, (ds.grid.nx, ds.grid.ny), data_path)
+        result = sg.fit_surrogate(base, ds, ds.split["train"], tc, _log_epoch)
     else:
-        mc = model_config_for(cfg, ds.grid)
-        result = sg.train(ds, mc, tc, _log_epoch)
-    return _finish_training(result, out_path, "train")
+        result = sg.train(ds, model_config_for(cfg, ds.grid), tc, _log_epoch)
+    return _finish_training(result, out_path, "train", "val_mse", _val_summary(result))
 
 
 def cmd_finetune(cfg: dict, from_path: str, data_path: str, out_path: str) -> int:
@@ -257,8 +271,9 @@ def cmd_finetune(cfg: dict, from_path: str, data_path: str, out_path: str) -> in
         raise ConfigError(f"config 'finetune.n_traj': {n_traj} is outside 0 ... "
                           f"{len(ds.split['train'])}, the train trajectories of {data_path}")
     base = sg.Surrogate.from_checkpoint(from_path)
+    _check_grid(base, from_path, (ds.grid.nx, ds.grid.ny), data_path)
     result = sg.finetune(base, ds, n_traj, tc, _log_epoch)
-    return _finish_training(result, out_path, "finetune")
+    return _finish_training(result, out_path, "finetune", "val_mse", _val_summary(result))
 
 
 def cmd_train_prm(cfg: dict, from_path: str, data_path: str, out_path: str,
@@ -268,11 +283,13 @@ def cmd_train_prm(cfg: dict, from_path: str, data_path: str, out_path: str,
     prm_cfg = _checked("prm", rewards.PRMConfig, backbone=model.config, seed=cfg["seed"],
                        **{k: p[k] for k in _field_defaults(rewards.PRMConfig)})
     ds = storage.load_dataset(data_path)
+    _check_grid(model, from_path, (ds.grid.nx, ds.grid.ny), data_path)
     if triplets_in:
         train_triplets = rewards.load_triplets(triplets_in)
         holdout = []
         if not train_triplets:
             raise ConfigError(f"{triplets_in} holds no triplets")
+        _check_grid(model, from_path, train_triplets[0].current.rho.shape, triplets_in)
     else:
         train_ids = _train_ids(ds, data_path, "train-prm")
         if p["train_trajectories"]:
@@ -296,12 +313,13 @@ def cmd_train_prm(cfg: dict, from_path: str, data_path: str, out_path: str,
 
     result = rewards.train_prm(train_triplets, prm_cfg, model.norm,
                                holdout=holdout or None, log=log)
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    result.prm.save(out)
-    print(f"train-prm: {len(train_triplets)} triplets, best early-stopping accuracy "
-          f"{result.best_accuracy:.3f}; checkpoint {out}")
-    return EXIT_NUMERICAL if result.diverged else EXIT_OK
+    # Training early-stops on the holdout, so its best accuracy is biased
+    # upwards and does not estimate the accuracy on unseen triplets.
+    accs = [h["holdout_accuracy"] for h in result.history
+            if math.isfinite(h["holdout_accuracy"])]
+    summary = (f"{len(train_triplets)} triplets, best early-stopping accuracy "
+               f"{max(accs, default=math.nan):.3f}")
+    return _finish_training(result, out_path, "train-prm", "holdout_accuracy", summary)
 
 
 def _select_trajectories(ds: euler.Dataset, which: str, n: int) -> list:
@@ -327,9 +345,12 @@ def cmd_rollout(cfg: dict, surrogate_path: str, data_path: str, prm_path: str | 
         raise ConfigError(f"config 'ttc.n_steps': {n_steps} is outside 1 ... "
                           f"{len(trajs[0]) - 1}, the steps of the trajectories in {data_path}")
     model = sg.Surrogate.from_checkpoint(surrogate_path)
+    _check_grid(model, surrogate_path, (ds.grid.nx, ds.grid.ny), data_path)
     prm = rewards.ProcessRewardModel.from_checkpoint(prm_path) if prm_path else None
     if reward == "prm" and prm is None:
         raise ConfigError("reward 'prm' needs --prm CHECKPOINT")
+    if prm is not None:
+        _check_grid(prm, prm_path, (model.config.height, model.config.width), surrogate_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = ttc.rollout_sweep(
@@ -369,8 +390,9 @@ def _evaluate_records(cfg: dict, records_dir: str, data_path: str, out_dir: str)
     if not index_files:
         raise ConfigError(f"no rollout index.json found under {records_dir}")
     for idx_file in index_files:
-        index = json.loads(idx_file.read_text())
-        if not all(k in index for k in ("split", "n_ics", "dataset_digest")):
+        index = storage.read_json(idx_file)
+        if not (isinstance(index, dict)
+                and all(k in index for k in ("split", "n_ics", "dataset_digest"))):
             raise ConfigError(f"{idx_file} does not record the split, n_ics and "
                               f"dataset digest it ran on")
         if index["dataset_digest"] != digest:

@@ -144,10 +144,12 @@ class ParamStore:
     def values_copy(self) -> dict[str, np.ndarray]:
         return {k: p.value.copy() for k, p in self.params.items()}
 
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
+    def load_values(self, values: dict[str, np.ndarray], step_count: int) -> None:
+        """Set the parameters and the optimizer step count they go with."""
         for k, p in self.params.items():
             p.value[...] = values[k]
             p.changed()
+        self.step_count = step_count
 
 
 def trunc_normal(rng: RngStream, shape, std: float = 0.02) -> np.ndarray:

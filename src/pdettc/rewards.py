@@ -16,30 +16,26 @@ margin loss on candidates ranked by MSE against ground truth.  It scores
 each candidate with its own batch-1 forward, so a candidate's score does
 not depend on which other candidates are scored with it.
 
-PRM training takes one AdamW step per batch of ``batch_triplets``
-triplets, accumulating gradients over micro-batches of whole triplets
-(max(1, micro_batch // 3) of them, 3 forward samples each) so that the
-layer caches hold one micro-batch; `ranking_accuracy` scores in chunks
-of `VisionTransformer.micro_batch` triplets.
+The PRM trains through the surrogate's training loop, `surrogate.fit`,
+and `ranking_accuracy` scores in chunks of `VisionTransformer.micro_batch`
+triplets.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .euler import (CHANNELS, GAMMA_DEFAULT, Dataset, GridSpec, Normalization,
                     Snapshot, Trajectory, check_same_grid, energy_density, total)
-from .nn import AdamW, NonFiniteActivation, NonFiniteGradient
 from .rng import RngStream, mix64
-from .storage import (Checkpoint, load_checkpoint, read_container,
-                      save_checkpoint, write_container)
-from .surrogate import Surrogate
-from .vit import (MODE_DETERMINISTIC, MODE_TRAIN, ModelConfig,
-                  VisionTransformer)
+from .storage import (load_checkpoint, read_container, save_checkpoint,
+                      write_container)
+from .surrogate import (Surrogate, TrainResult, accumulate_grad, check_fit_config,
+                        fit, with_time_channel)
+from .vit import MODE_DETERMINISTIC, ModelConfig, VisionTransformer
 
 _PRM_INIT_TAG = 0x9137
 _PRM_SHUFFLE_TAG = 0x3F21
@@ -257,6 +253,9 @@ class PRMConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fit_config(self)
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
         if not self.margin > 0.0:
             raise ValueError(f"margin must be positive, got {self.margin}")
         if self.k_candidates < 3:
@@ -281,28 +280,20 @@ class ProcessRewardModel:
     model_id = "prm"
 
     def __init__(self, config: ModelConfig, normalization: Normalization,
-                 init_seed: int = 0, model: VisionTransformer | None = None):
+                 init_seed: int = 0):
         if config.head != "scalar":
             raise ValueError("PRM needs a scalar head")
         self.config = config
         self.norm = normalization
         self.init_seed = init_seed
-        self.model = model or VisionTransformer(
-            config, RngStream(init_seed, mix64(_PRM_INIT_TAG)))
+        self.model = VisionTransformer(config, RngStream(init_seed, mix64(_PRM_INIT_TAG)))
         self.store = self.model.param_store()
 
     def pack_pair(self, cur_fields, cur_t, cand_fields, cand_t) -> np.ndarray:
         """(B,4,H,W) x2 plus times -> (B,10,H,W) normalized input."""
-        b, _, h, w = cur_fields.shape
-
-        def tchan(t):
-            return np.broadcast_to(
-                np.asarray(t, dtype=np.float64)[:, None, None], (b, h, w))[:, None]
-
-        return np.concatenate([
-            self.norm.apply(cur_fields), tchan(cur_t),
-            self.norm.apply(cand_fields), tchan(cand_t),
-        ], axis=1)
+        return np.concatenate([with_time_channel(self.norm.apply(cur_fields), cur_t),
+                               with_time_channel(self.norm.apply(cand_fields), cand_t)],
+                              axis=1)
 
     def score_batch(self, cur_fields, cur_t, cand_fields, cand_t) -> np.ndarray:
         """Float32 scores of (current, candidate) pairs."""
@@ -322,14 +313,11 @@ class ProcessRewardModel:
                         extra={"init_seed": self.init_seed})
 
     @classmethod
-    def from_checkpoint(cls, source) -> "ProcessRewardModel":
-        ckpt = source if isinstance(source, Checkpoint) else load_checkpoint(source)
-        if ckpt.model_kind != "prm":
-            raise ValueError(f"checkpoint holds a {ckpt.model_kind!r} model")
+    def from_checkpoint(cls, path) -> "ProcessRewardModel":
+        ckpt = load_checkpoint(path, "prm")
         prm = cls(ckpt.config, ckpt.normalization,
                   init_seed=ckpt.extra.get("init_seed", 0))
-        prm.store.load_values(ckpt.values)
-        prm.store.step_count = ckpt.step_count
+        prm.store.load_values(ckpt.values, ckpt.step_count)
         return prm
 
 
@@ -353,117 +341,54 @@ def ranking_accuracy(prm: ProcessRewardModel, triplets: list) -> float:
     return correct / len(triplets)
 
 
-@dataclass
-class PRMTrainResult:
-    prm: ProcessRewardModel
-    history: list = field(default_factory=list)
-    diverged: bool = False
-
-    @property
-    def best_accuracy(self) -> float:
-        """The highest holdout accuracy over the epochs (NaN without a
-        holdout).  Training early-stops on that same holdout, so this is
-        the best early-stopping accuracy: it is biased upwards and does
-        not estimate accuracy on unseen triplets."""
-        accs = [h["holdout_accuracy"] for h in self.history
-                if np.isfinite(h["holdout_accuracy"])]
-        return max(accs) if accs else np.nan
-
-
 def accumulate_margin_grad(model: VisionTransformer, x: np.ndarray, margin: float,
                            rng: RngStream | None) -> float:
-    """Add the gradient of the mean triplet margin loss over the batch
-    ``x`` to the parameter gradients, one micro-batch of whole triplets at
-    a time; returns the loss.
-
-    ``x`` holds (worst, median, best) pair inputs per triplet, in that
-    order.  A micro-batch holds max(1, micro_batch // 3) triplets.  Each
-    term is scaled by the whole batch's triplet count, so the accumulated
-    gradient and the summed loss are the whole-batch ones.  Dropout masks
-    come from ``rng``, whose counter runs on across micro-batches.  A
-    non-finite term raises NonFiniteActivation before its backward.
-    """
+    """`accumulate_grad` of the mean triplet margin loss over the batch
+    ``x``, one micro-batch of max(1, micro_batch // 3) whole triplets at a
+    time, each term scaled by the whole batch's triplet count; returns the
+    loss.  ``x`` holds (worst, median, best) pair inputs per triplet, in
+    that order."""
     nb = len(x) // 3
-    m = 3 * max(1, model.micro_batch // 3)
-    loss = 0.0
-    for start in range(0, len(x), m):
-        scores = model.forward(x[start:start + m], MODE_TRAIN, rng).reshape(-1, 3)
-        s_w, s_m, s_b = scores[:, 0], scores[:, 1], scores[:, 2]
-        h1 = s_w - s_m + margin
-        h2 = s_m - s_b + margin
-        term = float(np.sum(np.maximum(h1, 0.0) + np.maximum(h2, 0.0))) / nb
-        if not np.isfinite(term):
-            raise NonFiniteActivation(f"non-finite loss {term}")
+
+    def loss(out, rows):
+        s = out.reshape(-1, 3)
+        h1 = s[:, 0] - s[:, 1] + margin
+        h2 = s[:, 1] - s[:, 2] + margin
         g1 = (h1 > 0.0).astype(np.float64) / nb
         g2 = (h2 > 0.0).astype(np.float64) / nb
-        d = np.zeros(scores.shape)
-        d[:, 0] += g1
-        d[:, 1] += g2 - g1
-        d[:, 2] -= g2
-        model.backward(d.reshape(-1))
-        loss += term
-    return loss
+        term = float(np.sum(np.maximum(h1, 0.0) + np.maximum(h2, 0.0))) / nb
+        return term, np.stack([g1, g2 - g1, -g2], axis=1).reshape(-1)
+
+    return accumulate_grad(model, x, 3 * max(1, model.micro_batch // 3), rng, loss)
 
 
 def train_prm(triplets: list, prm_cfg: PRMConfig, normalization: Normalization,
-              holdout: list | None = None, log=None) -> PRMTrainResult:
-    """Minimize the mean triplet margin loss over ranked candidate triples.
+              holdout: list | None = None, log=None) -> TrainResult:
+    """`surrogate.fit` a new PRM to the mean triplet margin loss over
+    ranked candidate triples.
 
-    ``holdout`` triplets drive early stopping on pairwise ranking
-    accuracy; without them the train loss is used.  Each batch is one
-    AdamW step over micro-batches (`accumulate_margin_grad`).  The PRM
-    forwards float32 inputs and keeps float64 parameters (see `pdettc.nn`).  A
-    non-finite loss, activation or gradient stops training with
-    ``diverged`` set and the best weights seen kept.
+    Keeps the weights of the best pairwise ranking accuracy on the
+    ``holdout`` triplets, or of the lowest train loss without them, and
+    stops after ``prm_cfg.patience`` + 1 epochs without improvement.
     """
     if not triplets:
         raise ValueError("need at least one triplet")
     prm = ProcessRewardModel(prm_backbone_config(prm_cfg.backbone),
                              normalization, init_seed=prm_cfg.seed)
-    opt = AdamW(lr=prm_cfg.lr, weight_decay=prm_cfg.weight_decay)
-    margin = prm_cfg.margin
-    history = []
-    best = (-np.inf, prm.store.values_copy(), prm.store.step_count)
-    stale = 0
-    diverged = False
-    try:
-        for epoch in range(prm_cfg.epochs):
-            t0 = time.perf_counter()
-            order = RngStream(prm_cfg.seed,
-                              mix64(_PRM_SHUFFLE_TAG, epoch)).permutation(len(triplets))
-            losses = []
-            for bi, start in enumerate(range(0, len(order), prm_cfg.batch_triplets)):
-                sel = order[start:start + prm_cfg.batch_triplets]
-                chunk = [triplets[j] for j in sel]
-                cur = np.repeat(np.stack([r.current.fields() for r in chunk]), 3, axis=0)
-                cur_t = np.repeat(np.array([r.current.t for r in chunk]), 3)
-                cand = np.stack([f for r in chunk
-                                 for f in (r.worst.fields(), r.median.fields(),
-                                           r.best.fields())])
-                cand_t = np.repeat(np.array([r.best.t for r in chunk]), 3)
-                x = prm.pack_pair(cur, cur_t, cand, cand_t).astype(np.float32)
-                rng = RngStream(prm_cfg.seed, mix64(_PRM_DROPOUT_TAG, epoch, bi))
-                prm.store.zero_grad()
-                loss = accumulate_margin_grad(prm.model, x, margin, rng)
-                opt.step(prm.store)
-                losses.append(loss)
-            acc = ranking_accuracy(prm, holdout) if holdout else np.nan
-            track = acc if holdout else -float(np.mean(losses))
-            if track > best[0]:
-                best = (track, prm.store.values_copy(), prm.store.step_count)
-                stale = 0
-            else:
-                stale += 1
-            rec = {"epoch": epoch, "train_loss": float(np.mean(losses)),
-                   "holdout_accuracy": acc, "seconds": time.perf_counter() - t0}
-            history.append(rec)
-            if log:
-                log(rec)
-            if stale > prm_cfg.patience:
-                break
-    except (NonFiniteActivation, NonFiniteGradient):
-        diverged = True
-    prm.store.load_values(best[1])
-    prm.store.step_count = best[2]
-    return PRMTrainResult(prm=prm, history=history, diverged=diverged)
 
+    def step(sel, rng):
+        chunk = [triplets[j] for j in sel]
+        cur = np.repeat(np.stack([r.current.fields() for r in chunk]), 3, axis=0)
+        cur_t = np.repeat(np.array([r.current.t for r in chunk]), 3)
+        cand = np.stack([f for r in chunk
+                         for f in (r.worst.fields(), r.median.fields(), r.best.fields())])
+        cand_t = np.repeat(np.array([r.best.t for r in chunk]), 3)
+        x = prm.pack_pair(cur, cur_t, cand, cand_t).astype(np.float32)
+        return accumulate_margin_grad(prm.model, x, prm_cfg.margin, rng)
+
+    def judge(train_loss):
+        acc = ranking_accuracy(prm, holdout) if holdout else np.nan
+        return (acc if holdout else -train_loss), {"holdout_accuracy": acc}
+
+    return fit(prm, len(triplets), prm_cfg.batch_triplets, prm_cfg,
+               (_PRM_SHUFFLE_TAG, _PRM_DROPOUT_TAG), step, judge, log, prm_cfg.patience)

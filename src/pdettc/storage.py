@@ -90,6 +90,14 @@ def write_text(path, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
+def read_json(path):
+    """The JSON document in a text file, such as one `write_text` wrote."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise StorageError(f"{path}: corrupt JSON: {exc}") from None
+
+
 def _check_end(fh, path) -> None:
     if fh.read(1):
         raise StorageError(f"{path}: trailing bytes after the payload")
@@ -206,7 +214,6 @@ def load_dataset(path) -> Dataset:
 
 @dataclass
 class Checkpoint:
-    model_kind: str                  # "surrogate" | "prm"
     config: ModelConfig
     step_count: int
     values: dict                     # name -> float64 ndarray
@@ -232,10 +239,15 @@ def save_checkpoint(path, model_kind: str, config: ModelConfig, store: ParamStor
             fh.write(np.ascontiguousarray(store[n].value, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, kind: str) -> Checkpoint:
+    """The checkpoint at path, which must hold a ``kind`` model
+    ("surrogate" or "prm")."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = _read_header(fh, CHECKPOINT_MAGIC, path)
+        if header.get("model_kind") != kind:
+            raise StorageError(f"{path}: checkpoint holds a {header.get('model_kind')!r} "
+                               f"model, wanted {kind!r}")
         values = {}
         for meta in header["params"]:
             shape = tuple(meta["shape"])
@@ -247,7 +259,6 @@ def load_checkpoint(path) -> Checkpoint:
         _check_end(fh, path)
     norm = header["normalization"]
     return Checkpoint(
-        model_kind=header["model_kind"],
         config=ModelConfig.from_dict(header["config"]),
         step_count=header["step_count"],
         values=values,

@@ -32,7 +32,7 @@ from .euler import GAMMA_DEFAULT, Normalization, Snapshot, SolverError, Trajecto
 from .rewards import (EnergyReward, MassReward, MomentumReward,
                       OracleMseReward, ProcessRewardModel)
 from .rng import mix64
-from .storage import read_container, write_container, write_text
+from .storage import read_container, read_json, write_container, write_text
 from .surrogate import Surrogate
 
 # Builders of the reward models by name; each takes the keywords of
@@ -214,7 +214,7 @@ def save_rollout_record(base_path, rec: RolloutRecord) -> None:
 
 def load_rollout_record(base_path) -> RolloutRecord:
     base = Path(base_path)
-    meta = json.loads(base.with_suffix(".json").read_text())
+    meta = read_json(base.with_suffix(".json"))
     header, payload = read_container(base.with_suffix(".bin"), expect_type="ROLLOUT")
     times = meta["times"]
     states = [Snapshot.from_fields(payload[i], times[i]) for i in range(len(times))]

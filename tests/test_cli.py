@@ -211,6 +211,10 @@ def small_run(tmp_path_factory):
     ("train", ["--batch", "0"], "batch_size must be >= 1"),
     ("finetune", ["--n-traj", "3"], "'finetune.n_traj'"),
     ("train-prm", ["--K", "2"], "need K >= 3"),
+    ("train", ["--epochs", "-1"], "epochs must be >= 0"),
+    ("finetune", ["--epochs", "-1"], "epochs must be >= 0"),
+    ("train-prm", ["--epochs", "-1"], "epochs must be >= 0"),
+    ("train-prm", ["--lr", "-1"], "lr must be positive"),
 ])
 def test_values_the_constructors_reject_exit_before_any_work(
         small_run, tmp_path, monkeypatch, capsys, command, flags, match):
@@ -367,3 +371,121 @@ def test_train_prm_refuses_an_empty_triplet_store(small_run, tmp_path, monkeypat
                                   "--data", small_run["data"], "--triplets-in", "empty.npz",
                                   "--out", "out"], "empty.npz holds no triplets")
     assert not Path("out").exists()
+
+
+def test_train_without_epochs_counts_none(small_run, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["train", "--seed", "3", "--data", small_run["data"], "--epochs", "0",
+                     "--out", "s.ckpt"]) == cli.EXIT_OK
+    assert "over 0 epochs; checkpoint s.ckpt" in capsys.readouterr().out
+    rows = Path("s.ckpt.loss.csv").read_text().splitlines()
+    assert rows[0] == "epoch,train_loss,val_mse,seconds" and rows[1].startswith("-1,nan,")
+    assert Surrogate.from_checkpoint("s.ckpt").store.step_count == 0
+
+
+def test_train_prm_divergence_writes_the_last_good_checkpoint(small_run, tmp_path,
+                                                              monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("prm.json").write_text(json.dumps({"prm": {"train_trajectories": 1}}))
+    capsys.readouterr()
+    assert cli.main(["train-prm", "--seed", "3", "--config", "prm.json", "--from",
+                     small_run["ckpt"], "--data", small_run["data"], "--K", "3",
+                     "--epochs", "2", "--lr", "1e20", "--out", "prm.ckpt"]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["train-prm: training diverged; kept last good checkpoint"]
+    assert rewards.ProcessRewardModel.from_checkpoint("prm.ckpt").store.step_count == 0
+    assert Path("prm.ckpt.loss.csv").read_text() == "epoch,train_loss,holdout_accuracy,seconds\n"
+
+
+@pytest.fixture(scope="module")
+def mismatched(small_run, tmp_path_factory):
+    """Artifacts that do not match small_run's 16x16 ones: a 24x24 dataset
+    and surrogate, and 16x16 PRM and triplet store."""
+    root = tmp_path_factory.mktemp("mismatched")
+    paths = {k: str(root / name) for k, name in
+             (("data24", "data24.pdt"), ("ckpt24", "s24.ckpt"), ("prm16", "prm16.ckpt"),
+              ("trip16", "trip16.pdt"))}
+    assert cli.main(["gen-data", "--seed", "3", "--families", "rp", "--n", "2", "--grid",
+                     "24", "--split", "0.5,0,0.5", "--out", paths["data24"]]) == cli.EXIT_OK
+    ds24 = storage.load_dataset(paths["data24"])
+    cfg24 = cli.model_config_for(cli.load_config(None), ds24.grid)
+    Surrogate(cfg24, ds24.normalization).save(paths["ckpt24"])
+    s16 = Surrogate.from_checkpoint(small_run["ckpt"])
+    rewards.ProcessRewardModel(rewards.prm_backbone_config(s16.config),
+                               s16.norm).save(paths["prm16"])
+    ds16 = storage.load_dataset(small_run["data"])
+    u = ds16.trajectories[0].snapshots
+    rewards.save_triplets(paths["trip16"], [rewards.TripletRecord(
+        current=u[0], best=u[1], median=u[1], worst=u[1], mse=(0.0, 0.0, 0.0))],
+        ds16.grid, ds16.gamma)
+    return {**small_run, **paths}
+
+
+_OF_16 = "{ckpt} holds a model for a 16x16 grid, but "
+
+
+@pytest.mark.parametrize("argv,match", [
+    (["rollout", "--surrogate", "{ckpt}", "--data", "{data24}", "--reward", "arm_mass",
+      "--B", "1"], _OF_16 + "{data24} is on a 24x24 grid"),
+    (["finetune", "--from", "{ckpt}", "--data", "{data24}", "--n-traj", "1"],
+     _OF_16 + "{data24} is on a 24x24 grid"),
+    (["train", "--resume", "{ckpt}", "--data", "{data24}", "--epochs", "1"],
+     _OF_16 + "{data24} is on a 24x24 grid"),
+    (["train-prm", "--from", "{ckpt}", "--data", "{data24}"],
+     _OF_16 + "{data24} is on a 24x24 grid"),
+    (["train-prm", "--from", "{ckpt24}", "--data", "{data24}", "--triplets-in", "{trip16}"],
+     "{ckpt24} holds a model for a 24x24 grid, but {trip16} is on a 16x16 grid"),
+    (["rollout", "--surrogate", "{ckpt24}", "--data", "{data24}", "--prm", "{prm16}",
+      "--B", "1"], "{prm16} holds a model for a 16x16 grid, but {ckpt24} is on a 24x24 grid"),
+])
+def test_artifacts_that_do_not_match_exit_before_any_work(mismatched, tmp_path, monkeypatch,
+                                                          capsys, argv, match):
+    monkeypatch.chdir(tmp_path)
+    argv = [a.format(**mismatched) for a in argv]
+    out = ["--out-dir", "out"] if argv[0] == "rollout" else ["--out", "out"]
+    _fails_with_one_line(capsys, [*argv, *out], match.format(**mismatched))
+    assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("argv,match", [
+    (["rollout", "--surrogate", "{prm16}", "--data", "{data}", "--reward", "arm_mass",
+      "--B", "1"], "{prm16}: checkpoint holds a 'prm' model, wanted 'surrogate'"),
+    (["rollout", "--surrogate", "{ckpt}", "--data", "{data}", "--prm", "{ckpt}", "--B", "1"],
+     "{ckpt}: checkpoint holds a 'surrogate' model, wanted 'prm'"),
+    (["train-prm", "--from", "{prm16}", "--data", "{data}"],
+     "{prm16}: checkpoint holds a 'prm' model, wanted 'surrogate'"),
+    (["finetune", "--from", "{prm16}", "--data", "{data}", "--n-traj", "0"],
+     "{prm16}: checkpoint holds a 'prm' model, wanted 'surrogate'"),
+    (["train", "--resume", "{prm16}", "--data", "{data}", "--epochs", "1"],
+     "{prm16}: checkpoint holds a 'prm' model, wanted 'surrogate'"),
+])
+def test_a_checkpoint_of_the_wrong_kind_exits_2(mismatched, tmp_path, monkeypatch, capsys,
+                                                argv, match):
+    monkeypatch.chdir(tmp_path)
+    argv = [a.format(**mismatched) for a in argv]
+    out = ["--out-dir", "out"] if argv[0] == "rollout" else ["--out", "out"]
+    _fails_with_one_line(capsys, [*argv, *out], match.format(**mismatched))
+    assert not Path("out").exists()
+
+
+def test_corrupt_rollout_json_exits_2(small_run, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("short.json").write_text(json.dumps({"ttc": {"n_steps": 2}}))
+    assert cli.main(["rollout", "--config", "short.json", "--surrogate", small_run["ckpt"],
+                     "--data", small_run["data"], "--reward", "arm_mass", "--B", "1",
+                     "--n-ics", "1", "--out-dir", "records"]) == cli.EXIT_OK
+    index = Path("records/index.json")
+    record = index.parent / (json.loads(index.read_text())["records"][0]["base"] + ".json")
+    for path, bad, match in [(index, None, f"input error: {index}: corrupt JSON"),
+                             (record, None, f"input error: {record}: corrupt JSON"),
+                             (index, "[]", f"{index} does not record the split"),
+                             (index, "5", f"{index} does not record the split")]:
+        whole = path.read_text()
+        path.write_text(whole[: len(whole) // 2] if bad is None else bad)
+        for command in ("evaluate", "report"):
+            _fails_with_one_line(capsys, [command, "--records-dir", "records", "--data",
+                                          small_run["data"], "--out-dir", command], match)
+        path.write_text(whole)
+    assert cli.main(["evaluate", "--records-dir", "records", "--data", small_run["data"],
+                     "--out-dir", "evaluate"]) == cli.EXIT_OK

@@ -422,7 +422,7 @@ def test_float32_copy_follows_adamw_step_and_load_values(tiny_model, np_rng):
     assert not np.array_equal(after32, y32)
     assert np.allclose(after32, after64, rtol=1e-4, atol=1e-5)
     old = store.values_copy()
-    store.load_values({k: v * 0.5 for k, v in old.items()})
+    store.load_values({k: v * 0.5 for k, v in old.items()}, store.step_count)
     halved32, halved64 = both()
     assert np.allclose(halved32, halved64, rtol=1e-4, atol=1e-5)
     assert not np.allclose(halved32, after32, rtol=1e-4, atol=1e-5)

@@ -236,7 +236,7 @@ def mini_surrogate(mini_dataset):
                       out_channels=4, embed_dim=16, depth=1, n_heads=2,
                       mlp_ratio=2.0, dropout_p=0.1)
     return train(mini_dataset, cfg,
-                 TrainConfig(lr=1e-3, epochs=1, batch_size=16, seed=5)).surrogate
+                 TrainConfig(lr=1e-3, epochs=1, batch_size=16, seed=5)).model
 
 
 def test_build_triplets_ranked_and_train_split_only(mini_surrogate, mini_dataset):
@@ -331,8 +331,8 @@ def test_train_prm_learns_noise_ranking(mini_dataset):
                     mini_dataset.normalization, holdout=holdout)
     assert not res.diverged
     assert res.history[-1]["train_loss"] < res.history[0]["train_loss"]
-    assert res.best_accuracy >= 0.8
-    assert ranking_accuracy(res.prm, holdout) >= 0.8
+    assert max(h["holdout_accuracy"] for h in res.history) >= 0.8
+    assert ranking_accuracy(res.model, holdout) >= 0.8
 
 
 def test_train_prm_non_finite_forward_diverges_and_keeps_the_best_weights(mini_dataset):
@@ -347,7 +347,7 @@ def test_train_prm_non_finite_forward_diverges_and_keeps_the_best_weights(mini_d
                         mini_dataset.normalization, holdout=holdout)
         assert res.diverged
         for name in init.store.names():      # diverged in the first epoch: the init
-            assert np.array_equal(res.prm.store[name].value, init.store[name].value), name
+            assert np.array_equal(res.model.store[name].value, init.store[name].value), name
 
 
 # One token per cell: 256 tokens and 2 heads at 16x16 give a micro-batch
@@ -397,7 +397,7 @@ def test_prm_training_and_accuracy_forward_at_most_a_micro_batch(mini_dataset,
     assert train_sizes == [3] * len(triplets)            # one whole triplet each
     assert sum(n for mode, n, _ in sizes if mode == MODE_DETERMINISTIC) == 2 * len(holdout)
     sizes.clear()
-    ranking_accuracy(res.prm, holdout)
+    ranking_accuracy(res.model, holdout)
     assert [n for _, n, _ in sizes] == [4, 4, 2, 2]      # best and worst per chunk
 
 
@@ -462,13 +462,14 @@ def test_prm_score_follows_load_values(mini_dataset):
     b = ProcessRewardModel(cfg, mini_dataset.normalization, init_seed=2)
     u, v = mini_dataset.trajectories[0].snapshots[:2]
     before = a.score(u, [v])[0]
-    a.store.load_values(b.store.values_copy())
+    a.store.load_values(b.store.values_copy(), b.store.step_count)
     assert a.score(u, [v])[0] == b.score(u, [v])[0] != before
 
 
 def test_prm_config_validation():
     cfg = ModelConfig()
-    with pytest.raises(ValueError):
-        PRMConfig(backbone=cfg, margin=0.0)
-    with pytest.raises(ValueError):
-        PRMConfig(backbone=cfg, k_candidates=2)
+    for bad in ({"margin": 0.0}, {"k_candidates": 2}, {"lr": 0.0}, {"lr": -1.0},
+                {"patience": -1}, {"epochs": -1}, {"weight_decay": -1e-3}):
+        with pytest.raises(ValueError):
+            PRMConfig(backbone=cfg, **bad)
+    PRMConfig(backbone=cfg, epochs=0, patience=0)

@@ -131,8 +131,9 @@ def test_checkpoint_roundtrip_exact(tmp_path, small_dataset):
     save_checkpoint(path, "surrogate", cfg, store,
                     normalization=small_dataset.normalization,
                     extra={"dt_out": 0.05})
-    ckpt = load_checkpoint(path)
-    assert ckpt.model_kind == "surrogate"
+    ckpt = load_checkpoint(path, "surrogate")
+    with pytest.raises(StorageError, match="holds a 'surrogate' model, wanted 'prm'"):
+        load_checkpoint(path, "prm")
     assert ckpt.config == cfg
     assert ckpt.step_count == 17
     assert ckpt.extra["dt_out"] == 0.05
@@ -145,7 +146,7 @@ def test_checkpoint_magic_guard(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"WRONGMAG" + b"\x00" * 32)
     with pytest.raises(StorageError, match="bad magic"):
-        load_checkpoint(path)
+        load_checkpoint(path, "surrogate")
 
 
 def test_trailing_bytes_rejected(tmp_path, small_dataset):
@@ -159,7 +160,7 @@ def test_trailing_bytes_rejected(tmp_path, small_dataset):
                     VisionTransformer(TINY_CFG, RngStream(3, 1)).param_store())
     ckpt.write_bytes(ckpt.read_bytes() + b"x")
     with pytest.raises(StorageError, match="trailing bytes"):
-        load_checkpoint(ckpt)
+        load_checkpoint(ckpt, "surrogate")
 
 
 class _DiskFillsUp:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from pdettc.euler import GridSpec, ICSpec, assemble_dataset, generate_dataset, solve_trajectory
+from pdettc.nn import Param, ParamStore
 from pdettc.surrogate import (Surrogate, TrainConfig, _val_mse, accumulate_loss_grad,
-                              candidate_stream, consecutive_pairs, finetune,
+                              candidate_stream, consecutive_pairs, finetune, fit,
                               select_finetune_trajectories, train)
 from pdettc.vit import MODE_DETERMINISTIC, MODE_STOCHASTIC, MODE_TRAIN, ModelConfig
 
@@ -24,7 +25,7 @@ def rp_dataset():
 def rp_surrogate(rp_dataset):
     cfg = small_cfg(rp_dataset.grid)
     return train(rp_dataset, cfg, TrainConfig(lr=1e-3, epochs=2, batch_size=16,
-                                              seed=3)).surrogate
+                                              seed=3)).model
 
 
 def test_deterministic_infer_bit_identical(rp_surrogate, rp_dataset):
@@ -103,7 +104,7 @@ def test_training_on_steady_dataset_reaches_1e6():
     res = train(ds, cfg, TrainConfig(lr=5e-3, weight_decay=0.0, batch_size=16,
                                      epochs=300, seed=0))
     assert not res.diverged
-    assert res.best_val_mse < 1e-6
+    assert min(h["val_mse"] for h in res.history) < 1e-6
 
 
 def test_training_is_deterministic(rp_dataset):
@@ -113,8 +114,8 @@ def test_training_is_deterministic(rp_dataset):
     r2 = train(rp_dataset, cfg, tc)
     assert r1.history[-1]["train_loss"] == r2.history[-1]["train_loss"]
     assert r1.history[-1]["val_mse"] == r2.history[-1]["val_mse"]
-    for n in r1.surrogate.store.names():
-        assert np.array_equal(r1.surrogate.store[n].value, r2.surrogate.store[n].value)
+    for n in r1.model.store.names():
+        assert np.array_equal(r1.model.store[n].value, r2.model.store[n].value)
 
 
 def test_training_improves_over_initialization(rp_dataset):
@@ -124,7 +125,7 @@ def test_training_improves_over_initialization(rp_dataset):
     val_pairs = consecutive_pairs(rp_dataset, rp_dataset.split["val"])
     before = _val_mse(init, rp_dataset, val_pairs)
     res = train(rp_dataset, cfg, tc)
-    assert res.best_val_mse < before
+    assert min(h["val_mse"] for h in res.history) < before
 
 
 def test_divergent_lr_aborts_with_flag(rp_dataset):
@@ -132,7 +133,7 @@ def test_divergent_lr_aborts_with_flag(rp_dataset):
     res = train(rp_dataset, cfg, TrainConfig(lr=1e9, epochs=3, batch_size=8, seed=0))
     assert res.diverged
     assert np.all(np.isfinite(
-        np.concatenate([p.value.ravel() for p in res.surrogate.store.params.values()])))
+        np.concatenate([p.value.ravel() for p in res.model.store.params.values()])))
 
 
 def test_non_finite_forward_diverges_and_keeps_the_best_weights(rp_dataset):
@@ -141,7 +142,7 @@ def test_non_finite_forward_diverges_and_keeps_the_best_weights(rp_dataset):
     assert res.diverged
     init = Surrogate(cfg, rp_dataset.normalization, init_seed=0)
     for name in init.store.names():           # diverged in the first epoch: the init
-        assert np.array_equal(res.surrogate.store[name].value, init.store[name].value), name
+        assert np.array_equal(res.model.store[name].value, init.store[name].value), name
     assert [h["epoch"] for h in res.history] == [-1]
     assert np.isfinite(res.history[0]["val_mse"])
 
@@ -150,11 +151,11 @@ def test_finetune_zero_trajectories_is_identity(rp_surrogate, rp_dataset):
     out = finetune(rp_surrogate, rp_dataset, 0, TrainConfig(lr=1e-3, seed=0))
     assert out.history == [] and not out.diverged
     for n in rp_surrogate.store.names():
-        assert np.array_equal(out.surrogate.store[n].value,
+        assert np.array_equal(out.model.store[n].value,
                               rp_surrogate.store[n].value)
     # and it is a copy, not an alias
-    out.surrogate.store["pos"].value[...] += 1.0
-    assert not np.array_equal(out.surrogate.store["pos"].value,
+    out.model.store["pos"].value[...] += 1.0
+    assert not np.array_equal(out.model.store["pos"].value,
                               rp_surrogate.store["pos"].value)
 
 
@@ -181,17 +182,18 @@ def test_checkpoint_roundtrip_preserves_predictions(tmp_path, rp_surrogate, rp_d
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(lr=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(loss_p=0.5)
+    for bad in ({"lr": 0.0}, {"loss_p": 0.5}, {"epochs": -1}, {"weight_decay": -1e-3},
+                {"weight_decay": float("nan")}):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+    TrainConfig(epochs=0, weight_decay=0.0)
 
 
 def test_predict_follows_load_values(rp_surrogate, rp_dataset):
     u = rp_dataset.trajectories[0].snapshots[2]
     fresh = Surrogate(rp_surrogate.config, rp_dataset.normalization, init_seed=9)
     fresh.predict(u)                       # builds its float32 parameter copies
-    fresh.store.load_values(rp_surrogate.store.values_copy())
+    fresh.store.load_values(rp_surrogate.store.values_copy(), rp_surrogate.store.step_count)
     assert np.array_equal(fresh.predict(u).fields(), rp_surrogate.predict(u).fields())
     a = fresh.predict(u, MODE_STOCHASTIC, candidate_stream(2, 0, 0))
     b = rp_surrogate.predict(u, MODE_STOCHASTIC, candidate_stream(2, 0, 0))
@@ -245,7 +247,7 @@ def test_training_and_validation_forward_at_most_a_micro_batch(rp_dataset, forwa
     assert sum(n for mode, n, _ in sizes if mode == MODE_DETERMINISTIC) == n_val
     sizes.clear()
     pairs = consecutive_pairs(rp_dataset, rp_dataset.split["val"])
-    _val_mse(res.surrogate, rp_dataset, pairs)
+    _val_mse(res.model, rp_dataset, pairs)
     assert [n for _, n, _ in sizes] == [4] * (n_val // 4) + [n_val % 4] * (n_val % 4 > 0)
 
 
@@ -254,5 +256,70 @@ def test_training_twice_on_one_seed_gives_identical_checkpoints(rp_dataset, tmp_
     tc = TrainConfig(lr=1e-3, epochs=2, batch_size=8, seed=5)
     paths = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
     for path in paths:
-        train(rp_dataset, cfg, tc).surrogate.save(path)
+        train(rp_dataset, cfg, tc).model.save(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the training loop
+
+
+class _FakeNet:
+    """All of a model that `fit` touches: its parameter store."""
+
+    def __init__(self):
+        self.store = ParamStore([("w", Param(np.array([0.5, -0.25])))])
+        self.store.step_count = 7
+
+
+def _fit_fake(figures, patience=np.inf, nan_grad_at=None):
+    """`fit` a fake net over 4 items in batches of 2 with a fake step and
+    judge.  Epoch e's figure is figures[e]; the step of (epoch, batch)
+    ``nan_grad_at`` leaves a NaN gradient.  Returns the result, the
+    weights after each epoch, the batches each epoch visited and the
+    logged records."""
+    net = _FakeNet()
+    weights, batches, logged = [], [], []
+    calls = {"epoch": 0, "batch": 0}
+
+    def step(sel, rng):
+        batches.append((calls["epoch"], sorted(sel)))
+        net.store["w"].grad[...] = 1.0
+        if (calls["epoch"], calls["batch"]) == nan_grad_at:
+            net.store["w"].grad[0] = np.nan
+        calls["batch"] += 1
+        return float(calls["batch"])
+
+    def judge(train_loss):
+        weights.append(net.store.values_copy()["w"])
+        figure = figures[calls["epoch"]]
+        calls["epoch"] += 1
+        calls["batch"] = 0
+        return figure, {"figure": figure}
+
+    cfg = TrainConfig(lr=0.1, epochs=len(figures), batch_size=2, seed=1)
+    result = fit(net, 4, 2, cfg, (0x11, 0x12), step, judge, logged.append, patience)
+    return result, weights, batches, logged
+
+
+def test_fit_early_stopping_best_weights_and_divergence():
+    res, weights, batches, logged = _fit_fake([1.0, 2.0, 2.0, 1.5, 0.0, 9.0], patience=2)
+    assert not res.diverged
+    # epoch 1 is the best; the tie of epoch 2 and epochs 3 and 4 are stale
+    assert [h["epoch"] for h in res.history] == [0, 1, 2, 3, 4]
+    assert logged == res.history
+    assert [h["figure"] for h in res.history] == [1.0, 2.0, 2.0, 1.5, 0.0]
+    assert all(h["train_loss"] == 1.5 for h in res.history)     # mean of losses 1 and 2
+    assert set(res.history[0]) == {"epoch", "train_loss", "figure", "seconds"}
+    assert np.array_equal(res.model.store["w"].value, weights[1])
+    assert not np.array_equal(weights[2], weights[1])
+    assert res.model.store.step_count == 7 + 2 * 2               # two batches per epoch
+    for epoch in range(5):                                       # each epoch visits every item
+        visited = sorted(i for e, sel in batches if e == epoch for i in sel)
+        assert visited == [0, 1, 2, 3]
+    # a NaN gradient in the second batch of epoch 0, after one AdamW step
+    res, weights, _, logged = _fit_fake([1.0, 2.0], nan_grad_at=(0, 1))
+    assert res.diverged
+    assert res.history == [] and logged == [] and weights == []
+    assert np.array_equal(res.model.store["w"].value, _FakeNet().store["w"].value)
+    assert res.model.store.step_count == 7
