@@ -62,7 +62,7 @@ DEFAULTS = {
         "cfl": euler.CFL_DEFAULT,
         "path": "dataset.pdt",
     },
-    "model": {"preset": "desk", "patch": "vit5", "time_channel": True},
+    "model": {"preset": "desk", "patch": "vit5"},
     "train": _field_defaults(sg.TrainConfig),
     "finetune": {**_field_defaults(sg.FINETUNE_CONFIG), "n_traj": 32},
     "prm": {**_field_defaults(rewards.PRMConfig),
@@ -156,10 +156,9 @@ def model_config_for(cfg: dict, grid: euler.GridSpec) -> ModelConfig:
     patch_name = cfg["model"]["patch"]
     if patch_name not in _PATCH:
         raise ConfigError(f"unknown model preset {patch_name!r} (vit3 | vit5 | vit7)")
-    in_channels = 5 if cfg["model"]["time_channel"] else 4
     return ModelConfig(
         height=grid.nx, width=grid.ny, patch_size=_PATCH[patch_name],
-        in_channels=in_channels, out_channels=4, embed_dim=base.embed_dim,
+        in_channels=5, out_channels=4, embed_dim=base.embed_dim,
         depth=base.depth, n_heads=base.n_heads, mlp_ratio=base.mlp_ratio,
         dropout_p=base.dropout_p)
 

@@ -145,7 +145,16 @@ class ParamStore:
         return {k: p.value.copy() for k, p in self.params.items()}
 
     def load_values(self, values: dict[str, np.ndarray], step_count: int) -> None:
-        """Set the parameters and the optimizer step count they go with."""
+        """Set the parameters and the optimizer step count they go with.
+        ``values`` must hold every parameter of the store, by name and
+        shape, and nothing else."""
+        if values.keys() != self.params.keys():
+            raise ValueError("parameter names do not match the model's: "
+                             f"{sorted(values.keys() ^ self.params.keys())}")
+        for k, p in self.params.items():
+            if np.shape(values[k]) != p.value.shape:
+                raise ValueError(f"parameter {k} has shape {np.shape(values[k])}, "
+                                 f"the model's is {p.value.shape}")
         for k, p in self.params.items():
             p.value[...] = values[k]
             p.changed()

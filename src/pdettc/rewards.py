@@ -16,7 +16,8 @@ margin loss on candidates ranked by MSE against ground truth.  It scores
 each candidate with its own batch-1 forward, so a candidate's score does
 not depend on which other candidates are scored with it.
 
-The PRM trains through the surrogate's training loop, `surrogate.fit`,
+The PRM is a `surrogate.Model`, whose docstring states its constructor,
+input layout and checkpoint contract; it trains through `surrogate.fit`,
 and `ranking_accuracy` scores in chunks of `VisionTransformer.micro_batch`
 triplets.
 """
@@ -24,17 +25,16 @@ triplets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .euler import (CHANNELS, GAMMA_DEFAULT, Dataset, GridSpec, Normalization,
                     Snapshot, Trajectory, check_same_grid, energy_density, total)
 from .rng import RngStream, mix64
-from .storage import (load_checkpoint, read_container, save_checkpoint,
-                      write_container)
-from .surrogate import (Surrogate, TrainResult, accumulate_grad, check_fit_config,
-                        fit, with_time_channel)
+from .storage import read_container, write_container
+from .surrogate import (Model, Surrogate, TrainResult, accumulate_grad, check_fit_config,
+                        fit)
 from .vit import MODE_DETERMINISTIC, ModelConfig, VisionTransformer
 
 _PRM_INIT_TAG = 0x9137
@@ -76,8 +76,6 @@ def norm_mse(a_fields: np.ndarray, b_fields: np.ndarray,
 
 
 class MassReward:
-    model_id = "arm_mass"
-
     def score(self, cur: Snapshot, cands) -> np.ndarray:
         check_same_grid(cur, cands)
         m_t = total(cur.rho)
@@ -90,7 +88,6 @@ class MomentumReward:
         if component not in ("x", "y"):
             raise ValueError(f"component must be 'x' or 'y', got {component!r}")
         self.component = component
-        self.model_id = f"arm_momentum_{component}"
         self._channel = CHANNELS.index(f"v{component}")
 
     def score(self, cur: Snapshot, cands) -> np.ndarray:
@@ -102,8 +99,6 @@ class MomentumReward:
 
 
 class EnergyReward:
-    model_id = "arm_energy"
-
     def __init__(self, gamma: float = GAMMA_DEFAULT):
         self.gamma = gamma
 
@@ -116,8 +111,6 @@ class EnergyReward:
 
 class OracleMseReward:
     """Diagnostic upper bound: score = -MSE against the true next snapshot."""
-
-    model_id = "oracle_mse"
 
     def __init__(self, truth: Trajectory, norm: Normalization | None):
         self.truth = truth
@@ -266,59 +259,21 @@ class PRMConfig:
 
 def prm_backbone_config(model_cfg: ModelConfig) -> ModelConfig:
     """Scalar-head twin of the surrogate: 2x(4 fields + time) input channels."""
-    return ModelConfig(
-        height=model_cfg.height, width=model_cfg.width,
-        patch_size=model_cfg.patch_size, in_channels=10, out_channels=4,
-        embed_dim=model_cfg.embed_dim, depth=model_cfg.depth,
-        n_heads=model_cfg.n_heads, mlp_ratio=model_cfg.mlp_ratio,
-        dropout_p=model_cfg.dropout_p, head="scalar")
+    return replace(model_cfg, in_channels=10, head="scalar")
 
 
-class ProcessRewardModel:
-    """Scalar-scoring transformer over a concatenated snapshot pair."""
+class ProcessRewardModel(Model):
+    """Scalar-scoring transformer over a (current, candidate) snapshot pair."""
 
-    model_id = "prm"
-
-    def __init__(self, config: ModelConfig, normalization: Normalization,
-                 init_seed: int = 0):
-        if config.head != "scalar":
-            raise ValueError("PRM needs a scalar head")
-        self.config = config
-        self.norm = normalization
-        self.init_seed = init_seed
-        self.model = VisionTransformer(config, RngStream(init_seed, mix64(_PRM_INIT_TAG)))
-        self.store = self.model.param_store()
-
-    def pack_pair(self, cur_fields, cur_t, cand_fields, cand_t) -> np.ndarray:
-        """(B,4,H,W) x2 plus times -> (B,10,H,W) normalized input."""
-        return np.concatenate([with_time_channel(self.norm.apply(cur_fields), cur_t),
-                               with_time_channel(self.norm.apply(cand_fields), cand_t)],
-                              axis=1)
-
-    def score_batch(self, cur_fields, cur_t, cand_fields, cand_t) -> np.ndarray:
-        """Float32 scores of (current, candidate) pairs."""
-        x = self.pack_pair(cur_fields, np.atleast_1d(cur_t),
-                           cand_fields, np.atleast_1d(cand_t))
-        return self.model.forward(x.astype(np.float32), MODE_DETERMINISTIC)
+    kind, head, n_snapshots, init_tag = "prm", "scalar", 2, _PRM_INIT_TAG
 
     def score(self, cur: Snapshot, cands) -> np.ndarray:
         """One batch-1 forward per candidate: a batched float32 forward
         rounds differently, so a candidate's score would depend on B."""
-        cur_fields = cur.fields()[None]
-        return np.array([self.score_batch(cur_fields, cur.t, c.fields()[None], c.t)[0]
+        pair = (cur.fields()[None], cur.t)
+        return np.array([self.model.forward(self.inputs(pair, (c.fields()[None], c.t)),
+                                            MODE_DETERMINISTIC)[0]
                          for c in cands], dtype=np.float64)
-
-    def save(self, path) -> None:
-        save_checkpoint(path, "prm", self.config, self.store, self.norm,
-                        extra={"init_seed": self.init_seed})
-
-    @classmethod
-    def from_checkpoint(cls, path) -> "ProcessRewardModel":
-        ckpt = load_checkpoint(path, "prm")
-        prm = cls(ckpt.config, ckpt.normalization,
-                  init_seed=ckpt.extra.get("init_seed", 0))
-        prm.store.load_values(ckpt.values, ckpt.step_count)
-        return prm
 
 
 def ranking_accuracy(prm: ProcessRewardModel, triplets: list) -> float:
@@ -330,13 +285,12 @@ def ranking_accuracy(prm: ProcessRewardModel, triplets: list) -> float:
     m = prm.model.micro_batch
     for start in range(0, len(triplets), m):
         chunk = triplets[start:start + m]
-        cur = np.stack([r.current.fields() for r in chunk])
-        cur_t = np.array([r.current.t for r in chunk])
-        best = np.stack([r.best.fields() for r in chunk])
-        worst = np.stack([r.worst.fields() for r in chunk])
-        cand_t = np.array([r.best.t for r in chunk])
-        s_best = prm.score_batch(cur, cur_t, best, cand_t)
-        s_worst = prm.score_batch(cur, cur_t, worst, cand_t)
+        cur = (np.stack([r.current.fields() for r in chunk]), [r.current.t for r in chunk])
+        cand_t = [r.best.t for r in chunk]
+        best = prm.inputs(cur, (np.stack([r.best.fields() for r in chunk]), cand_t))
+        worst = prm.inputs(cur, (np.stack([r.worst.fields() for r in chunk]), cand_t))
+        s_best = prm.model.forward(best, MODE_DETERMINISTIC)
+        s_worst = prm.model.forward(worst, MODE_DETERMINISTIC)
         correct += int(np.sum(s_best > s_worst))
     return correct / len(triplets)
 
@@ -383,8 +337,8 @@ def train_prm(triplets: list, prm_cfg: PRMConfig, normalization: Normalization,
         cand = np.stack([f for r in chunk
                          for f in (r.worst.fields(), r.median.fields(), r.best.fields())])
         cand_t = np.repeat(np.array([r.best.t for r in chunk]), 3)
-        x = prm.pack_pair(cur, cur_t, cand, cand_t).astype(np.float32)
-        return accumulate_margin_grad(prm.model, x, prm_cfg.margin, rng)
+        return accumulate_margin_grad(prm.model, prm.inputs((cur, cur_t), (cand, cand_t)),
+                                      prm_cfg.margin, rng)
 
     def judge(train_loss):
         acc = ranking_accuracy(prm, holdout) if holdout else np.nan

@@ -1,26 +1,25 @@
-"""The one-step solution operator and the training loop of both models.
+"""The model wrapper, the one-step surrogate and the training loop.
 
-A Surrogate bundles the transformer, the dataset normalization it was
-trained with, and the output time increment.  Inputs are the four
-normalized physical channels plus (by default) a fifth channel carrying
-the input snapshot's time broadcast over the grid; the output is the
-denormalized next snapshot.
+`Model` is the one wrapper of the surrogate and of the process reward
+model (`pdettc.rewards`); its docstring states the contract of both.  A
+Surrogate reads one snapshot and predicts the denormalized next one,
+``dt_out`` later.
 
 Stochastic inference keeps dropout active and draws each candidate's
 masks from its own counter-based stream, so candidate i at timestep k
 is the same array no matter how many other candidates are requested.
 
 The dtype rule is `pdettc.nn`'s: compute in float32, keep state in
-float64.  `Surrogate.predict_fields` (with it `predict` and
-`sample_candidates`), training and `_val_mse` forward float32 inputs;
-the parameters, their gradients and the AdamW moments stay float64, and
-losses and predicted fields are float64.
+float64.  `Model.inputs` builds float32 inputs for `predict`,
+`sample_candidates`, training and `_val_mse`; the parameters, their
+gradients and the AdamW moments stay float64, and losses and predicted
+fields are float64.
 
-`fit` is the one training loop, of the surrogate and of the PRM
-(`pdettc.rewards`): micro-batched AdamW steps, the held-out figure of
-each epoch, the best weights kept, early stopping and divergence.  The
-surrogate minimises mean |pred - next|^p over consecutive pairs and
-keeps the weights of the lowest validation MSE.
+`fit` is the one training loop, of the surrogate and of the PRM:
+micro-batched AdamW steps, the held-out figure of each epoch, the best
+weights kept, early stopping and divergence.  The surrogate minimises
+mean |pred - next|^p over consecutive pairs and keeps the weights of the
+lowest validation MSE.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 from .euler import Dataset, Normalization, Snapshot
 from .nn import AdamW, NonFiniteActivation, NonFiniteGradient
 from .rng import RngStream, mix64
-from .storage import load_checkpoint, save_checkpoint
+from .storage import StorageError, load_checkpoint, save_checkpoint
 from .vit import (MODE_DETERMINISTIC, MODE_STOCHASTIC, MODE_TRAIN, ModelConfig,
                   VisionTransformer)
 
@@ -92,50 +91,94 @@ def candidate_stream(rollout_seed: int, t_index: int, i: int) -> RngStream:
     return RngStream(rollout_seed, mix64(_CANDIDATE_TAG, t_index, i))
 
 
-def with_time_channel(x: np.ndarray, t) -> np.ndarray:
-    """(B, C, H, W) inputs with each sample's time appended as channel C."""
-    b, _, h, w = x.shape
-    tchan = np.broadcast_to(np.asarray(t, dtype=np.float64)[:, None, None], (b, h, w))
-    return np.concatenate([x, tchan[:, None]], axis=1)
+class Model:
+    """The one transformer wrapper, of `Surrogate` and of
+    `rewards.ProcessRewardModel`.
+
+    A subclass names its checkpoint ``kind``, its ``head``, the
+    ``n_snapshots`` snapshots its input reads, its init stream tag and
+    the constructor keywords kept in a checkpoint (``extra_keys``).  The
+    constructor refuses a config whose head is not ``head`` or whose
+    in_channels is not 5 per input snapshot, and a missing normalization;
+    it draws the initial weights of ``model`` from the stream (init_seed,
+    init tag); ``store`` holds its parameters and ``norm`` the dataset
+    normalization.
+
+    `inputs` lays out one input batch: for each snapshot in turn, its
+    four normalized fields and then its time broadcast over the grid,
+    in float32.  `save` writes a checkpoint of kind ``kind`` whose
+    ``extra`` holds the ``extra_keys`` attributes, and `from_checkpoint`
+    passes them back as constructor keywords; a checkpoint of another
+    kind, or one the class cannot be built from, raises StorageError
+    naming the file.
+    """
+
+    kind = head = ""
+    n_snapshots = 1
+    init_tag = 0
+    extra_keys = ("init_seed",)
+
+    def __init__(self, config: ModelConfig, normalization: Normalization,
+                 init_seed: int = 0):
+        if config.head != self.head:
+            raise ValueError(f"a {self.kind} model needs the {self.head!r} head, "
+                             f"got {config.head!r}")
+        if config.in_channels != 5 * self.n_snapshots:
+            raise ValueError(f"a {self.kind} model reads {self.n_snapshots} snapshot(s) of "
+                             f"5 channels: in_channels must be {5 * self.n_snapshots}, "
+                             f"got {config.in_channels}")
+        if normalization is None:
+            raise ValueError(f"a {self.kind} model needs the dataset normalization")
+        self.config = config
+        self.norm = normalization
+        self.init_seed = init_seed
+        self.model = VisionTransformer(config, RngStream(init_seed, mix64(self.init_tag)))
+        self.store = self.model.param_store()
+
+    def inputs(self, *pairs) -> np.ndarray:
+        """The float32 (B, 5 * len(pairs), H, W) input of (fields, times)
+        pairs, one per input snapshot: raw (B, 4, H, W) fields and one
+        time per sample, or one for all."""
+        b, _, h, w = pairs[0][0].shape
+        x = np.empty((b, 5 * len(pairs), h, w), dtype=np.float32)
+        for i, (fields, t) in enumerate(pairs):
+            x[:, 5 * i:5 * i + 4] = self.norm.apply(fields)
+            x[:, 5 * i + 4] = np.reshape(t, (-1, 1, 1))
+        return x
+
+    def save(self, path) -> None:
+        save_checkpoint(path, self.kind, self.config, self.store, self.norm,
+                        extra={k: getattr(self, k) for k in self.extra_keys})
+
+    @classmethod
+    def from_checkpoint(cls, path):
+        try:
+            ckpt = load_checkpoint(path, cls.kind)
+            net = cls(ckpt.config, ckpt.normalization, **ckpt.extra)
+            net.store.load_values(ckpt.values, ckpt.step_count)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StorageError(f"{path}: cannot build a {cls.kind} model: {exc}") from None
+        return net
 
 
-class Surrogate:
+class Surrogate(Model):
     """Next-snapshot predictor with its normalization baked in."""
+
+    kind, head, init_tag = "surrogate", "image", _INIT_TAG
+    extra_keys = ("init_seed", "dt_out")
 
     def __init__(self, config: ModelConfig, normalization: Normalization,
                  init_seed: int = 0, dt_out: float = DT_OUT_DEFAULT):
-        if config.head != "image":
-            raise ValueError("surrogate needs an image head")
-        self.config = config
-        self.norm = normalization
+        super().__init__(config, normalization, init_seed)
         self.dt_out = dt_out
-        self.init_seed = init_seed
-        self.model = VisionTransformer(config, RngStream(init_seed, mix64(_INIT_TAG)))
-        self.store = self.model.param_store()
-        self.time_channel = config.in_channels == 5
-
-    # -- input/output packing ------------------------------------------------
-
-    def pack_inputs(self, fields: np.ndarray, t_norm: np.ndarray) -> np.ndarray:
-        """(B, 4, H, W) raw fields + per-sample times -> model input batch."""
-        x = self.norm.apply(fields)
-        return with_time_channel(x, t_norm) if self.time_channel else x
-
-    def predict_fields(self, fields: np.ndarray, t_norm, mode: str,
-                       rng: RngStream | None = None) -> np.ndarray:
-        """Batched float32 forward on raw (B, 4, H, W) fields; returns raw
-        float64 fields."""
-        x = self.pack_inputs(fields, np.atleast_1d(t_norm)).astype(np.float32)
-        y = self.model.forward(x, mode, rng)
-        return self.norm.unapply(y)
 
     def predict(self, u: Snapshot, mode: str = MODE_DETERMINISTIC,
                 rng: RngStream | None = None) -> Snapshot:
-        out = self.predict_fields(u.fields()[None], [u.t], mode, rng)[0]
-        return Snapshot.from_fields(out, u.t + self.dt_out)
+        y = self.model.forward(self.inputs((u.fields()[None], u.t)), mode, rng)
+        return Snapshot.from_fields(self.norm.unapply(y)[0], u.t + self.dt_out)
 
     def sample_candidates(self, u: Snapshot, n_branch: int, rollout_seed: int,
-                          t_index: int | None = None) -> list[Snapshot]:
+                          t_index: int) -> list[Snapshot]:
         """n_branch stochastic next-snapshot draws, one stream each.
 
         Candidate order is deterministic given (rollout_seed, t_index)
@@ -143,27 +186,10 @@ class Surrogate:
         """
         if n_branch < 1:
             raise ValueError("branching factor must be >= 1")
-        if t_index is None:
-            t_index = int(round(u.t / self.dt_out))
         return [
             self.predict(u, MODE_STOCHASTIC, candidate_stream(rollout_seed, t_index, i))
             for i in range(n_branch)
         ]
-
-    # -- persistence ----------------------------------------------------------
-
-    def save(self, path) -> None:
-        save_checkpoint(path, "surrogate", self.config, self.store, self.norm,
-                        extra={"dt_out": self.dt_out, "init_seed": self.init_seed})
-
-    @classmethod
-    def from_checkpoint(cls, path) -> "Surrogate":
-        ckpt = load_checkpoint(path, "surrogate")
-        s = cls(ckpt.config, ckpt.normalization,
-                init_seed=ckpt.extra.get("init_seed", 0),
-                dt_out=ckpt.extra.get("dt_out", DT_OUT_DEFAULT))
-        s.store.load_values(ckpt.values, ckpt.step_count)
-        return s
 
 
 def consecutive_pairs(dataset: Dataset, indices) -> list:
@@ -192,8 +218,7 @@ def _val_mse(surrogate: Surrogate, dataset: Dataset, pairs) -> float:
     for start in range(0, len(pairs), m):
         sel = range(start, min(start + m, len(pairs)))
         fields, times, targets = _gather(dataset, pairs, sel)
-        x = surrogate.pack_inputs(fields, times).astype(np.float32)
-        pred = surrogate.model.forward(x, MODE_DETERMINISTIC)
+        pred = surrogate.model.forward(surrogate.inputs((fields, times)), MODE_DETERMINISTIC)
         d = pred - surrogate.norm.apply(targets)
         total += float(np.sum(d * d))
         count += d.size
@@ -202,8 +227,7 @@ def _val_mse(surrogate: Surrogate, dataset: Dataset, pairs) -> float:
 
 @dataclass
 class TrainResult:
-    """What `fit` returns: the trained Surrogate or ProcessRewardModel,
-    holding the kept weights; one record per epoch; and whether training
+    """What `fit` returns: the trained `Model`, holding the kept weights; one record per epoch; and whether training
     stopped on a non-finite value."""
     model: object
     history: list
@@ -233,9 +257,9 @@ def accumulate_grad(model: VisionTransformer, x: np.ndarray, chunk: int,
 
 def fit(net, n_items: int, batch_size: int, cfg, tags: tuple, step, judge,
         log=None, patience: float = math.inf) -> TrainResult:
-    """The one training loop: train ``net`` (a Surrogate or a
-    ProcessRewardModel) with AdamW under ``cfg`` (a TrainConfig or a
-    PRMConfig), where ``tags`` is (shuffle tag, dropout tag).
+    """The one training loop: train ``net`` (a `Model`) with AdamW under
+    ``cfg`` (a TrainConfig or a PRMConfig), where ``tags`` is (shuffle
+    tag, dropout tag).
 
     Epoch e visits the ``n_items`` items in the order of the stream
     (cfg.seed, shuffle tag, e), one optimizer step per ``batch_size``
@@ -266,26 +290,28 @@ def fit(net, n_items: int, batch_size: int, cfg, tags: tuple, step, judge,
     best = (-np.inf, store.values_copy(), store.step_count, -1)
     diverged = False
     try:
-        for epoch in range(cfg.epochs):
-            t0 = time.perf_counter()
-            order = RngStream(cfg.seed, mix64(shuffle_tag, epoch)).permutation(n_items)
-            losses = []
-            for bi, start in enumerate(range(0, n_items, batch_size)):
-                store.zero_grad()
-                rng = RngStream(cfg.seed, mix64(dropout_tag, epoch, bi))
-                losses.append(step(order[start:start + batch_size], rng))
-                opt.step(store)
-            train_loss = float(np.mean(losses))
-            figure, fields = judge(train_loss)
-            if figure > best[0]:
-                best = (figure, store.values_copy(), store.step_count, epoch)
-            rec = {"epoch": epoch, "train_loss": train_loss, **fields,
-                   "seconds": time.perf_counter() - t0}
-            history.append(rec)
-            if log:
-                log(rec)
-            if epoch - best[3] > patience:
-                break
+        # the ViT's own checks report a diverging epoch, not numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for epoch in range(cfg.epochs):
+                t0 = time.perf_counter()
+                order = RngStream(cfg.seed, mix64(shuffle_tag, epoch)).permutation(n_items)
+                losses = []
+                for bi, start in enumerate(range(0, n_items, batch_size)):
+                    store.zero_grad()
+                    rng = RngStream(cfg.seed, mix64(dropout_tag, epoch, bi))
+                    losses.append(step(order[start:start + batch_size], rng))
+                    opt.step(store)
+                train_loss = float(np.mean(losses))
+                figure, fields = judge(train_loss)
+                if figure > best[0]:
+                    best = (figure, store.values_copy(), store.step_count, epoch)
+                rec = {"epoch": epoch, "train_loss": train_loss, **fields,
+                       "seconds": time.perf_counter() - t0}
+                history.append(rec)
+                if log:
+                    log(rec)
+                if epoch - best[3] > patience:
+                    break
     except (NonFiniteActivation, NonFiniteGradient):
         diverged = True
     store.load_values(best[1], best[2])
@@ -322,9 +348,8 @@ def fit_surrogate(surrogate: Surrogate, dataset: Dataset, indices, cfg: TrainCon
 
     def step(sel, rng):
         fields, times, targets = _gather(dataset, train_pairs, sel)
-        x = surrogate.pack_inputs(fields, times).astype(np.float32)
-        return accumulate_loss_grad(surrogate.model, x, surrogate.norm.apply(targets),
-                                    cfg.loss_p, rng)
+        return accumulate_loss_grad(surrogate.model, surrogate.inputs((fields, times)),
+                                    surrogate.norm.apply(targets), cfg.loss_p, rng)
 
     def judge(train_loss):
         val = _val_mse(surrogate, dataset, val_pairs)

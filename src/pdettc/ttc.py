@@ -32,7 +32,8 @@ from .euler import GAMMA_DEFAULT, Normalization, Snapshot, SolverError, Trajecto
 from .rewards import (EnergyReward, MassReward, MomentumReward,
                       OracleMseReward, ProcessRewardModel)
 from .rng import mix64
-from .storage import read_container, read_json, write_container, write_text
+from .storage import (StorageError, read_container, read_json, write_container,
+                      write_text)
 from .surrogate import Surrogate
 
 # Builders of the reward models by name; each takes the keywords of
@@ -213,18 +214,28 @@ def save_rollout_record(base_path, rec: RolloutRecord) -> None:
 
 
 def load_rollout_record(base_path) -> RolloutRecord:
+    """The record saved at base_path; a metadata file that lacks a key,
+    holds a value of the wrong kind or times another number of states
+    than the container holds raises StorageError naming it."""
     base = Path(base_path)
-    meta = read_json(base.with_suffix(".json"))
+    meta_path = base.with_suffix(".json")
+    meta = read_json(meta_path)
     header, payload = read_container(base.with_suffix(".bin"), expect_type="ROLLOUT")
-    times = meta["times"]
-    states = [Snapshot.from_fields(payload[i], times[i]) for i in range(len(times))]
-    return RolloutRecord(
-        config=TTCConfig(**meta["config"]),
-        ic_family=meta["ic_family"], ic_seed=meta["ic_seed"],
-        start=states[0], chosen=states[1:],
-        rewards=[[None if s is None else float(s) for s in row]
-                 for row in meta["rewards"]],
-        selected=list(meta["selected"]),
-        fallback_steps=list(meta["fallback_steps"]),
-        wall_times=list(meta["wall_times"]),
-    )
+    try:
+        times = meta["times"]
+        if len(times) != len(payload):
+            raise ValueError(f"{len(times)} times for {len(payload)} states")
+        states = [Snapshot.from_fields(payload[i], times[i]) for i in range(len(times))]
+        return RolloutRecord(
+            config=TTCConfig(**meta["config"]),
+            ic_family=meta["ic_family"], ic_seed=meta["ic_seed"],
+            start=states[0], chosen=states[1:],
+            rewards=[[None if s is None else float(s) for s in row]
+                     for row in meta["rewards"]],
+            selected=list(meta["selected"]),
+            fallback_steps=list(meta["fallback_steps"]),
+            wall_times=list(meta["wall_times"]),
+        )
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise StorageError(f"{meta_path}: not a rollout record: "
+                           f"{type(exc).__name__} {exc}") from None

@@ -1,4 +1,8 @@
 import json
+import os
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +82,7 @@ def _fails_with_one_line(capsys, argv, match):
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and match in err, err
+    return err
 
 
 @pytest.mark.parametrize("split", ["a,b,c", "0.5", "0.5,0.5", "0.5,0.75,-0.25", "0.5,0.5,0.5"])
@@ -398,6 +403,34 @@ def test_train_prm_divergence_writes_the_last_good_checkpoint(small_run, tmp_pat
     assert Path("prm.ckpt.loss.csv").read_text() == "epoch,train_loss,holdout_accuracy,seconds\n"
 
 
+@pytest.mark.parametrize("command,inputs", [
+    ("train", ["--data", "{data}"]),
+    ("train-prm", ["--config", "prm.json", "--from", "{ckpt}", "--data", "{data}", "--K", "3"]),
+], ids=["train", "train-prm"])
+def test_a_diverging_program_prints_one_line(small_run, tmp_path, command, inputs):
+    """Run as its own process, where numpy's floating-point warnings would
+    reach stderr."""
+    Path(tmp_path, "prm.json").write_text(json.dumps({"prm": {"train_trajectories": 1}}))
+    env = {k: v for k, v in os.environ.items() if k != "PDETTC_SEED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    argv = [sys.executable, "-m", "pdettc.cli", command, "--seed", "3",
+            *[a.format(**small_run) for a in inputs], "--epochs", "1", "--lr", "1e20",
+            "--out", "out.ckpt"]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"{command}: training diverged; kept last good checkpoint"], proc.stderr
+
+
+def test_a_config_that_sets_the_removed_time_channel_key_exits_2(tmp_path, monkeypatch,
+                                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("old.json").write_text(json.dumps({"model": {"time_channel": True}}))
+    _fails_with_one_line(capsys, ["train", "--config", "old.json", "--data", "data.pdt",
+                                  "--out", "s.ckpt"],
+                         "unknown config key 'model.time_channel'")
+
+
 @pytest.fixture(scope="module")
 def mismatched(small_run, tmp_path_factory):
     """Artifacts that do not match small_run's 16x16 ones: a 24x24 dataset
@@ -477,10 +510,18 @@ def test_corrupt_rollout_json_exits_2(small_run, tmp_path, monkeypatch, capsys):
                      "--n-ics", "1", "--out-dir", "records"]) == cli.EXIT_OK
     index = Path("records/index.json")
     record = index.parent / (json.loads(index.read_text())["records"][0]["base"] + ".json")
+    meta = json.loads(record.read_text())
     for path, bad, match in [(index, None, f"input error: {index}: corrupt JSON"),
                              (record, None, f"input error: {record}: corrupt JSON"),
                              (index, "[]", f"{index} does not record the split"),
-                             (index, "5", f"{index} does not record the split")]:
+                             (index, "5", f"{index} does not record the split"),
+                             (record, "{}", f"input error: {record}: not a rollout record: "
+                                            "KeyError 'times'"),
+                             (record, "[]", f"input error: {record}: not a rollout record: "
+                                            "TypeError"),
+                             (record, json.dumps({**meta, "times": meta["times"][:1]}),
+                              f"{record}: not a rollout record: ValueError 1 times for 3 "
+                              "states")]:
         whole = path.read_text()
         path.write_text(whole[: len(whole) // 2] if bad is None else bad)
         for command in ("evaluate", "report"):
@@ -489,3 +530,67 @@ def test_corrupt_rollout_json_exits_2(small_run, tmp_path, monkeypatch, capsys):
         path.write_text(whole)
     assert cli.main(["evaluate", "--records-dir", "records", "--data", small_run["data"],
                      "--out-dir", "evaluate"]) == cli.EXIT_OK
+
+
+def _edited_checkpoint(src, dst, edit) -> str:
+    """Copy the checkpoint at src to dst with ``edit`` applied to its header."""
+    raw = Path(src).read_bytes()
+    (n,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + n])
+    edit(header)
+    blob = json.dumps(header).encode()
+    Path(dst).write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n:])
+    return str(dst)
+
+
+def _set(section, key, value):
+    return lambda header: header[section].update({key: value})
+
+
+def _reshape_pos(header):
+    pos = next(p for p in header["params"] if p["name"] == "pos")
+    pos["shape"] = pos["shape"][::-1]
+
+
+def _rename_first_param(header):
+    header["params"][0]["name"] += "x"
+
+
+def _drop_normalization(header):
+    header["normalization"] = None
+
+
+@pytest.mark.parametrize("kind,edit,match", [
+    pytest.param("surrogate", _set("config", "patch_size", 4),
+                 "patch size must be odd, got 4", id="even-patch"),
+    pytest.param("surrogate", _set("config", "zz", 1),
+                 "unexpected keyword argument 'zz'", id="unknown-config-key"),
+    pytest.param("surrogate", _set("config", "head", "scalar"),
+                 "needs the 'image' head", id="scalar-head"),
+    pytest.param("surrogate", _set("config", "in_channels", 4),
+                 "in_channels must be 5, got 4", id="no-time-channel"),
+    pytest.param("surrogate", _reshape_pos, "parameter pos has shape", id="param-shape"),
+    pytest.param("surrogate", _rename_first_param, "parameter names do not match",
+                 id="param-name"),
+    pytest.param("surrogate", _set("extra", "zz", 1),
+                 "unexpected keyword argument 'zz'", id="unknown-extra"),
+    pytest.param("surrogate", _drop_normalization, "needs the dataset normalization",
+                 id="no-normalization"),
+    pytest.param("prm", _set("config", "in_channels", 5),
+                 "in_channels must be 10, got 5", id="prm-in-channels"),
+    pytest.param("prm", _set("extra", "orientation", "higher_better"),
+                 "unexpected keyword argument 'orientation'", id="prm-orientation"),
+])
+def test_a_checkpoint_the_model_cannot_be_built_from_exits_2(mismatched, tmp_path,
+                                                             monkeypatch, capsys, kind,
+                                                             edit, match):
+    monkeypatch.chdir(tmp_path)
+    src = mismatched["ckpt"] if kind == "surrogate" else mismatched["prm16"]
+    bad = _edited_checkpoint(src, tmp_path / "bad.ckpt", edit)
+    models = (["--surrogate", bad, "--reward", "arm_mass"] if kind == "surrogate"
+              else ["--surrogate", mismatched["ckpt"], "--prm", bad])
+    err = _fails_with_one_line(capsys, ["rollout", *models, "--data", mismatched["data"],
+                                        "--B", "1", "--out-dir", "out"],
+                               f"input error: {bad}: cannot build a {kind} model: ")
+    assert match in err, err
+    assert not Path("out").exists()

@@ -405,6 +405,23 @@ def test_float32_forward_matches_float64_to_float32_rounding(tiny_model, np_rng)
         assert np.max(np.abs(y32 - y64)) <= 64 * np.finfo(np.float32).eps * np.max(np.abs(y64))
 
 
+def test_load_values_refuses_other_names_or_shapes(tiny_model):
+    store = tiny_model.param_store()
+    before = store.values_copy()
+    missing = dict(before)
+    missing.pop("pos")
+    renamed = {**missing, "posx": before["pos"]}
+    for values, match in [(missing, r"names do not match the model's: \['pos'\]"),
+                          (renamed, r"\['pos', 'posx'\]"),
+                          ({**before, "pos": before["pos"].T}, "parameter pos has shape"),
+                          ({**before, "pos": before["pos"][:1]}, "parameter pos has shape")]:
+        with pytest.raises(ValueError, match=match):
+            store.load_values(values, 5)
+    assert store.step_count == 0
+    for name, value in store.values_copy().items():     # nothing was loaded
+        assert np.array_equal(value, before[name]), name
+
+
 def test_float32_copy_follows_adamw_step_and_load_values(tiny_model, np_rng):
     store = tiny_model.param_store()
     x = np_rng.normal(size=(1, 5, 8, 8))

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pdettc.euler import GridSpec, ICSpec, assemble_dataset, generate_dataset, solve_trajectory
 from pdettc.nn import Param, ParamStore
+from pdettc.rewards import ProcessRewardModel, prm_backbone_config
 from pdettc.surrogate import (Surrogate, TrainConfig, _val_mse, accumulate_loss_grad,
                               candidate_stream, consecutive_pairs, finetune, fit,
                               select_finetune_trajectories, train)
@@ -83,13 +86,6 @@ def test_candidates_are_pure_functions_of_stream_id(rp_surrogate, rp_dataset):
     for i in (3, 1, 0, 2):
         direct = rp_surrogate.predict(u, MODE_STOCHASTIC, candidate_stream(11, 1, i))
         assert np.array_equal(direct.fields(), cands[i].fields())
-
-
-def test_pack_inputs_has_time_channel(rp_surrogate):
-    f = np.ones((1, 4, 16, 16))
-    x = rp_surrogate.pack_inputs(f, [0.35])
-    assert x.shape == (1, 5, 16, 16)
-    assert np.all(x[:, 4] == 0.35)
 
 
 def test_training_on_steady_dataset_reaches_1e6():
@@ -323,3 +319,64 @@ def test_fit_early_stopping_best_weights_and_divergence():
     assert res.history == [] and logged == [] and weights == []
     assert np.array_equal(res.model.store["w"].value, _FakeNet().store["w"].value)
     assert res.model.store.step_count == 7
+
+
+# ---------------------------------------------------------------------------
+# the model wrapper
+
+KINDS = ["surrogate", "prm"]
+
+
+def wrapper_cfg(kind, grid):
+    cfg = small_cfg(grid)
+    return prm_backbone_config(cfg) if kind == "prm" else cfg
+
+
+def wrapper(kind, dataset, cfg=None):
+    """A Surrogate or a PRM on the dataset's grid, from ``cfg`` when given."""
+    cfg = cfg or wrapper_cfg(kind, dataset.grid)
+    if kind == "prm":
+        return ProcessRewardModel(cfg, dataset.normalization, init_seed=4)
+    return Surrogate(cfg, dataset.normalization, init_seed=4, dt_out=0.1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_inputs_are_normalised_fields_then_time_per_snapshot(rp_dataset, kind):
+    net = wrapper(kind, rp_dataset)
+    rng = np.random.default_rng(1)
+    pairs = [(rng.normal(size=(2, 4, 16, 16)), [0.1 + j, 0.2 + j])
+             for j in range(net.n_snapshots)]
+    x = net.inputs(*pairs)
+    assert x.dtype == np.float32 and x.shape == (2, net.config.in_channels, 16, 16)
+    assert net.config.in_channels == 5 * len(pairs)
+    for j, (fields, times) in enumerate(pairs):
+        assert np.array_equal(x[:, 5 * j:5 * j + 4],
+                              net.norm.apply(fields).astype(np.float32))
+        for b, t in enumerate(times):
+            assert np.all(x[b, 5 * j + 4] == np.float32(t))
+    one_time = net.inputs(*[(fields, 0.35) for fields, _ in pairs])   # one time for all
+    assert np.all(one_time[:, 4::5] == np.float32(0.35))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_save_from_checkpoint_save_gives_equal_bytes(rp_dataset, tmp_path, kind):
+    net = wrapper(kind, rp_dataset)
+    net.store.load_values({k: 1.5 * v for k, v in net.store.values_copy().items()}, 3)
+    net.save(tmp_path / "a.ckpt")
+    back = type(net).from_checkpoint(tmp_path / "a.ckpt")
+    back.save(tmp_path / "b.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+    assert back.init_seed == 4 and back.store.step_count == 3
+    assert getattr(back, "dt_out", 0.1) == 0.1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_config_of_another_input_layout_or_head_is_refused(rp_dataset, kind):
+    good = wrapper_cfg(kind, rp_dataset.grid)
+    other_layout = 5 if kind == "prm" else 10           # the other model's
+    for in_channels in (4, other_layout, good.in_channels + 1):
+        with pytest.raises(ValueError, match=f"in_channels must be {good.in_channels}"):
+            wrapper(kind, rp_dataset, dataclasses.replace(good, in_channels=in_channels))
+    other = "image" if kind == "prm" else "scalar"
+    with pytest.raises(ValueError, match=f"needs the '{good.head}' head"):
+        wrapper(kind, rp_dataset, dataclasses.replace(good, head=other))
