@@ -9,9 +9,10 @@ is accepted for a float).  Every config-bound flag has its dotted config
 key as its argparse ``dest`` (``--epochs`` of train is ``train.epochs``),
 except ``--grid``, which sets both ``grid.nx`` and ``grid.ny``.  Values
 are checked where they become a grid, a training or PRM config, a family
-list or a rollout length, before a command does any work.  Every command
-is deterministic given its effective config; artifacts embed the config
-digest that produced them.
+list or a rollout length, before a command does any work; the worker
+cap ``jobs`` and ``data.n_per_family`` must be at least 1 for every
+command.  Every command is deterministic given its effective config;
+artifacts embed the config digest that produced them.
 
 Exit codes: 0 ok, 2 config or input error (a bad flag or config value, a
 missing, corrupt or mismatched input file; one line on stderr), 3
@@ -94,6 +95,15 @@ def _validate(doc, defaults, prefix="") -> None:
         if not (isinstance(value, accepted) and isinstance(value, bool) == (want is bool)):
             raise ConfigError(
                 f"config key '{path}' must be {want.__name__}, got {type(value).__name__}")
+
+
+def _check_counts(cfg: dict) -> None:
+    """ConfigError unless the worker cap and the trajectories per family
+    are at least 1."""
+    for key, value in (("jobs", cfg["jobs"]),
+                       ("data.n_per_family", cfg["data"]["n_per_family"])):
+        if value < 1:
+            raise ConfigError(f"config key '{key}' must be >= 1, got {value}")
 
 
 def _deep_update(base: dict, overlay: dict) -> dict:
@@ -620,6 +630,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         _apply_flags(cfg, args)
         _validate(cfg, DEFAULTS)
+        _check_counts(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,8 +17,11 @@ scaling is needed at float32.  Training and sampling run float32; the
 finite-difference gradient checks run float64 through the same code.
 Module constants that meet activations are Python floats, because a
 NumPy float64 scalar would promote a float32 array to float64.  GELU
-evaluates erf with `scipy.special.erf` in float64 and with a float32
-rational approximation (`_erf32`, max abs error below 1e-6) in float32.
+evaluates erf with the C library's `math.erf`, element by element, in
+float64 and with a float32 rational approximation (`_erf32`, max abs
+error below 1e-6) in float32.  Only float64 passes, such as the
+gradient checks, pay for the elementwise loop; the package needs NumPy
+alone.
 
 Only a train forward caches.  Every forward takes ``train`` (default
 True); the model passes True in MODE_TRAIN only.  A train forward keeps
@@ -72,7 +75,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from .rng import RngStream
 
@@ -271,14 +273,19 @@ def _erf32(x: np.ndarray) -> np.ndarray:
     return p
 
 
+# erf of each element through the C library, in float64.
+_erf64 = np.vectorize(math.erf, otypes=[np.float64])
+
+
 def _erf(x: np.ndarray) -> np.ndarray:
-    """erf in x's dtype: `_erf32` for float32, scipy's erf otherwise."""
-    return _erf32(x) if x.dtype == np.float32 else erf(x)
+    """erf in x's dtype: `_erf32` for float32, `math.erf` per element
+    (in float64) otherwise."""
+    return _erf32(x) if x.dtype == np.float32 else _erf64(x)
 
 
 class Gelu:
-    """x * Phi(x) with the exact normal CDF: erf from scipy in float64,
-    from `_erf32` in float32."""
+    """x * Phi(x) with the exact normal CDF: erf from `math.erf` in
+    float64, from `_erf32` in float32."""
 
     def __init__(self):
         self._x = None

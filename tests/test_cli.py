@@ -150,6 +150,10 @@ def test_evaluate_rejects_records_of_another_dataset(tmp_path, monkeypatch):
     ({"ttc": {"b_list": []}}, "ttc.b_list"),
     ({"ttc": {"b_list": [1.5]}}, "ttc.b_list"),
     ({"ttc": {"b_list": [True]}}, "ttc.b_list"),
+    ({"jobs": 0}, "jobs"),
+    ({"jobs": -3}, "jobs"),
+    ({"data": {"n_per_family": 0}}, "data.n_per_family"),
+    ({"data": {"n_per_family": -1}}, "data.n_per_family"),
 ])
 def test_config_file_lists_are_checked_before_anything_runs(tmp_path, monkeypatch, capsys,
                                                             doc, key):
@@ -160,8 +164,7 @@ def test_config_file_lists_are_checked_before_anything_runs(tmp_path, monkeypatc
         raise AssertionError("solved a trajectory with a bad config")
 
     monkeypatch.setattr(euler, "solve_trajectory", solve)
-    for argv in (["gen-data", "--families", "rp", "--n", "1", "--grid", "16",
-                  "--out", "d.pdt"],
+    for argv in (["gen-data", "--families", "rp", "--grid", "16", "--out", "d.pdt"],
                  ["rollout", "--surrogate", "s.ckpt", "--data", "d.pdt", "--out-dir", "r"]):
         _fails_with_one_line(capsys, [*argv, "--config", "bad.json"], f"'{key}'")
     assert not Path("d.pdt").exists()
@@ -220,6 +223,13 @@ def small_run(tmp_path_factory):
     ("finetune", ["--epochs", "-1"], "epochs must be >= 0"),
     ("train-prm", ["--epochs", "-1"], "epochs must be >= 0"),
     ("train-prm", ["--lr", "-1"], "lr must be positive"),
+    ("gen-data", ["--n", "0"], "'data.n_per_family' must be >= 1, got 0"),
+    ("gen-data", ["--n", "-1"], "'data.n_per_family' must be >= 1, got -1"),
+    ("gen-data", ["--jobs", "0"], "'jobs' must be >= 1, got 0"),
+    ("gen-data", ["--jobs", "-3"], "'jobs' must be >= 1, got -3"),
+    ("train", ["--jobs", "0"], "'jobs' must be >= 1, got 0"),
+    ("finetune", ["--jobs", "-3"], "'jobs' must be >= 1, got -3"),
+    ("train-prm", ["--jobs", "0"], "'jobs' must be >= 1, got 0"),
 ])
 def test_values_the_constructors_reject_exit_before_any_work(
         small_run, tmp_path, monkeypatch, capsys, command, flags, match):
@@ -245,6 +255,7 @@ def test_values_the_constructors_reject_exit_before_any_work(
     ({"n_steps": 25}, ["--reward", "oracle_mse"], "ttc.n_steps"),
     ({"n_ics": -1}, [], "ttc.n_ics"),
     ({"reward": "zz"}, [], "ttc.reward"),
+    ({}, ["--jobs", "0"], "jobs"),
 ])
 def test_rollout_refuses_steps_ics_and_rewards_it_cannot_run(
         small_run, tmp_path, monkeypatch, capsys, ttc_section, flags, key):
@@ -420,6 +431,33 @@ def test_a_diverging_program_prints_one_line(small_run, tmp_path, command, input
     assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
     assert proc.stderr.splitlines() == [
         f"{command}: training diverged; kept last good checkpoint"], proc.stderr
+
+
+_NUMPY_ONLY = """
+import sys
+import numpy as np
+from pdettc import cli
+from pdettc.rng import RngStream
+from pdettc.vit import MODE_STOCHASTIC, ModelConfig, VisionTransformer
+assert cli.main(["gen-data", "--families", "rp", "--n", "1", "--grid", "16",
+                 "--out", "d.pdt"]) == cli.EXIT_OK
+cfg = ModelConfig(height=8, width=8, patch_size=3, in_channels=5, out_channels=4,
+                  embed_dim=8, depth=1, n_heads=2, mlp_ratio=2.0, dropout_p=0.1)
+model = VisionTransformer(cfg, RngStream(0, 1))
+for dtype in (np.float32, np.float64):
+    model.forward(np.ones((1, 5, 8, 8), dtype), MODE_STOCHASTIC, RngStream(0, 2))
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_the_cli_a_solve_and_both_forward_dtypes_import_no_scipy(tmp_path):
+    """Run as its own process, whose modules no other test has imported."""
+    env = {k: v for k, v in os.environ.items() if k != "PDETTC_SEED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
 
 
 def test_a_config_that_sets_the_removed_time_channel_key_exits_2(tmp_path, monkeypatch,

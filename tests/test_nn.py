@@ -12,7 +12,7 @@ import fd
 from pdettc.nn import (AdamW, Affine, Block, Dropout, Gelu, LayerNorm, Mlp,
                        MultiHeadSelfAttention, NonFiniteActivation,
                        NonFiniteGradient, Param, ParamStore, PatchDecode,
-                       PatchEmbed, _erf32, softmax, softmax_backward)
+                       PatchEmbed, _erf, softmax, softmax_backward)
 from pdettc.rng import RngStream
 from pdettc.vit import (L2_BYTES, MODE_DETERMINISTIC, MODE_STOCHASTIC, MODE_TRAIN,
                         ModelConfig, VisionTransformer)
@@ -290,20 +290,27 @@ def test_dropout_kept_fraction_within_5_sigma(seed, p):
 
 
 # ---------------------------------------------------------------------------
-# float32 erf and in-place kernels
+# erf and in-place kernels
 
 
-def test_erf32_error_below_1e_6_on_a_dense_grid():
-    x = np.linspace(-8.0, 8.0, 2_000_001, dtype=np.float32)
-    y = _erf32(x)
-    assert y.dtype == np.float32
-    assert np.max(np.abs(y.astype(np.float64) - erf(x.astype(np.float64)))) <= 1e-6
+# max abs error of nn._erf against scipy's float64 erf, per dtype
+_ERF_TOL = {np.float32: 1e-6, np.float64: 1e-15}
 
 
-def test_erf32_is_odd_and_keeps_special_values():
-    x = np.linspace(0.0, 9.0, 100_001, dtype=np.float32)
-    assert np.array_equal(_erf32(-x), -_erf32(x))
-    special = _erf32(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0], dtype=np.float32))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_erf_error_on_a_dense_grid(dtype):
+    x = np.linspace(-8.0, 8.0, 2_000_001, dtype=dtype)
+    y = _erf(x)
+    assert y.dtype == dtype
+    assert np.max(np.abs(y.astype(np.float64) - erf(x.astype(np.float64)))) <= _ERF_TOL[dtype]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_erf_is_odd_and_keeps_special_values(dtype):
+    x = np.linspace(0.0, 9.0, 100_001, dtype=dtype)
+    assert np.array_equal(_erf(-x), -_erf(x))
+    special = _erf(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0], dtype=dtype))
+    assert special.dtype == dtype
     assert np.array_equal(special[:2], [1.0, -1.0])
     assert np.isnan(special[2])
     assert special[3] == 0.0 and not np.signbit(special[3]) and np.signbit(special[4])
@@ -311,7 +318,7 @@ def test_erf32_is_odd_and_keeps_special_values():
 
 def test_gelu_float64_and_softmax_bitwise_equal_to_the_plain_formulas(np_rng):
     x = np_rng.normal(scale=3.0, size=(3, 7, 33))
-    old_gelu = 0.5 * x * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    old_gelu = 0.5 * x * (1.0 + _erf(x * (1.0 / np.sqrt(2.0))))
     assert np.array_equal(Gelu().forward(x).view(np.uint64), old_gelu.view(np.uint64))
     for dtype, view in ((np.float64, np.uint64), (np.float32, np.uint32)):
         z = x.astype(dtype)
@@ -331,8 +338,7 @@ def test_gelu_backward_bitwise_equal_to_the_recomputed_formula(np_rng, dtype):
     act = Gelu()
     act.forward(x)
     got = act.backward(dy)
-    erf_fn = _erf32 if dtype == np.float32 else erf
-    cdf = 0.5 * (1.0 + erf_fn(x * (1.0 / math.sqrt(2.0))))
+    cdf = 0.5 * (1.0 + _erf(x * (1.0 / math.sqrt(2.0))))
     pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
     want = dy * (cdf + x * pdf)
     assert got.dtype == dtype
