@@ -166,11 +166,8 @@ def model_config_for(cfg: dict, grid: euler.GridSpec) -> ModelConfig:
     patch_name = cfg["model"]["patch"]
     if patch_name not in _PATCH:
         raise ConfigError(f"unknown model preset {patch_name!r} (vit3 | vit5 | vit7)")
-    return ModelConfig(
-        height=grid.nx, width=grid.ny, patch_size=_PATCH[patch_name],
-        in_channels=5, out_channels=4, embed_dim=base.embed_dim,
-        depth=base.depth, n_heads=base.n_heads, mlp_ratio=base.mlp_ratio,
-        dropout_p=base.dropout_p)
+    return dataclasses.replace(base, height=grid.nx, width=grid.ny,
+                               patch_size=_PATCH[patch_name])
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +255,11 @@ def _finish_training(result, out_path: str, command: str, figure: str,
     return EXIT_OK
 
 
-def cmd_train(cfg: dict, data_path: str, out_path: str, resume: str | None) -> int:
+def cmd_train(cfg: dict, data_path: str, out_path: str) -> int:
     tc = _train_config(cfg, "train")
     ds = storage.load_dataset(data_path)
     _train_ids(ds, data_path, "train")
-    if resume:
-        base = sg.Surrogate.from_checkpoint(resume)
-        _check_grid(base, resume, (ds.grid.nx, ds.grid.ny), data_path)
-        result = sg.fit_surrogate(base, ds, ds.split["train"], tc, _log_epoch)
-    else:
-        result = sg.train(ds, model_config_for(cfg, ds.grid), tc, _log_epoch)
+    result = sg.train(ds, model_config_for(cfg, ds.grid), tc, _log_epoch)
     return _finish_training(result, out_path, "train", "val_mse", _val_summary(result))
 
 
@@ -559,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", dest="train.lr", type=float)
     p.add_argument("--batch", dest="train.batch_size", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--resume", help="continue from a checkpoint")
 
     p = sub.add_parser("finetune", help="finetune a pretrained surrogate")
     _add_common(p)
@@ -638,7 +629,7 @@ def main(argv=None) -> int:
         if args.command == "gen-data":
             return cmd_gen_data(cfg)
         if args.command == "train":
-            return cmd_train(cfg, args.data, args.out, args.resume)
+            return cmd_train(cfg, args.data, args.out)
         if args.command == "finetune":
             return cmd_finetune(cfg, args.from_path, args.data, args.out)
         if args.command == "train-prm":

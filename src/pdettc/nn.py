@@ -57,11 +57,11 @@ are sT = k @ q^T with shape (batch, heads, keys, queries), softmax runs
 along axis -2 (each column holds one query's weights), the dropout mask
 is drawn in that (b, h, key, query) layout, and ctx = attn_d^T @ v.
 Softmax's reductions and the mask then run across contiguous rows, which
-NumPy does about twice as fast as reductions along the last axis.  A train forward caches the scaled q, k, v and
-the normalised key-major attention, not the dropped-out copy, which
-backward rebuilds from the dropout mask.  A dropout layer keeps its bool
-mask until its next forward, because attention's backward applies the
-mask twice.
+NumPy does about twice as fast as reductions along the last axis.  A
+train forward caches the scaled q, k, v and the normalised key-major
+attention, not the dropped-out copy, which backward rebuilds from the
+dropout mask.  A dropout layer keeps its bool mask until its next
+forward, because attention's backward applies the mask twice.
 
 Dropout is the only stochastic layer.  Each mask is one draw of raw
 16-bit values from an :class:`~pdettc.rng.RngStream` (`RngStream.bits16`),
@@ -100,16 +100,14 @@ class NonFiniteActivation(RuntimeError):
 
 
 class Param:
-    """Learnable float64 tensor with its float64 gradient buffer and AdamW
-    moments, and a float32 copy for float32 passes."""
+    """Learnable float64 tensor with its float64 gradient buffer and a
+    float32 copy for float32 passes."""
 
-    __slots__ = ("value", "grad", "m", "v", "_f32")
+    __slots__ = ("value", "grad", "_f32")
 
     def __init__(self, value: np.ndarray):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
-        self.m = None
-        self.v = None
         self._f32 = None
 
     def like(self, x: np.ndarray) -> np.ndarray:
@@ -127,11 +125,12 @@ class Param:
 
 
 class ParamStore:
-    """Named parameter registry shared by the model and the optimizer."""
+    """Named parameter registry shared by the model and the optimizer.  It
+    holds the weights and their gradients; the optimizer state is
+    `AdamW`'s."""
 
     def __init__(self, named_params):
         self.params: dict[str, Param] = dict(named_params)
-        self.step_count = 0
 
     def __getitem__(self, name: str) -> Param:
         return self.params[name]
@@ -146,10 +145,9 @@ class ParamStore:
     def values_copy(self) -> dict[str, np.ndarray]:
         return {k: p.value.copy() for k, p in self.params.items()}
 
-    def load_values(self, values: dict[str, np.ndarray], step_count: int) -> None:
-        """Set the parameters and the optimizer step count they go with.
-        ``values`` must hold every parameter of the store, by name and
-        shape, and nothing else."""
+    def load_values(self, values: dict[str, np.ndarray]) -> None:
+        """Set the parameters.  ``values`` must hold every parameter of the
+        store, by name and shape, and nothing else."""
         if values.keys() != self.params.keys():
             raise ValueError("parameter names do not match the model's: "
                              f"{sorted(values.keys() ^ self.params.keys())}")
@@ -160,7 +158,6 @@ class ParamStore:
         for k, p in self.params.items():
             p.value[...] = values[k]
             p.changed()
-        self.step_count = step_count
 
 
 def trunc_normal(rng: RngStream, shape, std: float = 0.02) -> np.ndarray:
@@ -559,7 +556,14 @@ class PatchDecode:
 
 
 class AdamW:
-    """Decoupled weight-decay Adam over a ParamStore."""
+    """Decoupled weight-decay Adam over a ParamStore.
+
+    The optimizer owns its state: the step count ``t`` and the float64
+    first and second moments of each parameter, by name, allocated at
+    the first `step`.  Adam's bias correction is valid only for moments
+    that started with the count, so a warm start is a new AdamW over the
+    loaded weights, and the state is never saved.
+    """
 
     def __init__(self, lr: float, weight_decay: float = 0.0,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
@@ -567,26 +571,28 @@ class AdamW:
         self.weight_decay = weight_decay
         self.betas = betas
         self.eps = eps
+        self.t = 0
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
 
     def step(self, store: ParamStore) -> None:
         for name, p in store.params.items():
             if not np.all(np.isfinite(p.grad)):
                 raise NonFiniteGradient(f"non-finite gradient in '{name}'")
-        store.step_count += 1
-        t = store.step_count
+        if not self.m:
+            self.m = {name: np.zeros_like(p.value) for name, p in store.params.items()}
+            self.v = {name: np.zeros_like(p.value) for name, p in store.params.items()}
+        self.t += 1
         b1, b2 = self.betas
-        bc1 = 1.0 - b1 ** t
-        bc2 = 1.0 - b2 ** t
-        for p in store.params.values():
-            if p.m is None:
-                p.m = np.zeros_like(p.value)
-                p.v = np.zeros_like(p.value)
-            g = p.grad
-            p.m *= b1
-            p.m += (1.0 - b1) * g
-            p.v *= b2
-            p.v += (1.0 - b2) * g * g
-            update = (p.m / bc1) / (np.sqrt(p.v / bc2) + self.eps)
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for name, p in store.params.items():
+            m, v, g = self.m[name], self.v[name], p.grad
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             if self.weight_decay:
                 update = update + self.weight_decay * p.value
             p.value -= self.lr * update

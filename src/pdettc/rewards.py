@@ -18,8 +18,8 @@ not depend on which other candidates are scored with it.
 
 The PRM is a `surrogate.Model`, whose docstring states its constructor,
 input layout and checkpoint contract; it trains through `surrogate.fit`,
-and `ranking_accuracy` scores in chunks of `VisionTransformer.micro_batch`
-triplets.
+and `ranking_accuracy` scores through `ProcessRewardModel.score`, as a
+rollout does.
 """
 
 from __future__ import annotations
@@ -277,21 +277,14 @@ class ProcessRewardModel(Model):
 
 
 def ranking_accuracy(prm: ProcessRewardModel, triplets: list) -> float:
-    """Fraction of triplets whose best candidate outscores the worst,
-    scored one micro-batch of triplets at a time."""
+    """Fraction of triplets whose best candidate outscores the worst under
+    `ProcessRewardModel.score`, the scores a rollout sees."""
     if not triplets:
         return np.nan
     correct = 0
-    m = prm.model.micro_batch
-    for start in range(0, len(triplets), m):
-        chunk = triplets[start:start + m]
-        cur = (np.stack([r.current.fields() for r in chunk]), [r.current.t for r in chunk])
-        cand_t = [r.best.t for r in chunk]
-        best = prm.inputs(cur, (np.stack([r.best.fields() for r in chunk]), cand_t))
-        worst = prm.inputs(cur, (np.stack([r.worst.fields() for r in chunk]), cand_t))
-        s_best = prm.model.forward(best, MODE_DETERMINISTIC)
-        s_worst = prm.model.forward(worst, MODE_DETERMINISTIC)
-        correct += int(np.sum(s_best > s_worst))
+    for r in triplets:
+        s_best, s_worst = prm.score(r.current, [r.best, r.worst])
+        correct += int(s_best > s_worst)
     return correct / len(triplets)
 
 

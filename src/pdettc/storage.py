@@ -9,8 +9,9 @@ Container layout (one file per artifact):
 
 Checkpoint layout:
   magic "PDETTCPM", u64 header length, JSON header (model kind,
-  architecture config, step count, rng seeds, parameter order), then
-  float64 parameter blobs in header-declared order.
+  architecture config, rng seeds, parameter order), then float64
+  parameter blobs in header-declared order.  No optimizer state is
+  saved; the step count that older headers carry is ignored.
 
 A sidecar <path>.json mirrors every container header for human
 inspection.
@@ -32,7 +33,7 @@ import json
 import os
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -215,7 +216,6 @@ def load_dataset(path) -> Dataset:
 @dataclass
 class Checkpoint:
     config: ModelConfig
-    step_count: int
     values: dict                     # name -> float64 ndarray
     normalization: Normalization | None
     extra: dict
@@ -227,8 +227,7 @@ def save_checkpoint(path, model_kind: str, config: ModelConfig, store: ParamStor
     names = store.names()
     header = {
         "model_kind": model_kind,
-        "config": config.to_dict(),
-        "step_count": store.step_count,
+        "config": asdict(config),
         "params": [{"name": n, "shape": list(store[n].value.shape)} for n in names],
         "normalization": normalization.to_dict() if normalization else None,
         "extra": extra or {},
@@ -259,8 +258,7 @@ def load_checkpoint(path, kind: str) -> Checkpoint:
         _check_end(fh, path)
     norm = header["normalization"]
     return Checkpoint(
-        config=ModelConfig.from_dict(header["config"]),
-        step_count=header["step_count"],
+        config=ModelConfig(**header["config"]),
         values=values,
         normalization=Normalization.from_dict(norm) if norm else None,
         extra=header.get("extra", {}),

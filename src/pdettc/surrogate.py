@@ -155,7 +155,7 @@ class Model:
         try:
             ckpt = load_checkpoint(path, cls.kind)
             net = cls(ckpt.config, ckpt.normalization, **ckpt.extra)
-            net.store.load_values(ckpt.values, ckpt.step_count)
+            net.store.load_values(ckpt.values)
         except (KeyError, TypeError, ValueError) as exc:
             raise StorageError(f"{path}: cannot build a {cls.kind} model: {exc}") from None
         return net
@@ -227,8 +227,9 @@ def _val_mse(surrogate: Surrogate, dataset: Dataset, pairs) -> float:
 
 @dataclass
 class TrainResult:
-    """What `fit` returns: the trained `Model`, holding the kept weights; one record per epoch; and whether training
-    stopped on a non-finite value."""
+    """What `fit` returns: the trained `Model`, holding the kept weights;
+    one record per epoch; and whether training stopped on a non-finite
+    value."""
     model: object
     history: list
     diverged: bool = False
@@ -257,9 +258,10 @@ def accumulate_grad(model: VisionTransformer, x: np.ndarray, chunk: int,
 
 def fit(net, n_items: int, batch_size: int, cfg, tags: tuple, step, judge,
         log=None, patience: float = math.inf) -> TrainResult:
-    """The one training loop: train ``net`` (a `Model`) with AdamW under
-    ``cfg`` (a TrainConfig or a PRMConfig), where ``tags`` is (shuffle
-    tag, dropout tag).
+    """The one training loop: train ``net`` (a `Model`) with a new AdamW
+    under ``cfg`` (a TrainConfig or a PRMConfig), where ``tags`` is
+    (shuffle tag, dropout tag).  Every call starts the optimizer afresh,
+    so training a trained model is a warm start from its weights.
 
     Epoch e visits the ``n_items`` items in the order of the stream
     (cfg.seed, shuffle tag, e), one optimizer step per ``batch_size``
@@ -276,18 +278,18 @@ def fit(net, n_items: int, batch_size: int, cfg, tags: tuple, step, judge,
     ``judge(train_loss)`` returns each epoch's held-out figure, to
     maximise, and the fields of its record {"epoch", "train_loss",
     **fields, "seconds"}, which goes to the history and to ``log``.  The
-    weights and step count of the first epoch with the highest figure are
-    kept, and training stops after ``patience`` + 1 epochs in a row
-    without a strictly higher one.  A non-finite loss, activation or
-    gradient stops training with ``diverged`` set.  The kept weights are
-    loaded at the end: the initial ones when no figure exceeded -inf.
+    weights of the first epoch with the highest figure are kept, and
+    training stops after ``patience`` + 1 epochs in a row without a
+    strictly higher one.  A non-finite loss, activation or gradient stops
+    training with ``diverged`` set.  The kept weights are loaded at the
+    end: the initial ones when no figure exceeded -inf.
     """
     shuffle_tag, dropout_tag = tags
     store = net.store
     opt = AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay)
     history = []
-    # (figure, weights, step count, epoch) of the kept weights
-    best = (-np.inf, store.values_copy(), store.step_count, -1)
+    # (figure, weights, epoch) of the kept weights
+    best = (-np.inf, store.values_copy(), -1)
     diverged = False
     try:
         # the ViT's own checks report a diverging epoch, not numpy's warnings
@@ -304,17 +306,17 @@ def fit(net, n_items: int, batch_size: int, cfg, tags: tuple, step, judge,
                 train_loss = float(np.mean(losses))
                 figure, fields = judge(train_loss)
                 if figure > best[0]:
-                    best = (figure, store.values_copy(), store.step_count, epoch)
+                    best = (figure, store.values_copy(), epoch)
                 rec = {"epoch": epoch, "train_loss": train_loss, **fields,
                        "seconds": time.perf_counter() - t0}
                 history.append(rec)
                 if log:
                     log(rec)
-                if epoch - best[3] > patience:
+                if epoch - best[2] > patience:
                     break
     except (NonFiniteActivation, NonFiniteGradient):
         diverged = True
-    store.load_values(best[1], best[2])
+    store.load_values(best[1])
     return TrainResult(model=net, history=history, diverged=diverged)
 
 
@@ -394,7 +396,7 @@ def finetune(pretrained: Surrogate, dataset: Dataset, n_traj: int,
     """
     surrogate = Surrogate(pretrained.config, pretrained.norm, pretrained.init_seed,
                           pretrained.dt_out)
-    surrogate.store.load_values(pretrained.store.values_copy(), pretrained.store.step_count)
+    surrogate.store.load_values(pretrained.store.values_copy())
     if n_traj == 0:
         return TrainResult(model=surrogate, history=[])
     chosen = select_finetune_trajectories(dataset, n_traj, train_cfg.seed)

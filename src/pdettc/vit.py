@@ -29,7 +29,7 @@ matmul round with the batch size).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,13 +68,6 @@ class ModelConfig:
             raise ValueError("embed_dim must be divisible by n_heads")
         if self.head not in ("image", "scalar"):
             raise ValueError(f"unknown head {self.head!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 def _finite(z: np.ndarray, stage: str) -> np.ndarray:

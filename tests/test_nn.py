@@ -422,8 +422,7 @@ def test_load_values_refuses_other_names_or_shapes(tiny_model):
                           ({**before, "pos": before["pos"].T}, "parameter pos has shape"),
                           ({**before, "pos": before["pos"][:1]}, "parameter pos has shape")]:
         with pytest.raises(ValueError, match=match):
-            store.load_values(values, 5)
-    assert store.step_count == 0
+            store.load_values(values)
     for name, value in store.values_copy().items():     # nothing was loaded
         assert np.array_equal(value, before[name]), name
 
@@ -445,7 +444,7 @@ def test_float32_copy_follows_adamw_step_and_load_values(tiny_model, np_rng):
     assert not np.array_equal(after32, y32)
     assert np.allclose(after32, after64, rtol=1e-4, atol=1e-5)
     old = store.values_copy()
-    store.load_values({k: v * 0.5 for k, v in old.items()}, store.step_count)
+    store.load_values({k: v * 0.5 for k, v in old.items()})
     halved32, halved64 = both()
     assert np.allclose(halved32, halved64, rtol=1e-4, atol=1e-5)
     assert not np.allclose(halved32, after32, rtol=1e-4, atol=1e-5)
@@ -478,9 +477,10 @@ def test_float32_train_accumulates_float64_gradients(tiny_cfg, np_rng, head):
     for name, p in store.params.items():
         assert p.value.dtype == p.grad.dtype == np.float64, name
         assert np.all(np.isfinite(p.grad)) and np.any(p.grad != 0.0), name
-    AdamW(lr=1e-3).step(store)
+    opt = AdamW(lr=1e-3)
+    opt.step(store)
     for name, p in store.params.items():
-        assert p.m.dtype == p.v.dtype == p.value.dtype == np.float64, name
+        assert opt.m[name].dtype == opt.v[name].dtype == p.value.dtype == np.float64, name
 
 
 @pytest.mark.parametrize("head", ["image", "scalar"])
@@ -588,7 +588,7 @@ def test_adamw_quadratic_bowl_converges_and_matches_reference():
     assert hit is not None and hit <= 500
     ref = _scalar_adamw_reference(1.0, lambda w: w, lr=0.05, steps=500)
     assert abs(p.value[0] - ref) < 1e-12
-    assert store.step_count == 500
+    assert opt.t == 500
 
 
 def test_adamw_decoupled_weight_decay_shrinks_without_grad_path():
@@ -603,9 +603,10 @@ def test_adamw_nonfinite_gradient_reports_name():
     p1, p2 = Param(np.zeros(2)), Param(np.zeros(2))
     store = ParamStore([("ok", p1), ("bad.w", p2)])
     p2.grad[0] = np.nan
+    opt = AdamW(lr=0.1)
     with pytest.raises(NonFiniteGradient, match="bad.w"):
-        AdamW(lr=0.1).step(store)
-    assert store.step_count == 0 and np.all(p1.value == 0.0)
+        opt.step(store)
+    assert opt.t == 0 and np.all(p1.value == 0.0)
 
 
 # ---------------------------------------------------------------------------

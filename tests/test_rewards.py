@@ -397,7 +397,7 @@ def test_prm_training_and_accuracy_forward_at_most_a_micro_batch(mini_dataset,
     assert sum(n for mode, n, _ in sizes if mode == MODE_DETERMINISTIC) == 2 * len(holdout)
     sizes.clear()
     ranking_accuracy(res.model, holdout)
-    assert [n for _, n, _ in sizes] == [4, 4, 2, 2]      # best and worst per chunk
+    assert [n for _, n, _ in sizes] == [1] * (2 * len(holdout))   # batch-1 best and worst
 
 
 def test_prm_scoring_deterministic_and_stateless(mini_dataset):
@@ -447,7 +447,7 @@ def test_prm_score_follows_load_values(mini_dataset):
     b = ProcessRewardModel(cfg, mini_dataset.normalization, init_seed=2)
     u, v = mini_dataset.trajectories[0].snapshots[:2]
     before = a.score(u, [v])[0]
-    a.store.load_values(b.store.values_copy(), b.store.step_count)
+    a.store.load_values(b.store.values_copy())
     assert a.score(u, [v])[0] == b.score(u, [v])[0] != before
 
 

@@ -126,7 +126,6 @@ def test_checkpoint_roundtrip_exact(tmp_path, small_dataset):
                       mlp_ratio=2.0, dropout_p=0.1)
     model = VisionTransformer(cfg, RngStream(3, 1))
     store = model.param_store()
-    store.step_count = 17
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, "surrogate", cfg, store,
                     normalization=small_dataset.normalization,
@@ -135,11 +134,28 @@ def test_checkpoint_roundtrip_exact(tmp_path, small_dataset):
     with pytest.raises(StorageError, match="holds a 'surrogate' model, wanted 'prm'"):
         load_checkpoint(path, "prm")
     assert ckpt.config == cfg
-    assert ckpt.step_count == 17
     assert ckpt.extra["dt_out"] == 0.05
     assert np.array_equal(ckpt.normalization.std, small_dataset.normalization.std)
     for name, p in store.params.items():
         assert np.array_equal(ckpt.values[name], p.value)   # float64 exact
+
+
+def test_checkpoint_with_a_step_count_in_its_header_still_loads(tmp_path):
+    # checkpoints once carried the optimizer step count in their header
+    store = VisionTransformer(TINY_CFG, RngStream(3, 1)).param_store()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, "surrogate", TINY_CFG, store)
+    with open(path, "rb") as fh:
+        header = storage._read_header(fh, storage.CHECKPOINT_MAGIC, path)
+        blobs = fh.read()
+    with open(path, "wb") as fh:
+        storage._write_header(fh, storage.CHECKPOINT_MAGIC, {**header, "step_count": 17})
+        fh.write(blobs)
+    ckpt = load_checkpoint(path, "surrogate")
+    assert ckpt.config == TINY_CFG
+    assert ckpt.values.keys() == store.params.keys()
+    for name, p in store.params.items():
+        assert np.array_equal(ckpt.values[name], p.value)
 
 
 def test_checkpoint_magic_guard(tmp_path):
@@ -200,7 +216,7 @@ def test_failed_write_leaves_previous_files_intact(tmp_path, small_dataset, monk
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert set(before) == {"ds.pdt", "ds.pdt.json", "m.ckpt"}
     other = generate_dataset(["kh"], 1, GridSpec(8, 8), seed=6)
-    store.step_count = 5
+    store.load_values({k: v + 1.0 for k, v in store.values_copy().items()})
     _fail_writes_after(monkeypatch, 4096)             # past the header, inside the payload
     with pytest.raises(OSError, match="No space"):
         save_dataset(path, other)

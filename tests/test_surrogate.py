@@ -8,7 +8,7 @@ from pdettc.nn import Param, ParamStore
 from pdettc.rewards import ProcessRewardModel, prm_backbone_config
 from pdettc.surrogate import (Surrogate, TrainConfig, _val_mse, accumulate_loss_grad,
                               candidate_stream, consecutive_pairs, finetune, fit,
-                              select_finetune_trajectories, train)
+                              fit_surrogate, select_finetune_trajectories, train)
 from pdettc.vit import MODE_DETERMINISTIC, MODE_STOCHASTIC, MODE_TRAIN, ModelConfig
 
 
@@ -163,6 +163,19 @@ def test_finetune_subset_selection_reproducible(rp_dataset):
     assert set(a) <= set(rp_dataset.split["train"])
 
 
+def test_finetune_is_fit_surrogate_from_the_pretrained_weights(rp_surrogate, rp_dataset):
+    # rp_surrogate was pretrained for 8 optimizer steps; finetune starts a new optimizer
+    tc = TrainConfig(lr=1e-3, epochs=2, batch_size=8, seed=6)
+    tuned = finetune(rp_surrogate, rp_dataset, 2, tc).model
+    fresh = Surrogate(rp_surrogate.config, rp_surrogate.norm, rp_surrogate.init_seed,
+                      rp_surrogate.dt_out)
+    fresh.store.load_values(rp_surrogate.store.values_copy())
+    chosen = select_finetune_trajectories(rp_dataset, 2, tc.seed)
+    direct = fit_surrogate(fresh, rp_dataset, chosen, tc).model
+    for name, p in tuned.store.params.items():
+        assert np.array_equal(p.value, direct.store[name].value), name
+
+
 def test_finetune_respects_budget(rp_surrogate, rp_dataset):
     with pytest.raises(ValueError, match="train trajectories"):
         finetune(rp_surrogate, rp_dataset, 99, TrainConfig(lr=1e-3, seed=0))
@@ -174,7 +187,6 @@ def test_checkpoint_roundtrip_preserves_predictions(tmp_path, rp_surrogate, rp_d
     back = Surrogate.from_checkpoint(path)
     u = rp_dataset.trajectories[0].snapshots[2]
     assert np.array_equal(back.predict(u).fields(), rp_surrogate.predict(u).fields())
-    assert back.store.step_count == rp_surrogate.store.step_count
 
 
 def test_train_config_validation():
@@ -189,7 +201,7 @@ def test_predict_follows_load_values(rp_surrogate, rp_dataset):
     u = rp_dataset.trajectories[0].snapshots[2]
     fresh = Surrogate(rp_surrogate.config, rp_dataset.normalization, init_seed=9)
     fresh.predict(u)                       # builds its float32 parameter copies
-    fresh.store.load_values(rp_surrogate.store.values_copy(), rp_surrogate.store.step_count)
+    fresh.store.load_values(rp_surrogate.store.values_copy())
     assert np.array_equal(fresh.predict(u).fields(), rp_surrogate.predict(u).fields())
     a = fresh.predict(u, MODE_STOCHASTIC, candidate_stream(2, 0, 0))
     b = rp_surrogate.predict(u, MODE_STOCHASTIC, candidate_stream(2, 0, 0))
@@ -265,7 +277,6 @@ class _FakeNet:
 
     def __init__(self):
         self.store = ParamStore([("w", Param(np.array([0.5, -0.25])))])
-        self.store.step_count = 7
 
 
 def _fit_fake(figures, patience=np.inf, nan_grad_at=None):
@@ -309,7 +320,6 @@ def test_fit_early_stopping_best_weights_and_divergence():
     assert set(res.history[0]) == {"epoch", "train_loss", "figure", "seconds"}
     assert np.array_equal(res.model.store["w"].value, weights[1])
     assert not np.array_equal(weights[2], weights[1])
-    assert res.model.store.step_count == 7 + 2 * 2               # two batches per epoch
     for epoch in range(5):                                       # each epoch visits every item
         visited = sorted(i for e, sel in batches if e == epoch for i in sel)
         assert visited == [0, 1, 2, 3]
@@ -318,7 +328,6 @@ def test_fit_early_stopping_best_weights_and_divergence():
     assert res.diverged
     assert res.history == [] and logged == [] and weights == []
     assert np.array_equal(res.model.store["w"].value, _FakeNet().store["w"].value)
-    assert res.model.store.step_count == 7
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +370,12 @@ def test_inputs_are_normalised_fields_then_time_per_snapshot(rp_dataset, kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_save_from_checkpoint_save_gives_equal_bytes(rp_dataset, tmp_path, kind):
     net = wrapper(kind, rp_dataset)
-    net.store.load_values({k: 1.5 * v for k, v in net.store.values_copy().items()}, 3)
+    net.store.load_values({k: 1.5 * v for k, v in net.store.values_copy().items()})
     net.save(tmp_path / "a.ckpt")
     back = type(net).from_checkpoint(tmp_path / "a.ckpt")
     back.save(tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
-    assert back.init_seed == 4 and back.store.step_count == 3
+    assert back.init_seed == 4
     assert getattr(back, "dt_out", 0.1) == 0.1
 
 
