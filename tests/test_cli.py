@@ -508,6 +508,9 @@ _OF_16 = "{ckpt} holds a model for a 16x16 grid, but "
       "--B", "1"], _OF_16 + "{data24} is on a 24x24 grid"),
     (["finetune", "--from", "{ckpt}", "--data", "{data24}", "--n-traj", "1"],
      _OF_16 + "{data24} is on a 24x24 grid"),
+    # a saved triplet store of the model's grid does not excuse the dataset
+    (["train-prm", "--from", "{ckpt}", "--data", "{data24}", "--triplets-in", "{trip16}"],
+     _OF_16 + "{data24} is on a 24x24 grid"),
     (["train-prm", "--from", "{ckpt}", "--data", "{data24}"],
      _OF_16 + "{data24} is on a 24x24 grid"),
     (["train-prm", "--from", "{ckpt24}", "--data", "{data24}", "--triplets-in", "{trip16}"],
