@@ -229,8 +229,6 @@ def _log_epoch(rec) -> None:
 def _val_summary(result) -> str:
     """The summary of a surrogate's training.  A run in which no epoch ran
     has only the epoch -1 record of the weights it kept."""
-    if not result.history:
-        return "no training epochs ran"
     ran = sum(h["epoch"] >= 0 for h in result.history)
     return (f"best val MSE {min(h['val_mse'] for h in result.history):.6g} "
             f"over {ran} epochs")
@@ -354,39 +352,41 @@ def cmd_rollout(cfg: dict, surrogate_path: str, data_path: str, prm_path: str | 
         _check_grid(prm, prm_path, (model.config.height, model.config.width), surrogate_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = ttc.rollout_sweep(
+    index = {"config_digest": config_digest(cfg), "dataset": str(data_path),
+             "dataset_digest": ds.payload_digest,
+             "reward": reward, "split": cfg["ttc"]["split"],
+             "n_ics": len(trajs), "records": []}
+    sweep = ttc.rollout_sweep(
         model, reward, trajs, cfg["ttc"]["b_list"], cfg["seed"], prm=prm,
         gamma=ds.gamma, n_steps=n_steps,
         teacher_forced=cfg["ttc"]["teacher_forced"],
         log=lambda m: print(m))
-    index = {"config_digest": config_digest(cfg), "dataset": str(data_path),
-             "dataset_digest": storage.payload_digest(data_path),
-             "reward": reward, "split": cfg["ttc"]["split"],
-             "n_ics": len(trajs), "records": []}
-    for (ic, b), rec in records.items():
+    for (ic, b), rec in sweep:
         base = out / f"{reward}_ic{ic:03d}_B{b}"
         ttc.save_rollout_record(base, rec)
+        del rec         # before the sweep runs the next rollout
         index["records"].append({"reward": reward, "ic": ic, "B": b,
                                  "base": base.name})
     storage.write_text(out / "index.json", json.dumps(index, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(records)} rollout records to {out}")
+    print(f"wrote {len(index['records'])} rollout records to {out}")
     return EXIT_OK
 
 
 def _evaluate_records(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> tuple:
-    """Evaluate the rollouts indexed under records_dir against their truth.
+    """Evaluate the rollouts indexed under records_dir against their truth,
+    loading one record at a time.
 
-    Returns (report, sweeps, truth trajectories, index documents) and
-    creates out_dir.  The truth is the dataset split and IC count the
-    rollouts ran on, as their indexes record them.  Indexes that disagree
-    on these, or that ran on a dataset whose payload differs from
+    Returns (report, finals, truth trajectories, index documents) and
+    creates out_dir.  ``finals`` maps each reward, in the order the
+    indexes first name it, to (ic, B, rho): the final chosen density of
+    its first IC at its largest B.  The truth is the dataset split and IC
+    count the rollouts ran on, as their indexes record them.  Indexes that
+    disagree on these, or that ran on a dataset whose payload differs from
     data_path's, are a config error.
     """
     ds = storage.load_dataset(data_path)
-    digest = storage.payload_digest(data_path)
     records_dir = Path(records_dir)
-    sweeps: dict = {}
-    meta = []
+    meta, entries = [], []
     index_files = sorted(records_dir.glob("**/index.json"))
     if not index_files:
         raise ConfigError(f"no rollout index.json found under {records_dir}")
@@ -396,14 +396,13 @@ def _evaluate_records(cfg: dict, records_dir: str, data_path: str, out_dir: str)
                 and all(k in index for k in ("split", "n_ics", "dataset_digest"))):
             raise ConfigError(f"{idx_file} does not record the split, n_ics and "
                               f"dataset digest it ran on")
-        if index["dataset_digest"] != digest:
+        if index["dataset_digest"] != ds.payload_digest:
             raise ConfigError(f"{idx_file} ran on dataset {index['dataset']} "
                               f"(payload digest {index['dataset_digest'][:16]}), "
-                              f"not on --data (payload digest {digest[:16]})")
+                              f"not on --data (payload digest {ds.payload_digest[:16]})")
         meta.append(index)
-        for entry in index["records"]:
-            rec = ttc.load_rollout_record(idx_file.parent / entry["base"])
-            sweeps.setdefault(entry["reward"], {})[(entry["ic"], entry["B"])] = rec
+        entries += [(e["reward"], e["ic"], e["B"], idx_file.parent / e["base"])
+                    for e in index["records"]]
     runs = sorted({(m["split"], m["n_ics"]) for m in meta})
     if len(runs) > 1:
         raise ConfigError(f"rollout indexes under {records_dir} disagree on "
@@ -413,11 +412,25 @@ def _evaluate_records(cfg: dict, records_dir: str, data_path: str, out_dir: str)
     if len(trajs) < n_ics:
         raise ConfigError(f"the rollouts ran on {n_ics} {which} trajectories; "
                           f"the dataset split has {len(trajs)}")
-    report = metrics.evaluate(sweeps, trajs, ds.normalization, ds.gamma,
+    render_at = {}
+    for reward, ic, b, _ in entries:
+        first, top = render_at.get(reward, (ic, b))
+        render_at[reward] = (min(first, ic), max(top, b))
+    finals = dict.fromkeys(render_at)
+
+    def records():
+        for reward, ic, b, path in entries:
+            rec = ttc.load_rollout_record(path)
+            if render_at[reward] == (ic, b):
+                finals[reward] = (ic, b, rec.chosen[-1].rho.copy())
+            yield reward, ic, b, rec
+            del rec     # before the next record is loaded
+
+    report = metrics.evaluate(records(), trajs, ds.normalization, ds.gamma,
                               dataset_label=Path(data_path).stem,
                               model_label=cfg["model"]["patch"])
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    return report, sweeps, trajs, meta
+    return report, finals, trajs, meta
 
 
 def cmd_evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> int:
@@ -434,12 +447,12 @@ def cmd_evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> i
 
 
 def cmd_report(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> int:
-    report, sweeps, trajs, _ = _evaluate_records(cfg, records_dir, data_path, out_dir)
+    report, finals, trajs, _ = _evaluate_records(cfg, records_dir, data_path, out_dir)
     out = Path(out_dir)
     metrics.write_summary_json(out / "summary.json", report,
                                extra={"config_digest": config_digest(cfg)})
     emitted = []
-    for reward in sweeps:
+    for reward in finals:
         series = {}
         for (rw, b), curve in sorted(report.curves.items()):
             if rw == reward:
@@ -449,17 +462,12 @@ def cmd_report(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> int
                               xlabel="timestep", ylabel="MSE", log_y=True)
         emitted.append(svg.name)
     # field renders: truth vs chosen final density of the first IC at max B
-    for reward, records in sweeps.items():
-        ics = sorted({i for (i, _) in records})
-        bmax = max(b for (_, b) in records)
-        rec = records[(ics[0], bmax)]
-        truth = trajs[ics[0]]
-        render.write_field_ppm(out / f"field_truth_rho_ic{ics[0]:03d}.ppm",
-                               truth.snapshots[-1].rho)
-        render.write_field_ppm(out / f"field_{reward}_B{bmax}_rho_ic{ics[0]:03d}.ppm",
-                               rec.chosen[-1].rho)
-        emitted += [f"field_truth_rho_ic{ics[0]:03d}.ppm",
-                    f"field_{reward}_B{bmax}_rho_ic{ics[0]:03d}.ppm"]
+    for reward, (ic, bmax, rho) in finals.items():
+        render.write_field_ppm(out / f"field_truth_rho_ic{ic:03d}.ppm",
+                               trajs[ic].snapshots[-1].rho)
+        render.write_field_ppm(out / f"field_{reward}_B{bmax}_rho_ic{ic:03d}.ppm", rho)
+        emitted += [f"field_truth_rho_ic{ic:03d}.ppm",
+                    f"field_{reward}_B{bmax}_rho_ic{ic:03d}.ppm"]
     print(f"report images: {', '.join(sorted(set(emitted)))}")
     return EXIT_OK
 

@@ -222,6 +222,8 @@ class Dataset:
     normalization: Normalization | None
     seed: int = 0
     families: tuple = ()
+    # `storage.payload_digest` of the container it was loaded from, or None
+    payload_digest: str | None = None
 
     def split_trajectories(self, name: str) -> list[Trajectory]:
         return [self.trajectories[i] for i in self.split[name]]

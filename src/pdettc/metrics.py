@@ -91,38 +91,44 @@ class EvalReport:
                 "aggregate_gain_percent": agg, "mean_final_mse": fin}
 
 
-def evaluate(sweeps: dict, trajectories: list, norm: Normalization | None,
+def evaluate(records, trajectories: list, norm: Normalization | None,
              gamma: float = GAMMA_DEFAULT, dataset_label: str = "",
              model_label: str = "") -> EvalReport:
-    """Build an EvalReport from {reward_name: {(ic_index, B): record}}.
+    """Build an EvalReport from (reward, ic_index, B, record) items.
+
+    Each record is reduced as it arrives to its per-step MSE against
+    ``trajectories[ic_index]``, its `conservation_trace` and its IC family
+    and seed, and then dropped, so an iterator that loads the records one
+    at a time keeps one in memory.  A later item of the same (reward,
+    ic_index, B) replaces an earlier one.  The rows run over the rewards
+    in the order they first arrive, then B and then the IC ascending.
 
     Sample gains pair each record against the B=1 record of the same
-    reward sweep and IC; they are omitted when no B=1 run exists.
+    reward and IC; they are omitted when no B=1 run exists.
     """
+    runs: dict = {}     # reward -> {(ic, B): (per-step MSE, trace, family, ic seed)}
+    for reward, ic, b, rec in records:
+        truth = trajectories[ic]
+        errs = [mse(s, truth.snapshots[k + 1], norm) for k, s in enumerate(rec.chosen)]
+        runs.setdefault(reward, {})[(ic, b)] = (errs, conservation_trace(rec, gamma),
+                                                rec.ic_family, rec.ic_seed)
+        del rec         # before the iterator loads the next record
     report = EvalReport(dataset_label=dataset_label, model_label=model_label)
-    for reward, records in sweeps.items():
-        b_values = sorted({b for (_, b) in records})
-        ic_values = sorted({i for (i, _) in records})
-        per_t_mse = {}
-        for (ic, b), rec in records.items():
-            truth = trajectories[ic]
-            errs = [mse(s, truth.snapshots[k + 1], norm)
-                    for k, s in enumerate(rec.chosen)]
-            per_t_mse[(ic, b)] = errs
+    for reward, reduced in runs.items():
+        b_values = sorted({b for (_, b) in reduced})
+        ic_values = sorted({i for (i, _) in reduced})
         for b in b_values:
             finals, ratios_final = [], []
-            curve = np.zeros(len(per_t_mse[(ic_values[0], b)]))
+            curve = np.zeros(len(reduced[(ic_values[0], b)][0]))
             for ic in ic_values:
-                rec = records[(ic, b)]
-                errs = per_t_mse[(ic, b)]
-                base = per_t_mse.get((ic, 1))
-                trace = conservation_trace(rec, gamma)
+                errs, trace, family, ic_seed = reduced[(ic, b)]
+                base = reduced[(ic, 1)][0] if (ic, 1) in reduced else None
                 for k, e in enumerate(errs):
                     sg = sample_gain(e, base[k]) if base else None
                     report.rows.append({
                         "dataset": dataset_label,
-                        "family": rec.ic_family,
-                        "ic_seed": rec.ic_seed,
+                        "family": family,
+                        "ic_seed": ic_seed,
                         "model": model_label,
                         "reward": reward,
                         "B": b,

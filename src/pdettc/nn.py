@@ -7,11 +7,14 @@ general-purpose taping; the graph is the object tree.
 
 Dtype rule: compute in the input's dtype, keep state in float64.  The
 parameter masters, the gradient accumulators and the AdamW moments are
-float64.  A forward pass computes in its input's dtype, and a backward
-pass in the dtype of its incoming gradient, which is the forward's: a
-float64 input reads the masters themselves, a float32 one a float32 copy
-of each parameter (`Param.like`), dropped whenever `ParamStore.load_values`
-or `AdamW.step` changes the masters and rebuilt on its next use.  Float32
+float64.  A gradient accumulator is allocated on first use (`Param.grad`),
+by `ParamStore.zero_grad` or by the first backward that adds into it, so
+a model that only runs inference forwards holds none.  A forward pass
+computes in its input's dtype, and a backward pass in the dtype of its
+incoming gradient, which is the forward's: a float64 input reads the
+masters themselves, a float32 one a float32 copy of each parameter
+(`Param.like`), dropped whenever `ParamStore.load_values` or
+`AdamW.step` changes the masters and rebuilt on its next use.  Float32
 gradient products are added into the float64 accumulators, and no loss
 scaling is needed at float32.  Training and sampling run float32; the
 finite-difference gradient checks run float64 through the same code.
@@ -101,14 +104,27 @@ class NonFiniteActivation(RuntimeError):
 
 class Param:
     """Learnable float64 tensor with its float64 gradient buffer and a
-    float32 copy for float32 passes."""
+    float32 copy for float32 passes.  The gradient buffer is allocated,
+    zeroed, when `grad` is first read, so a model that only samples or
+    scores holds none."""
 
-    __slots__ = ("value", "grad", "_f32")
+    __slots__ = ("value", "_grad", "_f32")
 
     def __init__(self, value: np.ndarray):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self._grad = None
         self._f32 = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        # ``p.grad += g`` reads the buffer, adds in place and stores it back
+        self._grad = value
 
     def like(self, x: np.ndarray) -> np.ndarray:
         """The value in x's dtype: the float32 copy for a float32 x, else

@@ -288,16 +288,16 @@ def ranking_accuracy(prm: ProcessRewardModel, triplets: list) -> float:
     return correct / len(triplets)
 
 
-def accumulate_margin_grad(model: VisionTransformer, x: np.ndarray, margin: float,
+def accumulate_margin_grad(model: VisionTransformer, nb: int, build, margin: float,
                            rng: RngStream | None) -> float:
-    """`accumulate_grad` of the mean triplet margin loss over the batch
-    ``x``, one micro-batch of max(1, micro_batch // 3) whole triplets at a
-    time, each term scaled by the whole batch's triplet count; returns the
-    loss.  ``x`` holds (worst, median, best) pair inputs per triplet, in
-    that order."""
-    nb = len(x) // 3
+    """`accumulate_grad` of the mean triplet margin loss over a batch of
+    ``nb`` triplets, where ``build(rows)`` returns the inputs of the
+    triplets ``rows``: (worst, median, best) pair inputs per triplet, in
+    that order.  One micro-batch of max(1, micro_batch // 3) whole
+    triplets at a time, each term scaled by the whole batch's triplet
+    count; returns the loss."""
 
-    def loss(out, rows):
+    def loss(out, _):
         s = out.reshape(-1, 3)
         h1 = s[:, 0] - s[:, 1] + margin
         h2 = s[:, 1] - s[:, 2] + margin
@@ -306,7 +306,8 @@ def accumulate_margin_grad(model: VisionTransformer, x: np.ndarray, margin: floa
         term = float(np.sum(np.maximum(h1, 0.0) + np.maximum(h2, 0.0))) / nb
         return term, np.stack([g1, g2 - g1, -g2], axis=1).reshape(-1)
 
-    return accumulate_grad(model, x, 3 * max(1, model.micro_batch // 3), rng, loss)
+    return accumulate_grad(model, nb, max(1, model.micro_batch // 3),
+                           lambda rows: (build(rows), None), rng, loss)
 
 
 def train_prm(triplets: list, prm_cfg: PRMConfig, normalization: Normalization,
@@ -324,14 +325,16 @@ def train_prm(triplets: list, prm_cfg: PRMConfig, normalization: Normalization,
                              normalization, init_seed=prm_cfg.seed)
 
     def step(sel, rng):
-        chunk = [triplets[j] for j in sel]
-        cur = np.repeat(np.stack([r.current.fields() for r in chunk]), 3, axis=0)
-        cur_t = np.repeat(np.array([r.current.t for r in chunk]), 3)
-        cand = np.stack([f for r in chunk
-                         for f in (r.worst.fields(), r.median.fields(), r.best.fields())])
-        cand_t = np.repeat(np.array([r.best.t for r in chunk]), 3)
-        return accumulate_margin_grad(prm.model, prm.inputs((cur, cur_t), (cand, cand_t)),
-                                      prm_cfg.margin, rng)
+        def build(rows):
+            chunk = [triplets[j] for j in sel[rows]]
+            cur = np.repeat(np.stack([r.current.fields() for r in chunk]), 3, axis=0)
+            cur_t = np.repeat(np.array([r.current.t for r in chunk]), 3)
+            cand = np.stack([f for r in chunk
+                             for f in (r.worst.fields(), r.median.fields(), r.best.fields())])
+            cand_t = np.repeat(np.array([r.best.t for r in chunk]), 3)
+            return prm.inputs((cur, cur_t), (cand, cand_t))
+
+        return accumulate_margin_grad(prm.model, len(sel), build, prm_cfg.margin, rng)
 
     def judge(train_loss):
         acc = ranking_accuracy(prm, holdout) if holdout else np.nan

@@ -190,6 +190,8 @@ def save_dataset(path, ds: Dataset, config_digest: str | None = None) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """The dataset at path, carrying the `payload_digest` of the bytes it
+    was read from, so that a caller need not read the file again."""
     header, payload = read_container(path, expect_type="DATASET")
     g = header["grid"]
     grid = GridSpec(nx=g["nx"], ny=g["ny"], lx=g["lx"], ly=g["ly"])
@@ -206,6 +208,7 @@ def load_dataset(path) -> Dataset:
         split={k: list(v) for k, v in header["splits"].items()},
         normalization=Normalization.from_dict(norm) if norm else None,
         seed=header["seed"], families=tuple(header["families"]),
+        payload_digest=hashlib.sha256(payload).hexdigest(),
     )
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -235,20 +235,23 @@ class TrainResult:
     diverged: bool = False
 
 
-def accumulate_grad(model: VisionTransformer, x: np.ndarray, chunk: int,
+def accumulate_grad(model: VisionTransformer, n: int, chunk: int, build,
                     rng: RngStream | None, loss) -> float:
-    """Add the gradient of a batch loss to the parameter gradients,
-    forwarding ``chunk`` samples of ``x`` at a time; returns the loss.
+    """Add the gradient of the loss of a batch of ``n`` items to the
+    parameter gradients, ``chunk`` items at a time; returns the loss.
 
-    ``loss(out, rows)`` returns the term of the batch loss that the rows
-    ``rows`` of ``x`` contribute, and its gradient with respect to their
-    train-mode output ``out``.  A non-finite term raises
+    ``build(rows)`` builds the model inputs of the items ``rows`` (a
+    slice of the batch) and what ``loss`` needs of them, so only one
+    micro-batch's inputs exist at a time.  ``loss(out, data)`` returns the
+    term of the batch loss that those items contribute, scaled to the
+    whole batch, and its gradient with respect to their train-mode output
+    ``out``; the terms are summed in row order.  A non-finite term raises
     NonFiniteActivation before its backward.
     """
     total = 0.0
-    for start in range(0, len(x), chunk):
-        rows = slice(start, start + chunk)
-        term, grad = loss(model.forward(x[rows], MODE_TRAIN, rng), rows)
+    for start in range(0, n, chunk):
+        x, data = build(slice(start, min(start + chunk, n)))
+        term, grad = loss(model.forward(x, MODE_TRAIN, rng), data)
         if not np.isfinite(term):
             raise NonFiniteActivation(f"non-finite loss {term}")
         model.backward(grad)
@@ -267,11 +270,12 @@ def fit(net, n_items: int, batch_size: int, cfg, tags: tuple, step, judge,
     (cfg.seed, shuffle tag, e), one optimizer step per ``batch_size``
     items: the gradients are zeroed, ``step(sel, rng)`` adds the gradient
     of the loss of the batch of items ``sel`` through `accumulate_grad`
-    and returns the loss, and AdamW steps.  ``step`` forwards
-    micro-batches of at most `VisionTransformer.micro_batch` samples (4 on
-    the desk model, 1 on the paper model), each term scaled to the whole
-    batch, so the layer caches hold one micro-batch while the gradient is
-    the whole batch's up to summation order.  The micro-batches of batch
+    and returns the loss, and AdamW steps.  ``step`` builds the inputs of,
+    forwards and back-propagates micro-batches of at most
+    `VisionTransformer.micro_batch` samples (4 on the desk model, 1 on the
+    paper model), each term scaled to the whole batch, so the inputs and
+    the layer caches hold one micro-batch while the gradient is the whole
+    batch's up to summation order.  The micro-batches of batch
     b draw their dropout masks in turn from the stream (cfg.seed, dropout
     tag, e, b).
 
@@ -320,21 +324,22 @@ def fit(net, n_items: int, batch_size: int, cfg, tags: tuple, step, judge,
     return TrainResult(model=net, history=history, diverged=diverged)
 
 
-def accumulate_loss_grad(model: VisionTransformer, x: np.ndarray, target: np.ndarray,
-                         p: float, rng: RngStream | None) -> float:
-    """`accumulate_grad` of mean |pred - target|^p over the batch ``x``,
-    one micro-batch at a time, each term scaled by the whole batch's
-    element count; returns the loss."""
-    n = target.size
+def accumulate_loss_grad(model: VisionTransformer, n: int, build, p: float,
+                         rng: RngStream | None) -> float:
+    """`accumulate_grad` of mean |pred - target|^p over a batch of ``n``
+    samples, where ``build(rows)`` returns the (inputs, normalised target)
+    of the samples ``rows``; one micro-batch at a time, each term scaled
+    by the whole batch's element count.  Returns the loss."""
 
-    def loss(pred, rows):
-        d = pred - target[rows]
+    def loss(pred, target):
+        d = pred - target
+        size = n * d[0].size
         if p == 2.0:
-            return float(np.sum(d * d)) / n, 2.0 * d / n
+            return float(np.sum(d * d)) / size, 2.0 * d / size
         ad = np.abs(d)
-        return float(np.sum(ad ** p)) / n, p * np.sign(d) * ad ** (p - 1.0) / n
+        return float(np.sum(ad ** p)) / size, p * np.sign(d) * ad ** (p - 1.0) / size
 
-    return accumulate_grad(model, x, model.micro_batch, rng, loss)
+    return accumulate_grad(model, n, model.micro_batch, build, rng, loss)
 
 
 def fit_surrogate(surrogate: Surrogate, dataset: Dataset, indices, cfg: TrainConfig,
@@ -345,13 +350,15 @@ def fit_surrogate(surrogate: Surrogate, dataset: Dataset, indices, cfg: TrainCon
     epoch ran, the history is one epoch -1 record of the kept weights."""
     train_pairs = consecutive_pairs(dataset, indices)
     val_pairs = consecutive_pairs(dataset, dataset.split["val"]) or train_pairs
-    if not train_pairs:
+    if not train_pairs and cfg.epochs:
         raise ValueError("no training pairs available")
 
     def step(sel, rng):
-        fields, times, targets = _gather(dataset, train_pairs, sel)
-        return accumulate_loss_grad(surrogate.model, surrogate.inputs((fields, times)),
-                                    surrogate.norm.apply(targets), cfg.loss_p, rng)
+        def build(rows):
+            fields, times, targets = _gather(dataset, train_pairs, sel[rows])
+            return surrogate.inputs((fields, times)), surrogate.norm.apply(targets)
+
+        return accumulate_loss_grad(surrogate.model, len(sel), build, cfg.loss_p, rng)
 
     def judge(train_loss):
         val = _val_mse(surrogate, dataset, val_pairs)
@@ -389,7 +396,9 @@ def select_finetune_trajectories(dataset: Dataset, n_traj: int, seed: int) -> li
 
 def finetune(pretrained: Surrogate, dataset: Dataset, n_traj: int,
              train_cfg: TrainConfig, log=None) -> TrainResult:
-    """Continue training from a pretrained checkpoint on a small subset.
+    """Continue training from a pretrained checkpoint on a small subset of
+    ``n_traj`` train trajectories; with none, no epoch runs and the
+    history is the epoch -1 record of the pretrained weights.
 
     The pretrained normalization stays attached to the model; downstream
     statistics are not recomputed.
@@ -397,7 +406,7 @@ def finetune(pretrained: Surrogate, dataset: Dataset, n_traj: int,
     surrogate = Surrogate(pretrained.config, pretrained.norm, pretrained.init_seed,
                           pretrained.dt_out)
     surrogate.store.load_values(pretrained.store.values_copy())
-    if n_traj == 0:
-        return TrainResult(model=surrogate, history=[])
     chosen = select_finetune_trajectories(dataset, n_traj, train_cfg.seed)
+    if not chosen:
+        train_cfg = replace(train_cfg, epochs=0)
     return fit_surrogate(surrogate, dataset, chosen, train_cfg, log)

@@ -160,16 +160,18 @@ def greedy_rollout(surrogate: Surrogate, reward_model, u_start: Snapshot,
 def rollout_sweep(surrogate: Surrogate, reward_name: str, trajectories: list,
                   b_list, seed: int, *, prm: ProcessRewardModel | None = None,
                   gamma: float = GAMMA_DEFAULT, n_steps: int = 20,
-                  teacher_forced: bool = False, log=None) -> dict:
-    """Rollouts for every (trajectory, B); returns {(ic_index, B): record}.
+                  teacher_forced: bool = False, log=None):
+    """Rollouts for every (trajectory, B), yielded as ((ic_index, B),
+    record) as each completes, IC by IC and B in ``b_list`` order.
 
+    The generator holds no record while it runs the next rollout, so a
+    caller that drops each record it was given holds one at a time.
     The per-IC stream seed is shared across B values, so smaller-B runs
     see prefixes of the larger-B candidate streams.
     """
     b_list = list(b_list)
     if not b_list:
         raise ValueError("b_list must be non-empty")
-    records = {}
     for idx, truth in enumerate(trajectories):
         ic_seed = mix64(seed, idx)
         reward_model = make_reward_model(reward_name, gamma=gamma, prm=prm,
@@ -181,10 +183,10 @@ def rollout_sweep(surrogate: Surrogate, reward_name: str, trajectories: list,
                                  truth=truth)
             rec.ic_family = truth.ic.family
             rec.ic_seed = truth.ic.seed
-            records[(idx, b)] = rec
             if log:
                 log(f"rollout ic={idx} B={b} reward={reward_name} done")
-    return records
+            yield (idx, b), rec
+            del rec
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pdettc.rng import RngStream
+from pdettc.surrogate import Model
 from pdettc.vit import ModelConfig, VisionTransformer
 
 
@@ -34,4 +35,19 @@ def forward_sizes(monkeypatch):
         return forward(self, x, mode, rng)
 
     monkeypatch.setattr(VisionTransformer, "forward", record)
+    return sizes
+
+
+@pytest.fixture
+def input_sizes(monkeypatch):
+    """The batch size of every `Model.inputs` call made while the test
+    runs."""
+    sizes = []
+    inputs = Model.inputs
+
+    def record(self, *pairs):
+        sizes.append(len(pairs[0][0]))
+        return inputs(self, *pairs)
+
+    monkeypatch.setattr(Model, "inputs", record)
     return sizes

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -61,15 +62,15 @@ def test_evaluate_scores_against_the_split_the_rollouts_ran_on(tmp_path, monkeyp
     for argv in calls:
         assert cli.main(argv) == cli.EXIT_OK, argv[0]
     ds = storage.load_dataset("data.pdt")
-    sweeps = {}
+    records = []
     for entry in json.loads(Path("records/train/index.json").read_text())["records"]:
         rec = ttc.load_rollout_record(Path("records/train") / entry["base"])
-        sweeps.setdefault(entry["reward"], {})[(entry["ic"], entry["B"])] = rec
-    want = metrics.evaluate(sweeps, ds.split_trajectories("train")[:2],
+        records.append((entry["reward"], entry["ic"], entry["B"], rec))
+    want = metrics.evaluate(records, ds.split_trajectories("train")[:2],
                             ds.normalization, ds.gamma).summary_dict()
     got = json.loads(Path("eval/summary.json").read_text())
     assert got["mean_final_mse"] == want["mean_final_mse"]
-    wrong = metrics.evaluate(sweeps, ds.split_trajectories("test")[:2],
+    wrong = metrics.evaluate(records, ds.split_trajectories("test")[:2],
                              ds.normalization, ds.gamma).summary_dict()
     assert got["mean_final_mse"] != wrong["mean_final_mse"]
     # a second sweep over another split makes the records dir ambiguous
@@ -405,6 +406,75 @@ def test_train_without_epochs_counts_none(small_run, tmp_path, monkeypatch, caps
     rows = Path("s.ckpt.loss.csv").read_text().splitlines()
     assert rows[0] == "epoch,train_loss,val_mse,seconds" and rows[1].startswith("-1,nan,")
     assert _holds_its_initial_weights(Surrogate.from_checkpoint("s.ckpt"))
+
+
+def test_finetune_without_trajectories_or_without_epochs_reports_the_same(
+        small_run, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen-data", "--seed", "3", "--families", "rp", "--n", "3", "--grid",
+                     "16", "--split", "0.34,0.33,0.33", "--out", "d.pdt"]) == cli.EXIT_OK
+    outputs = []
+    for flags in (["--n-traj", "0"], ["--n-traj", "1", "--epochs", "0"]):
+        capsys.readouterr()
+        assert cli.main(["finetune", "--seed", "3", "--from", small_run["ckpt"],
+                         "--data", "d.pdt", *flags, "--out", "ft.ckpt"]) == cli.EXIT_OK
+        outputs.append((capsys.readouterr().out, Path("ft.ckpt.loss.csv").read_text()))
+    assert outputs[0] == outputs[1]
+    summary, rows = outputs[0]
+    assert "finetune: best val MSE " in summary and " over 0 epochs; " in summary
+    assert rows.splitlines()[1].startswith("-1,nan,") and len(rows.splitlines()) == 2
+
+
+def test_rollout_saves_each_record_before_the_next_rollout(small_run, tmp_path,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("short.json").write_text(json.dumps({"ttc": {"n_steps": 3}}))
+    events = []
+    sample, save = Surrogate.sample_candidates, ttc.save_rollout_record
+
+    def sampling(self, *args, **kwargs):
+        events.append("sample")
+        return sample(self, *args, **kwargs)
+
+    def saving(base, rec):
+        events.append(f"save {Path(base).name}")
+        save(base, rec)
+
+    monkeypatch.setattr(Surrogate, "sample_candidates", sampling)
+    monkeypatch.setattr(ttc, "save_rollout_record", saving)
+    assert cli.main(["rollout", "--seed", "3", "--config", "short.json",
+                     "--surrogate", small_run["ckpt"], "--data", small_run["data"],
+                     "--B", "1,2", "--reward", "arm_mass", "--out-dir", "records"]) == cli.EXIT_OK
+    want = []
+    for ic in (0, 1):
+        for b in (1, 2):
+            want += ["sample"] * 3 + [f"save arm_mass_ic{ic:03d}_B{b}"]
+    assert events == want
+
+
+def test_evaluate_peak_memory_does_not_grow_with_the_records(small_run, tmp_path,
+                                                             monkeypatch):
+    """Two and six 21-state records at 16x16: evaluate holds one record at
+    a time, so the six-record run's traced peak is not a record larger."""
+    monkeypatch.chdir(tmp_path)
+    data = small_run["data"]
+    peaks = []
+    for b_list in ("1,2", "1,2,3,4,5,6"):
+        records = f"records{len(b_list)}"
+        assert cli.main(["rollout", "--seed", "3", "--surrogate", small_run["ckpt"],
+                         "--data", data, "--B", b_list, "--n-ics", "1",
+                         "--reward", "arm_mass", "--out-dir", records]) == cli.EXIT_OK
+        evaluate = ["evaluate", "--records-dir", records, "--data", data,
+                    "--out-dir", f"eval{len(b_list)}"]
+        assert cli.main(evaluate) == cli.EXIT_OK          # first-call costs untraced
+        tracemalloc.start()
+        try:
+            assert cli.main(evaluate) == cli.EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    record_bytes = 21 * 4 * 16 * 16 * 8              # one record's float64 states
+    assert peaks[1] - peaks[0] < record_bytes, peaks
 
 
 def test_train_prm_divergence_writes_the_last_good_checkpoint(small_run, tmp_path,

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -96,8 +97,45 @@ def small_report():
                                         ic_family="kh", ic_seed=truth.ic.seed,
                                         start=truth.snapshots[0], chosen=chosen)
     norm = Normalization(mean=np.zeros(4), std=np.ones(4))
-    return metrics.evaluate({"arm_mass": records}, [truth], norm, GAMMA,
-                            dataset_label="ds", model_label="vit5")
+    return metrics.evaluate([("arm_mass", ic, b, rec) for (ic, b), rec in records.items()],
+                            [truth], norm, GAMMA, dataset_label="ds", model_label="vit5")
+
+
+def test_evaluate_reduces_a_stream_one_record_at_a_time(tmp_path):
+    grid = GridSpec(16, 16)
+    truths = [solve_trajectory(sample_ic("kh", seed=seed), grid) for seed in (3, 4)]
+    keys = [(ic, b) for ic in (0, 1) for b in (1, 2, 4)]
+
+    def make(ic, b):
+        states = [truths[ic].snapshots[0]]
+        for s in truths[ic].snapshots[1:4]:
+            f = s.fields().copy()
+            f[0] *= 1.0 + 1e-2 / b
+            states.append(type(s).from_fields(f, s.t))
+        return record_from(states, "kh")
+
+    norm = Normalization(mean=np.zeros(4), std=np.ones(4))
+    want = metrics.evaluate([("arm_mass", ic, b, make(ic, b)) for ic, b in keys],
+                            truths, norm, GAMMA, dataset_label="ds", model_label="vit5")
+    given = []
+
+    def stream():
+        for ic, b in reversed(keys):          # arrival order does not matter
+            assert all(ref() is None for ref in given), "an earlier record is still held"
+            rec = make(ic, b)
+            given.append(weakref.ref(rec))
+            yield "arm_mass", ic, b, rec
+            del rec
+
+    got = metrics.evaluate(stream(), truths, norm, GAMMA, dataset_label="ds",
+                           model_label="vit5")
+    assert len(given) == len(keys) == len(got.rows) // 3
+    for name, report in (("want", want), ("got", got)):
+        metrics.write_rows_csv(tmp_path / f"{name}.csv", report.rows)
+        metrics.write_summary_json(tmp_path / f"{name}.json", report)
+    for name in ("csv", "json"):
+        streamed = (tmp_path / f"got.{name}").read_bytes()
+        assert streamed == (tmp_path / f"want.{name}").read_bytes(), name
 
 
 def test_evaluate_pairs_gains_against_b1():

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from pdettc.euler import (GridSpec, ICSpec, Normalization, Snapshot, generate_dataset,
                           make_initial_condition, sample_ic, solve_trajectory)
-from pdettc.rewards import (EnergyReward, MassReward, MomentumReward,
-                            OracleMseReward, PRMConfig, ProcessRewardModel,
+from pdettc.rewards import (_PRM_DROPOUT_TAG, _PRM_SHUFFLE_TAG, EnergyReward, MassReward,
+                            MomentumReward, OracleMseReward, PRMConfig, ProcessRewardModel,
                             TripletRecord, accumulate_margin_grad,
                             build_prm_triplets, load_triplets,
                             prm_backbone_config, ranking_accuracy,
                             save_triplets, train_prm, triplet_loss)
-from pdettc.surrogate import Surrogate, TrainConfig, train
+from pdettc.surrogate import Surrogate, TrainConfig, fit, train
 from pdettc.vit import MODE_DETERMINISTIC, MODE_TRAIN, ModelConfig
 
 GAMMA = 1.4
@@ -374,13 +374,42 @@ def test_micro_batched_margin_gradients_equal_the_whole_batch_gradients(mini_dat
     prm.model.backward(np.stack([g1, g2 - g1, -g2], axis=1).reshape(-1))
     whole = {n: prm.store[n].grad.copy() for n in prm.store.names()}
     prm.store.zero_grad()
-    loss = accumulate_margin_grad(prm.model, x, margin, None)
+    loss = accumulate_margin_grad(prm.model, nb, lambda rows: x[3 * rows.start:3 * rows.stop],
+                                  margin, None)
     assert loss == pytest.approx(whole_loss, rel=1e-12)
     # relative to the largest gradient entry: a triplet's score gradients sum
     # to 0, so some bias gradients are exactly 0 up to round-off
     scale = max(np.max(np.abs(w)) for w in whole.values())
     for name in prm.store.names():
         assert np.max(np.abs(prm.store[name].grad - whole[name])) <= 1e-12 * scale, name
+
+
+def test_prm_training_builds_the_inputs_of_one_micro_batch_at_a_time(mini_dataset, input_sizes):
+    triplets = _noise_triplets(mini_dataset, np.random.default_rng(7))
+    cfg = PRMConfig(backbone=MICRO_CFG, epochs=2, batch_triplets=8, seed=0)
+    # reference: each optimizer batch's inputs built whole, then sliced
+    ref = ProcessRewardModel(prm_backbone_config(MICRO_CFG), mini_dataset.normalization,
+                             init_seed=cfg.seed)
+
+    def step(sel, rng):
+        chunk = [triplets[j] for j in sel]
+        cur = np.repeat(np.stack([r.current.fields() for r in chunk]), 3, axis=0)
+        cur_t = np.repeat(np.array([r.current.t for r in chunk]), 3)
+        cand = np.stack([f for r in chunk
+                         for f in (r.worst.fields(), r.median.fields(), r.best.fields())])
+        cand_t = np.repeat(np.array([r.best.t for r in chunk]), 3)
+        x = ref.inputs((cur, cur_t), (cand, cand_t))
+        return accumulate_margin_grad(ref.model, len(sel),
+                                      lambda rows: x[3 * rows.start:3 * rows.stop],
+                                      cfg.margin, rng)
+
+    fit(ref, len(triplets), cfg.batch_triplets, cfg, (_PRM_SHUFFLE_TAG, _PRM_DROPOUT_TAG),
+        step, lambda loss: (-loss, {}), patience=cfg.patience)
+    input_sizes.clear()                   # the reference's whole-batch inputs
+    res = train_prm(triplets, cfg, mini_dataset.normalization)
+    assert input_sizes == [3] * (2 * len(triplets))    # one whole triplet at a time
+    for name in ref.store.names():
+        assert res.model.store[name].value.tobytes() == ref.store[name].value.tobytes(), name
 
 
 def test_prm_training_and_accuracy_forward_at_most_a_micro_batch(mini_dataset,

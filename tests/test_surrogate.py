@@ -6,9 +6,10 @@ import pytest
 from pdettc.euler import GridSpec, ICSpec, assemble_dataset, generate_dataset, solve_trajectory
 from pdettc.nn import Param, ParamStore
 from pdettc.rewards import ProcessRewardModel, prm_backbone_config
-from pdettc.surrogate import (Surrogate, TrainConfig, _val_mse, accumulate_loss_grad,
-                              candidate_stream, consecutive_pairs, finetune, fit,
-                              fit_surrogate, select_finetune_trajectories, train)
+from pdettc.surrogate import (_DROPOUT_TAG, _SHUFFLE_TAG, Surrogate, TrainConfig,
+                              _gather, _val_mse, accumulate_loss_grad, candidate_stream,
+                              consecutive_pairs, finetune, fit, fit_surrogate,
+                              select_finetune_trajectories, train)
 from pdettc.vit import MODE_DETERMINISTIC, MODE_STOCHASTIC, MODE_TRAIN, ModelConfig
 
 
@@ -145,7 +146,12 @@ def test_non_finite_forward_diverges_and_keeps_the_best_weights(rp_dataset):
 
 def test_finetune_zero_trajectories_is_identity(rp_surrogate, rp_dataset):
     out = finetune(rp_surrogate, rp_dataset, 0, TrainConfig(lr=1e-3, seed=0))
-    assert out.history == [] and not out.diverged
+    assert not out.diverged
+    # no epoch ran: the history is the epoch -1 record of the kept weights
+    assert [(h["epoch"], h["seconds"]) for h in out.history] == [(-1, 0.0)]
+    val = _val_mse(rp_surrogate, rp_dataset,
+                   consecutive_pairs(rp_dataset, rp_dataset.split["val"]))
+    assert out.history[0]["val_mse"] == val
     for n in rp_surrogate.store.names():
         assert np.array_equal(out.model.store[n].value,
                               rp_surrogate.store[n].value)
@@ -238,7 +244,7 @@ def test_micro_batched_gradients_equal_the_whole_batch_gradients(rp_dataset, p):
     s.model.backward(p * np.sign(d) * np.abs(d) ** (p - 1.0) / d.size)
     whole = _grads(s.store)
     s.store.zero_grad()
-    loss = accumulate_loss_grad(s.model, x, target, p, None)
+    loss = accumulate_loss_grad(s.model, len(x), lambda rows: (x[rows], target[rows]), p, None)
     assert loss == pytest.approx(whole_loss, rel=1e-12)
     for name, g in _grads(s.store).items():
         assert np.max(np.abs(g - whole[name])) <= 1e-12 * np.max(np.abs(whole[name])), name
@@ -257,6 +263,53 @@ def test_training_and_validation_forward_at_most_a_micro_batch(rp_dataset, forwa
     pairs = consecutive_pairs(rp_dataset, rp_dataset.split["val"])
     _val_mse(res.model, rp_dataset, pairs)
     assert [n for _, n, _ in sizes] == [4] * (n_val // 4) + [n_val % 4] * (n_val % 4 > 0)
+
+
+def test_training_builds_the_inputs_of_one_micro_batch_at_a_time(rp_dataset, input_sizes):
+    cfg = micro_cfg(rp_dataset.grid)
+    tc = TrainConfig(lr=1e-3, epochs=2, batch_size=16, seed=2)
+    # reference: each optimizer batch's inputs and targets built whole, then sliced
+    ref = Surrogate(cfg, rp_dataset.normalization, init_seed=tc.seed)
+    pairs = consecutive_pairs(rp_dataset, rp_dataset.split["train"])
+    val_pairs = consecutive_pairs(rp_dataset, rp_dataset.split["val"])
+
+    def step(sel, rng):
+        fields, times, targets = _gather(rp_dataset, pairs, sel)
+        x, target = ref.inputs((fields, times)), ref.norm.apply(targets)
+        return accumulate_loss_grad(ref.model, len(sel), lambda rows: (x[rows], target[rows]),
+                                    tc.loss_p, rng)
+
+    def judge(_):
+        return -_val_mse(ref, rp_dataset, val_pairs), {}
+
+    fit(ref, len(pairs), tc.batch_size, tc, (_SHUFFLE_TAG, _DROPOUT_TAG), step, judge)
+    input_sizes.clear()                   # the reference's whole-batch inputs
+    res = train(rp_dataset, cfg, tc)
+    assert len(input_sizes) > 2 * len(pairs) // 4
+    assert max(input_sizes) <= res.model.model.micro_batch == 4
+    for name in ref.store.names():
+        assert res.model.store[name].value.tobytes() == ref.store[name].value.tobytes(), name
+
+
+def test_inference_allocates_no_gradient_buffers(rp_surrogate, rp_dataset, tmp_path):
+    """A gradient buffer exists once `zero_grad` or a backward has run (the
+    private slot is read, since reading `Param.grad` allocates it)."""
+    def allocated(net):
+        return [p._grad is not None for p in net.store.params.values()]
+
+    rp_surrogate.save(tmp_path / "s.ckpt")
+    prm = ProcessRewardModel(prm_backbone_config(rp_surrogate.config), rp_dataset.normalization)
+    prm.save(tmp_path / "prm.ckpt")
+    s = Surrogate.from_checkpoint(tmp_path / "s.ckpt")
+    prm = ProcessRewardModel.from_checkpoint(tmp_path / "prm.ckpt")
+    u = rp_dataset.trajectories[0].snapshots[0]
+    prm.score(u, s.sample_candidates(u, 2, rollout_seed=1, t_index=0))
+    assert not any(allocated(s)) and not any(allocated(prm))
+    prm.store.zero_grad()
+    assert all(allocated(prm))
+    x = s.inputs((u.fields()[None], u.t))
+    s.model.backward(np.ones_like(s.model.forward(x, MODE_TRAIN, candidate_stream(1, 0, 0))))
+    assert all(allocated(s))
 
 
 def test_training_twice_on_one_seed_gives_identical_checkpoints(rp_dataset, tmp_path):
