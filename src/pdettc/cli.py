@@ -283,28 +283,29 @@ def cmd_train_prm(cfg: dict, from_path: str, data_path: str, out_path: str,
                        **{k: p[k] for k in _field_defaults(rewards.PRMConfig)})
     ds = storage.load_dataset(data_path)
     _check_grid(model, from_path, (ds.grid.nx, ds.grid.ny), data_path)
+    holdout_ids = ds.split["val"]
+    if p["holdout_trajectories"]:
+        holdout_ids = holdout_ids[: p["holdout_trajectories"]]
     if triplets_in:
         train_triplets = rewards.load_triplets(triplets_in)
-        holdout = []
         if not train_triplets:
             raise ConfigError(f"{triplets_in} holds no triplets")
         _check_grid(model, from_path, train_triplets[0].current.rho.shape, triplets_in)
+        print(f"building holdout triplets: K={p['k_candidates']} over "
+              f"{len(holdout_ids)} trajectories")
     else:
         train_ids = _train_ids(ds, data_path, "train-prm")
         if p["train_trajectories"]:
             train_ids = train_ids[: p["train_trajectories"]]
-        holdout_ids = ds.split["val"]
-        if p["holdout_trajectories"]:
-            holdout_ids = holdout_ids[: p["holdout_trajectories"]]
         print(f"building triplets: K={p['k_candidates']} over "
               f"{len(train_ids)} train + {len(holdout_ids)} holdout trajectories")
         train_triplets = rewards.build_prm_triplets(
             model, ds, p["k_candidates"], cfg["seed"], indices=train_ids)
-        holdout = rewards.build_prm_triplets(
-            model, ds, p["k_candidates"], cfg["seed"] + 1, indices=holdout_ids)
         if triplets_out:
             rewards.save_triplets(triplets_out, train_triplets, ds.grid, ds.gamma)
             print(f"wrote {len(train_triplets)} triplets to {triplets_out}")
+    holdout = rewards.build_prm_triplets(
+        model, ds, p["k_candidates"], cfg["seed"] + 1, indices=holdout_ids)
 
     def log(rec):
         print(f"epoch {rec['epoch']}: loss {rec['train_loss']:.6g} "

@@ -22,9 +22,10 @@ Module constants that meet activations are Python floats, because a
 NumPy float64 scalar would promote a float32 array to float64.  GELU
 evaluates erf with the C library's `math.erf`, element by element, in
 float64 and with a float32 rational approximation (`_erf32`, max abs
-error below 1e-6) in float32.  Only float64 passes, such as the
-gradient checks, pay for the elementwise loop; the package needs NumPy
-alone.
+error below 1e-6) in float32, where Phi(x) comes from erf/2 with the 1/2
+folded exactly into the numerator's coefficients.  Only float64 passes,
+such as the gradient checks, pay for the elementwise loop; the package
+needs NumPy alone.
 
 Only a train forward caches.  Every forward takes ``train`` (default
 True); the model passes True in MODE_TRAIN only.  A train forward keeps
@@ -35,11 +36,11 @@ What a train forward keeps, per layer:
 - Affine: its input as a 2-D array (PatchEmbed and PatchDecode cache
   only through their Affine);
 - LayerNorm: x-hat and 1/sigma;
-- Gelu: its input and 1 + erf(x/sqrt(2)), which backward halves into
-  the normal CDF instead of evaluating erf again;
+- Gelu: its input and the normal CDF Phi(x), which backward reuses
+  instead of evaluating erf again;
 - Dropout: its bool mask;
-- MultiHeadSelfAttention: the scaled q, k, v and the key-major
-  attention before dropout.
+- MultiHeadSelfAttention: the scaled q, k, v, the unnormalised key-major
+  attention e before dropout and 1 / (its sum over the keys).
 
 Every cache is as large as the batch the forward saw.  Backward adds
 into the parameter gradients, so the training loops forward and
@@ -50,27 +51,42 @@ caches hold one micro-batch, not the batch.
 An inference forward (``train=False``) drops every cache the layer held, so
 a model that only samples or scores keeps no backward state, and it works
 in place where its input is a temporary that nothing else holds:
-dropout scales its input, and LayerNorm normalises, scales and shifts
-its centred copy.  Affine adds its bias into the matmul product and a
-block sums its residual into the attention output in every mode.  An
-inference forward computes bit for bit what a train forward computes.
+dropout scales its input, attention masks its exponentials, GELU forms
+x * Phi(x) in the buffer of Phi, and LayerNorm normalises, scales and
+shifts its centred copy.  Affine adds its bias into the matmul product
+and a block sums its residual into the attention output in every mode.
+An inference forward computes bit for bit what a train forward
+computes.
 
-Attention runs key-major.  q is pre-scaled by head_dim**-0.5, the scores
-are sT = k @ q^T with shape (batch, heads, keys, queries), softmax runs
-along axis -2 (each column holds one query's weights), the dropout mask
-is drawn in that (b, h, key, query) layout, and ctx = attn_d^T @ v.
-Softmax's reductions and the mask then run across contiguous rows, which
-NumPy does about twice as fast as reductions along the last axis.  A
-train forward caches the scaled q, k, v and the normalised key-major
-attention, not the dropped-out copy, which backward rebuilds from the
-dropout mask.  A dropout layer keeps its bool mask until its next
-forward, because attention's backward applies the mask twice.
+Attention runs key-major and normalises after the value product.  q is
+pre-scaled by head_dim**-0.5, the scores are sT = k @ q^T with shape
+(batch, heads, keys, queries), and `softmax` turns them in place into
+e = exp(sT - max) along axis -2 (each column holds one query's weights)
+and returns the column sums z.  The dropout mask is drawn in that
+(b, h, key, query) layout and multiplies e; nothing divides e.  Instead
+ctx = e_d^T @ v is scaled per query by 1/z, times 1/(1 - p) when the
+mask is on, in the one pass that lays ctx out as the (b, n, h, dh)
+tokens the projection reads.  That pass covers head_dim elements per
+query where a divide and a dropout scale covered the keys twice (16
+against 2 x 169 on the desk model).  Softmax's reductions and the mask
+run across contiguous rows, which NumPy does about twice as fast as
+reductions along the last axis.  A train forward caches the scaled q,
+k, v, e before dropout and 1/z; backward rebuilds the normalised
+attention from them, and its dropped-out copy from the dropout mask.  A
+dropout layer keeps its bool mask until its next forward, because
+attention's backward applies the mask twice.
+
+LayerNorm takes its row mean and variance as products with a 1/D
+column, a BLAS matrix-vector product instead of two reductions along
+the last axis; its backward formula is the textbook one.
 
 Dropout is the only stochastic layer.  Each mask is one draw of raw
 16-bit values from an :class:`~pdettc.rng.RngStream` (`RngStream.bits16`),
 kept where a value is at least ceil(p * 2**16), and stored as a bool
 array, so a forward pass is reproducible from (seed, stream, counter)
-alone.
+alone.  A mask multiplies as its uint8 view, which gives the bool
+product's bits at less cost; a float32 {0, 1/(1-p)} mask would fold in
+the scale but costs more to build than the pass it saves.
 """
 
 from __future__ import annotations
@@ -90,6 +106,7 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
           -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
           -1.60960333262415e-02)
+_HALF_ERF_P = tuple(0.5 * c for c in _ERF_P)       # exact: powers of two commute
 _ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
           -7.37332916720468e-03, -1.42647390514189e-02)
 
@@ -181,11 +198,15 @@ def trunc_normal(rng: RngStream, shape, std: float = 0.02) -> np.ndarray:
     return np.clip(rng.normal(size=shape, scale=std), -2.0 * std, 2.0 * std)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = x - np.max(x, axis=axis, keepdims=True)
-    np.exp(e, out=e)
-    e /= np.sum(e, axis=axis, keepdims=True)
-    return e
+def softmax(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """The unnormalised softmax along ``axis``, in place: x becomes
+    e = exp(x - max) and is returned with its sums along ``axis`` (kept
+    as a length-1 axis).  The softmax is e / sums; the caller divides
+    where that is cheapest.  x must be a temporary that nothing else
+    holds."""
+    x -= np.max(x, axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    return x, np.sum(x, axis=axis, keepdims=True)
 
 
 def softmax_backward(y: np.ndarray, dy: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -241,9 +262,12 @@ class LayerNorm:
         yield f"{prefix}.b", self.b
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        mu = x.mean(axis=-1, keepdims=True)
+        d = x.shape[-1]
+        mean_col = np.full((d, 1), 1.0 / d, dtype=x.dtype)   # row means by matmul
+        stat_shape = (*x.shape[:-1], 1)
+        mu = (x.reshape(-1, d) @ mean_col).reshape(stat_shape)
         xc = x - mu
-        var = np.mean(xc * xc, axis=-1, keepdims=True)
+        var = ((xc * xc).reshape(-1, d) @ mean_col).reshape(stat_shape)
         inv = 1.0 / np.sqrt(var + LN_EPS)
         xc *= inv                                       # x-hat
         self._xhat, self._inv = (xc, inv) if train else (None, None)
@@ -263,17 +287,19 @@ class LayerNorm:
         return dx
 
 
-def _erf32(x: np.ndarray) -> np.ndarray:
-    """erf of a float32 array in float32, max abs error below 1e-6.
+def _erf32(x: np.ndarray, num: tuple = _ERF_P) -> np.ndarray:
+    """erf of a float32 array in float32, max abs error below 1e-6; with
+    ``num`` = `_HALF_ERF_P`, exactly half of it (a subnormal result aside).
 
-    Odd, +-1 at +-inf, and NaN where x is NaN.  Horner steps write in
-    place, so a call allocates four arrays of x's size.
+    Odd, +-1 at +-inf, and NaN where x is NaN.  x is clipped in place, so
+    it must be a temporary that nothing else holds; the Horner steps write
+    in place too, so a call allocates three arrays of x's size.
     """
-    x = np.clip(x, -4.0, 4.0)
+    np.clip(x, -4.0, 4.0, out=x)
     x2 = x * x
-    p = x2 * _ERF_P[0]
-    p += _ERF_P[1]
-    for c in _ERF_P[2:]:
+    p = x2 * num[0]
+    p += num[1]
+    for c in num[2:]:
         p *= x2
         p += c
     p *= x
@@ -291,35 +317,48 @@ _erf64 = np.vectorize(math.erf, otypes=[np.float64])
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
-    """erf in x's dtype: `_erf32` for float32, `math.erf` per element
-    (in float64) otherwise."""
-    return _erf32(x) if x.dtype == np.float32 else _erf64(x)
+    """erf in x's dtype, leaving x alone: `_erf32` for float32, `math.erf`
+    per element (in float64) otherwise."""
+    return _erf32(x.copy()) if x.dtype == np.float32 else _erf64(x)
+
+
+def _half_erf(x: np.ndarray) -> np.ndarray:
+    """erf / 2 in x's dtype, bit for bit half of `_erf` where that is
+    normal.  A float32 x is overwritten, so it must be a temporary."""
+    if x.dtype == np.float32:
+        return _erf32(x, _HALF_ERF_P)
+    y = _erf64(x)
+    y *= 0.5
+    return y
 
 
 class Gelu:
     """x * Phi(x) with the exact normal CDF: erf from `math.erf` in
-    float64, from `_erf32` in float32."""
+    float64, from `_erf32` in float32.
+
+    Phi(x) = erf(x / sqrt 2) / 2 + 1/2 comes from the halved erf, whose
+    every Horner intermediate is exactly half of erf's, so x * Phi(x) is
+    bit for bit the textbook 0.5 * x * (1 + erf(x / sqrt 2)) with one pass
+    fewer.
+    """
 
     def __init__(self):
         self._x = None
-        self._cdf2 = None                # 1 + erf(x / sqrt(2)), i.e. 2 * Phi(x)
+        self._cdf = None                 # Phi(x)
 
     def named_params(self, prefix: str):
         return iter(())
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        cdf2 = _erf(x * _INV_SQRT2)
-        cdf2 += 1.0
-        self._x, self._cdf2 = (x, cdf2) if train else (None, None)
-        y = cdf2 * x if train else np.multiply(cdf2, x, out=cdf2)
-        y *= 0.5
-        return y
+        cdf = _half_erf(x * _INV_SQRT2)
+        cdf += 0.5
+        self._x, self._cdf = (x, cdf) if train else (None, None)
+        return cdf * x if train else np.multiply(cdf, x, out=cdf)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x = self._x
-        cdf = 0.5 * self._cdf2
+        x, cdf = self._x, self._cdf
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        self._x = self._cdf2 = None
+        self._x = self._cdf = None
         return dy * (cdf + x * pdf)
 
 
@@ -345,6 +384,18 @@ class Dropout:
     def named_params(self, prefix: str):
         return iter(())
 
+    def _draw(self, shape, active: bool, rng: RngStream | None,
+              train: bool) -> np.ndarray | None:
+        """This forward's keep mask, as uint8 0/1 to multiply by, or None
+        when dropout is off.  With ``train`` the bool mask is kept for
+        backward, else it is dropped."""
+        if not active or self.p == 0.0:
+            self._mask = None
+            return None
+        mask = rng.bits16(shape) >= self.threshold
+        self._mask = mask if train else None
+        return mask.view(np.uint8)
+
     def forward(self, x: np.ndarray, active: bool, rng: RngStream | None,
                 train: bool = True) -> np.ndarray:
         """x with this forward's mask applied when ``active``.
@@ -353,11 +404,9 @@ class Dropout:
         backward; without it the mask is dropped and x is overwritten, so
         x must be a temporary that nothing else holds.
         """
-        if not active or self.p == 0.0:
-            self._mask = None
+        mask = self._draw(x.shape, active, rng, train)
+        if mask is None:
             return x
-        mask = rng.bits16(x.shape) >= self.threshold
-        self._mask = mask if train else None
         y = x * mask if train else np.multiply(x, mask, out=x)
         y *= self.scale
         return y
@@ -365,7 +414,7 @@ class Dropout:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._mask is None:
             return dy
-        dx = dy * self._mask
+        dx = dy * self._mask.view(np.uint8)
         dx *= self.scale
         return dx
 
@@ -397,18 +446,28 @@ class MultiHeadSelfAttention:
         qkv = self.qkv.forward(x, train).reshape(b, n, 3, h, dh)
         q, k, v = (np.ascontiguousarray(qkv[:, :, i].transpose(0, 2, 1, 3)) for i in range(3))
         q *= self.scale
-        attn = softmax(k @ q.swapaxes(-1, -2), axis=-2)   # (b, h, key, query)
-        attn_d = self.attn_drop.forward(attn, active, rng, train)
-        ctx = attn_d.swapaxes(-1, -2) @ v                 # (b, h, query, dh)
-        ctx = ctx.transpose(0, 2, 1, 3).reshape(b, n, d)
-        out = self.proj.forward(ctx, train)
+        e, z = softmax(k @ q.swapaxes(-1, -2), axis=-2)   # (b, h, key, query)
+        inv = 1.0 / z                                      # (b, h, 1, query)
+        mask = self.attn_drop._draw(e.shape, active, rng, train)
+        if mask is None:
+            e_d, r = e, inv
+        else:
+            e_d = e * mask if train else np.multiply(e, mask, out=e)
+            r = inv * self.attn_drop.scale
+        # ctx = attn_d^T @ v, normalised per query while it is laid out as
+        # the (b, n, h, dh) tokens the projection reads
+        ctx = np.empty((b, n, h, dh), dtype=e.dtype)
+        np.multiply(e_d.swapaxes(-1, -2) @ v, r.swapaxes(-1, -2),
+                    out=ctx.transpose(0, 2, 1, 3))
+        out = self.proj.forward(ctx.reshape(b, n, d), train)
         out = self.proj_drop.forward(out, active, rng, train)
-        self._cache = (q, k, v, attn) if train else None
+        self._cache = (q, k, v, e, inv) if train else None
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        q, k, v, attn = self._cache                  # q is scaled, attn key-major
+        q, k, v, e, inv = self._cache                # q is scaled, e key-major
         self._cache = None
+        attn = np.multiply(e, inv, out=e)           # the softmax of the forward
         b, h, n, dh = q.shape
         d = h * dh
         dout = self.proj_drop.backward(dy)

@@ -346,10 +346,11 @@ def fit_surrogate(surrogate: Surrogate, dataset: Dataset, indices, cfg: TrainCon
                   log=None) -> TrainResult:
     """`fit` ``surrogate``, in place, to the consecutive pairs of the
     trajectories ``indices``, keeping the weights of the lowest MSE on the
-    val split's pairs (on the training pairs when it has none).  When no
-    epoch ran, the history is one epoch -1 record of the kept weights."""
+    val split's pairs, or of the lowest train loss when the split is empty
+    (``val_mse`` is then NaN).  When no epoch ran, the history is one
+    epoch -1 record of the kept weights."""
     train_pairs = consecutive_pairs(dataset, indices)
-    val_pairs = consecutive_pairs(dataset, dataset.split["val"]) or train_pairs
+    val_pairs = consecutive_pairs(dataset, dataset.split["val"])
     if not train_pairs and cfg.epochs:
         raise ValueError("no training pairs available")
 
@@ -361,8 +362,8 @@ def fit_surrogate(surrogate: Surrogate, dataset: Dataset, indices, cfg: TrainCon
         return accumulate_loss_grad(surrogate.model, len(sel), build, cfg.loss_p, rng)
 
     def judge(train_loss):
-        val = _val_mse(surrogate, dataset, val_pairs)
-        return -val, {"val_mse": val}
+        val = _val_mse(surrogate, dataset, val_pairs) if val_pairs else np.nan
+        return (-val if val_pairs else -train_loss), {"val_mse": val}
 
     result = fit(surrogate, len(train_pairs), cfg.batch_size, cfg,
                  (_SHUFFLE_TAG, _DROPOUT_TAG), step, judge, log)

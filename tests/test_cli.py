@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -423,6 +425,37 @@ def test_finetune_without_trajectories_or_without_epochs_reports_the_same(
     summary, rows = outputs[0]
     assert "finetune: best val MSE " in summary and " over 0 epochs; " in summary
     assert rows.splitlines()[1].startswith("-1,nan,") and len(rows.splitlines()) == 2
+
+
+def test_finetune_without_a_val_split_reports_the_same_either_way(
+        small_run, tmp_path, monkeypatch, capsys):
+    # no val pairs: no held-out figure, rather than an MSE on the training pairs
+    outputs = []
+    for flags in (["--n-traj", "0"], ["--n-traj", "1", "--epochs", "0"]):
+        capsys.readouterr()
+        assert cli.main(["finetune", "--seed", "3", "--from", small_run["ckpt"],
+                         "--data", small_run["data"], *flags,
+                         "--out", str(tmp_path / "ft.ckpt")]) == cli.EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "finetune: best val MSE nan over 0 epochs; " in outputs[0]
+
+
+def test_train_prm_from_stored_triplets_reports_a_holdout_accuracy(
+        small_run, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen-data", "--seed", "3", "--families", "rp", "--n", "3", "--grid",
+                     "16", "--split", "0.34,0.33,0.33", "--out", "d.pdt"]) == cli.EXIT_OK
+    run = ["train-prm", "--seed", "3", "--from", small_run["ckpt"], "--data", "d.pdt",
+           "--K", "3", "--epochs", "2"]
+    assert cli.main([*run, "--triplets-out", "t.npz", "--out", "a.ckpt"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main([*run, "--triplets-in", "t.npz", "--out", "b.ckpt"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    accs = [float(a) for a in re.findall(r"holdout acc (\S+)", out)]
+    assert len(accs) == 2 and all(math.isfinite(a) for a in accs)
+    best = float(re.search(r"best early-stopping accuracy (\S+);", out).group(1))
+    assert best == max(accs)
 
 
 def test_rollout_saves_each_record_before_the_next_rollout(small_run, tmp_path,

@@ -12,7 +12,7 @@ import fd
 from pdettc.nn import (AdamW, Affine, Block, Dropout, Gelu, LayerNorm, Mlp,
                        MultiHeadSelfAttention, NonFiniteActivation,
                        NonFiniteGradient, Param, ParamStore, PatchDecode,
-                       PatchEmbed, _erf, softmax, softmax_backward)
+                       PatchEmbed, _erf, _erf32, softmax, softmax_backward)
 from pdettc.rng import RngStream
 from pdettc.vit import (L2_BYTES, MODE_DETERMINISTIC, MODE_STOCHASTIC, MODE_TRAIN,
                         ModelConfig, VisionTransformer)
@@ -42,7 +42,9 @@ def test_affine_shape_mismatch_raises():
 
 def test_softmax_rows_sum_to_one(np_rng):
     x = np_rng.normal(size=(6, 11)) * 7.0
-    y = softmax(x, axis=-1)
+    e, sums = softmax(x, axis=-1)
+    assert sums.shape == (6, 1) and np.all(e.max(axis=-1) == 1.0)
+    y = e / sums
     assert np.all(np.abs(y.sum(axis=-1) - 1.0) <= 1e-12)
     assert np.all(y >= 0.0)
 
@@ -102,10 +104,13 @@ def test_layernorm_gelu_softmax_grads(seed):
     assert fd.check_param_grads(loss, _store(ln), rng) < fd.REL_TOL
     assert fd.check_input_grad(loss, x, dx, rng) < fd.REL_TOL
 
-    y = softmax(x, axis=-1)
-    dxs = softmax_backward(y, w)
+    def normalised():
+        e, sums = softmax(x.copy(), axis=-1)
+        return e / sums
+
+    dxs = softmax_backward(normalised(), w)
     def loss_s():
-        return float(np.sum(softmax(x, axis=-1) * w))
+        return float(np.sum(normalised() * w))
     assert fd.check_input_grad(loss_s, x, dxs, rng) < fd.REL_TOL
 
 
@@ -161,7 +166,8 @@ def test_mhsa_single_token_is_value_projection():
                                    rng=RngStream(5, 1))
     x = np.random.default_rng(2).normal(size=(1, 1, 6))
     out = layer.forward(x, False, None)
-    attn = layer._cache[3]                      # pre-dropout attention of that forward
+    e, inv = layer._cache[3:]                   # unnormalised attention, 1 / its sums
+    attn = e * inv                              # pre-dropout attention of that forward
     assert attn.shape == (1, 2, 1, 1) and np.allclose(attn, 1.0)
     v = layer.qkv.forward(x)[..., 12:]          # value slice of qkv
     assert np.allclose(out, layer.proj.forward(v), atol=1e-12)
@@ -171,7 +177,9 @@ def test_mhsa_attention_rows_stochastic(np_rng):
     layer = MultiHeadSelfAttention(dim=8, n_heads=4, dropout_p=0.0,
                                    rng=RngStream(6, 1))
     layer.forward(np_rng.normal(size=(3, 6, 8)), False, None)
-    attn = layer._cache[3]                      # pre-dropout attention, (b, h, key, query)
+    e, inv = layer._cache[3:]
+    assert inv.shape == (3, 4, 1, 6)
+    attn = e * inv                              # pre-dropout attention, (b, h, key, query)
     assert attn.shape == (3, 4, 6, 6)
     assert np.max(np.abs(attn.sum(axis=-2) - 1.0)) < 1e-12    # each query's weights
     assert np.all(attn >= 0.0)
@@ -197,6 +205,35 @@ def test_mhsa_matches_plain_softmax_attention(seed):
     for train in (True, False):
         out = layer.forward(x, False, None, train)      # dropout off
         assert np.max(np.abs(out - ref)) <= 1e-12
+
+
+def test_float32_attention_with_dropout_matches_normalise_then_mask(np_rng):
+    # the deferred normalisation against the textbook order: softmax, mask
+    # and scale the weights, then the value product
+    b, n, dim, h, p = 2, 9, 16, 4, 0.3
+    dh = dim // h
+    layer = MultiHeadSelfAttention(dim=dim, n_heads=h, dropout_p=p, rng=RngStream(8, 5))
+    layer.qkv.w.value *= 40.0                   # scores of order one, not uniform weights
+    layer.qkv.w.changed()
+    x = _f32(np_rng, b, n, dim)
+    out = layer.forward(x, True, RngStream(3, 1))
+    keep_attn = layer.attn_drop._mask.astype(np.float64)    # (b, h, key, query)
+    keep_proj = layer.proj_drop._mask.astype(np.float64)
+    assert out.dtype == np.float32 and not keep_attn.all()
+    assert np.array_equal(layer.forward(x, True, RngStream(3, 1), train=False), out)
+
+    w = {k: v.like(x).astype(np.float64) for k, v in _store(layer).params.items()}
+    qkv = x.astype(np.float64) @ w["l.qkv.w"] + w["l.qkv.b"]
+    ctx = np.empty((b, n, dim))
+    for head in range(h):
+        q, k, v = (qkv[..., (i * h + head) * dh:(i * h + head + 1) * dh] for i in range(3))
+        s = np.einsum("bqc,bkc->bqk", q, k) / np.sqrt(dh)
+        a = np.exp(s - s.max(axis=-1, keepdims=True))
+        a /= a.sum(axis=-1, keepdims=True)
+        a *= keep_attn[:, head].swapaxes(-1, -2) / (1.0 - p)
+        ctx[..., head * dh:(head + 1) * dh] = a @ v
+    ref = (ctx @ w["l.proj.w"] + w["l.proj.b"]) * keep_proj / (1.0 - p)
+    assert np.max(np.abs(out - ref)) <= 4e-6 * np.max(np.abs(ref))      # ~32 float32 eps
 
 
 def test_mhsa_permutation_equivariance(np_rng):
@@ -325,9 +362,30 @@ def test_gelu_float64_and_softmax_bitwise_equal_to_the_plain_formulas(np_rng):
         for axis in (-1, 1):
             e = np.exp(z - np.max(z, axis=axis, keepdims=True))
             old = e / np.sum(e, axis=axis, keepdims=True)
-            got = softmax(z, axis=axis)
-            assert got.dtype == dtype
-            assert np.array_equal(got.view(view), old.view(view))
+            zc = z.copy()
+            got_e, got_sums = softmax(zc, axis=axis)
+            assert got_e is zc and got_e.dtype == got_sums.dtype == dtype
+            assert np.array_equal(got_e.view(view), e.view(view))
+            assert np.array_equal((got_e / got_sums).view(view), old.view(view))
+
+
+def test_float32_gelu_bitwise_equal_to_the_textbook_formula():
+    # Phi(x) = erf/2 + 1/2 from the halved erf coefficients rounds exactly
+    # as 0.5 * x * (1 + erf(x / sqrt 2)) does, over the whole float32 range
+    grid = np.linspace(-12.0, 12.0, 2_000_001, dtype=np.float32)
+    tiny = np.finfo(np.float32).smallest_subnormal * np.arange(1, 2_000, dtype=np.float32)
+    huge = np.array([6.0001, 7.5, 1e3, 1e30, np.finfo(np.float32).max], dtype=np.float32)
+    special = np.array([0.0, np.inf, np.nan], dtype=np.float32)
+    x = np.concatenate([grid, tiny, huge, special])
+    x = np.concatenate([x, -x])
+    x0 = x.copy()
+    with np.errstate(invalid="ignore"):            # -inf * Phi(-inf) = -inf * 0
+        want = 0.5 * x * (1.0 + _erf32(x * (1.0 / math.sqrt(2.0))))
+        for train in (True, False):
+            got = Gelu().forward(x, train)
+            assert got.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    assert np.array_equal(x.view(np.uint32), x0.view(np.uint32))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -375,12 +433,14 @@ def test_every_layer_stays_float32_on_the_sampling_path(np_rng):
     r = RngStream(3, 1)
     emb = PatchEmbed(8, 8, 3, 5, 8, RngStream(1))
     tokens = _f32(np_rng, 2, 9, 8)
+    e, sums = softmax(tokens.copy())
     outputs = {
         "affine": Affine(8, 4, RngStream(0)).forward(tokens),
         "layernorm": LayerNorm(8).forward(tokens),
         "gelu": Gelu().forward(tokens),
         "dropout": Dropout(0.3).forward(tokens, True, r),
-        "softmax": softmax(tokens),
+        "softmax": e,
+        "softmax sums": sums,
         "mhsa": MultiHeadSelfAttention(8, 2, 0.1, RngStream(2)).forward(tokens, True, r),
         "mlp": Mlp(8, 16, 0.1, RngStream(2)).forward(tokens, True, r),
         "block": Block(8, 2, 2.0, 0.1, RngStream(2)).forward(tokens, True, r),
