@@ -10,9 +10,10 @@ key as its argparse ``dest`` (``--epochs`` of train is ``train.epochs``),
 except ``--grid``, which sets both ``grid.nx`` and ``grid.ny``.  Values
 are checked where they become a grid, a training or PRM config, a family
 list or a rollout length, before a command does any work; the worker
-cap ``jobs`` and ``data.n_per_family`` must be at least 1 for every
-command.  Every command is deterministic given its effective config;
-artifacts embed the config digest that produced them.
+cap ``jobs`` (``--jobs`` of gen-data, train-prm and rollout) and
+``data.n_per_family`` must be at least 1 for every command.  Every
+command is deterministic given its effective config; artifacts embed the
+config digest that produced them.
 
 Exit codes: 0 ok, 2 config or input error (a bad flag or config value, a
 missing, corrupt or mismatched input file; one line on stderr), 3
@@ -373,17 +374,16 @@ def cmd_rollout(cfg: dict, surrogate_path: str, data_path: str, prm_path: str | 
     return EXIT_OK
 
 
-def _evaluate_records(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> tuple:
+def _evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> tuple:
     """Evaluate the rollouts indexed under records_dir against their truth,
-    loading one record at a time.
+    loading one record at a time, and write metrics.csv and summary.json
+    to out_dir.
 
-    Returns (report, finals, truth trajectories, index documents) and
-    creates out_dir.  ``finals`` maps each reward, in the order the
-    indexes first name it, to (ic, B, rho): the final chosen density of
-    its first IC at its largest B.  The truth is the dataset split and IC
-    count the rollouts ran on, as their indexes record them.  Indexes that
-    disagree on these, or that ran on a dataset whose payload differs from
-    data_path's, are a config error.
+    Returns (report, entries, truth trajectories), where each entry is
+    (reward, ic, B, record base path).  The truth is the dataset split and
+    IC count the rollouts ran on, as their indexes record them.  Indexes
+    that disagree on these, or that ran on a dataset whose payload differs
+    from data_path's, are a config error.
     """
     ds = storage.load_dataset(data_path)
     records_dir = Path(records_dir)
@@ -413,62 +413,52 @@ def _evaluate_records(cfg: dict, records_dir: str, data_path: str, out_dir: str)
     if len(trajs) < n_ics:
         raise ConfigError(f"the rollouts ran on {n_ics} {which} trajectories; "
                           f"the dataset split has {len(trajs)}")
-    render_at = {}
-    for reward, ic, b, _ in entries:
-        first, top = render_at.get(reward, (ic, b))
-        render_at[reward] = (min(first, ic), max(top, b))
-    finals = dict.fromkeys(render_at)
-
-    def records():
-        for reward, ic, b, path in entries:
-            rec = ttc.load_rollout_record(path)
-            if render_at[reward] == (ic, b):
-                finals[reward] = (ic, b, rec.chosen[-1].rho.copy())
-            yield reward, ic, b, rec
-            del rec     # before the next record is loaded
-
-    report = metrics.evaluate(records(), trajs, ds.normalization, ds.gamma,
+    records = ((reward, ic, b, ttc.load_rollout_record(path))
+               for reward, ic, b, path in entries)
+    report = metrics.evaluate(records, trajs, ds.normalization, ds.gamma,
                               dataset_label=Path(data_path).stem,
                               model_label=cfg["model"]["patch"])
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    return report, finals, trajs, meta
-
-
-def cmd_evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> int:
-    report, _, _, meta = _evaluate_records(cfg, records_dir, data_path, out_dir)
     out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     metrics.write_rows_csv(out / "metrics.csv", report.rows)
     metrics.write_summary_json(out / "summary.json", report,
                                extra={"config_digest": config_digest(cfg),
                                       "sources": [m["config_digest"] for m in meta]})
-    print(f"wrote {out / 'metrics.csv'} ({len(report.rows)} rows)")
+    return report, entries, trajs
+
+
+def cmd_evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> int:
+    report, _, _ = _evaluate(cfg, records_dir, data_path, out_dir)
+    print(f"wrote {Path(out_dir) / 'metrics.csv'} ({len(report.rows)} rows)")
     for (reward, b), gain in sorted(report.aggregates.items()):
         print(f"aggregate_gain reward={reward} B={b}: {gain:.3f}%")
     return EXIT_OK
 
 
 def cmd_report(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> int:
-    report, finals, trajs, _ = _evaluate_records(cfg, records_dir, data_path, out_dir)
+    report, entries, trajs = _evaluate(cfg, records_dir, data_path, out_dir)
     out = Path(out_dir)
-    metrics.write_summary_json(out / "summary.json", report,
-                               extra={"config_digest": config_digest(cfg)})
+    drawn = {}      # reward -> (ic, B, base path) of its first IC at its largest B
+    for reward, ic, b, path in entries:
+        first, top, _ = drawn.get(reward, (ic, b, path))
+        if (ic, -b) <= (first, -top):
+            drawn[reward] = (ic, b, path)
     emitted = []
-    for reward in finals:
-        series = {}
-        for (rw, b), curve in sorted(report.curves.items()):
-            if rw == reward:
-                series[f"B={b}"] = (list(range(1, len(curve) + 1)), curve)
+    for reward, (ic, bmax, path) in drawn.items():
+        series = {f"B={b}": (list(range(1, len(curve) + 1)), curve)
+                  for (rw, b), curve in sorted(report.curves.items()) if rw == reward}
         svg = out / f"mse_vs_t_{reward}.svg"
         render.write_line_svg(svg, series, title=f"Rollout MSE ({reward})",
                               xlabel="timestep", ylabel="MSE", log_y=True)
-        emitted.append(svg.name)
-    # field renders: truth vs chosen final density of the first IC at max B
-    for reward, (ic, bmax, rho) in finals.items():
-        render.write_field_ppm(out / f"field_truth_rho_ic{ic:03d}.ppm",
-                               trajs[ic].snapshots[-1].rho)
-        render.write_field_ppm(out / f"field_{reward}_B{bmax}_rho_ic{ic:03d}.ppm", rho)
-        emitted += [f"field_truth_rho_ic{ic:03d}.ppm",
-                    f"field_{reward}_B{bmax}_rho_ic{ic:03d}.ppm"]
+        # the final chosen density beside the truth at its time, on one grey scale
+        chosen = ttc.load_rollout_record(path).chosen
+        pred, truth = chosen[-1].rho, trajs[ic].snapshots[len(chosen)].rho
+        lo, hi = min(pred.min(), truth.min()), max(pred.max(), truth.max())
+        images = {f"field_truth_rho_ic{ic:03d}.ppm": truth,
+                  f"field_{reward}_B{bmax}_rho_ic{ic:03d}.ppm": pred}
+        for name, rho in images.items():
+            render.write_field_ppm(out / name, rho, lo, hi)
+        emitted += [svg.name, *images]
     print(f"report images: {', '.join(sorted(set(emitted)))}")
     return EXIT_OK
 
@@ -530,6 +520,9 @@ def _names(text: str) -> list:
 def _add_common(p):
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="override config seed")
+
+
+def _add_jobs(p):
     p.add_argument("--jobs", type=int, help="worker cap for parallel stages")
 
 
@@ -541,6 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a solver dataset")
     _add_common(p)
+    _add_jobs(p)
     p.add_argument("--families", dest="data.families", type=_names,
                    help="comma list, e.g. rp,kh")
     p.add_argument("--n", dest="data.n_per_family", type=int, help="trajectories per family")
@@ -572,6 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-prm", help="build triplets and train the PRM")
     _add_common(p)
+    _add_jobs(p)
     p.add_argument("--from", dest="from_path", required=True,
                    help="surrogate checkpoint")
     p.add_argument("--data", required=True)
@@ -585,6 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rollout", help="greedy best-of-B rollouts on a split")
     _add_common(p)
+    _add_jobs(p)
     p.add_argument("--surrogate", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--prm", help="PRM checkpoint (for --reward prm)")
@@ -603,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out-dir", required=True)
 
-    p = sub.add_parser("report", help="render curves and field images")
+    p = sub.add_parser("report", help="evaluate, then render curves and field images")
     _add_common(p)
     p.add_argument("--records-dir", required=True)
     p.add_argument("--data", required=True)

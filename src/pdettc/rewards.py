@@ -183,15 +183,6 @@ def build_prm_triplets(surrogate: Surrogate, dataset: Dataset, k_candidates: int
     return records
 
 
-def triplet_loss(r_min: float, r_median: float, r_max: float, margin: float) -> float:
-    """Hinge pair pushing score(worst) + margin <= score(median) <= score(best) - margin.
-
-    r_min/r_median/r_max are the PRM scores of the worst/median/best-MSE
-    candidates (higher score = better candidate).
-    """
-    return max(0.0, r_min - r_median + margin) + max(0.0, r_median - r_max + margin)
-
-
 def save_triplets(path, records: list, grid: GridSpec, gamma: float) -> None:
     header = {
         "record_type": "TRIPLET",

@@ -20,8 +20,8 @@ Every file is written to a temporary file in its own directory, synced
 to disk, moved over its path with os.replace, and the directory synced,
 so an interrupted write or a power loss leaves the previous file or the
 complete new one, never a partial file, and a completed write stays.
-Text outputs (rollout metadata, indexes, metrics, images) go through
-`write_text` for the same guarantee.  Readers reject files with bytes
+Text outputs (indexes, metrics, images) go through `write_text` for
+the same guarantee.  Readers reject files with bytes
 after the declared payload.
 """
 
@@ -113,9 +113,12 @@ def _read_header(fh, magic: bytes, path) -> dict:
         raise StorageError(f"{path}: truncated header")
     (n,) = struct.unpack("<Q", size)
     try:
-        return json.loads(fh.read(n).decode("utf-8"))
+        header = json.loads(fh.read(n).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StorageError(f"{path}: corrupt header: {exc}") from None
+    if not isinstance(header, dict):
+        raise StorageError(f"{path}: corrupt header: not a JSON object")
+    return header
 
 
 def write_container(path, header: dict, payload: np.ndarray) -> None:

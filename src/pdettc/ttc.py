@@ -20,7 +20,6 @@ starts from it.  Records store an undefined score as None.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -32,8 +31,7 @@ from .euler import GAMMA_DEFAULT, Normalization, Snapshot, SolverError, Trajecto
 from .rewards import (EnergyReward, MassReward, MomentumReward,
                       OracleMseReward, ProcessRewardModel)
 from .rng import mix64
-from .storage import (StorageError, read_container, read_json, write_container,
-                      write_text)
+from .storage import StorageError, read_container, write_container
 from .surrogate import Surrogate
 
 # Builders of the reward models by name; each takes the keywords of
@@ -190,54 +188,48 @@ def rollout_sweep(surrogate: Surrogate, reward_name: str, trajectories: list,
 
 
 # ---------------------------------------------------------------------------
-# Persistence: <base>.json metadata + <base>.bin field container
+# Persistence: one ROLLOUT container <base>.bin, whose header holds the
+# record's metadata and whose payload holds its states
 
 
 def save_rollout_record(base_path, rec: RolloutRecord) -> None:
-    base = Path(base_path)
     states = rec.states()
-    grid_shape = states[0].rho.shape
-    meta = {
-        "config": asdict(rec.config),
-        "ic_family": rec.ic_family,
-        "ic_seed": rec.ic_seed,
-        "times": [s.t for s in states],
-        "rewards": rec.rewards,
-        "selected": rec.selected,
-        "fallback_steps": rec.fallback_steps,
-        "wall_times": rec.wall_times,
-    }
-    write_text(base.with_suffix(".json"), json.dumps(meta, indent=2) + "\n")
+    nx, ny = states[0].rho.shape
     header = {"record_type": "ROLLOUT", "channel_order": ["rho", "vx", "vy", "p"],
-              "times": meta["times"],
-              "grid": {"nx": grid_shape[0], "ny": grid_shape[1]}}
-    payload = np.stack([s.fields() for s in states])
-    write_container(base.with_suffix(".bin"), header, payload)
+              "grid": {"nx": nx, "ny": ny},
+              "config": asdict(rec.config),
+              "ic_family": rec.ic_family,
+              "ic_seed": rec.ic_seed,
+              "times": [s.t for s in states],
+              "rewards": rec.rewards,
+              "selected": rec.selected,
+              "fallback_steps": rec.fallback_steps,
+              "wall_times": rec.wall_times}
+    write_container(Path(base_path).with_suffix(".bin"), header,
+                    np.stack([s.fields() for s in states]))
 
 
 def load_rollout_record(base_path) -> RolloutRecord:
-    """The record saved at base_path; a metadata file that lacks a key,
-    holds a value of the wrong kind or times another number of states
-    than the container holds raises StorageError naming it."""
-    base = Path(base_path)
-    meta_path = base.with_suffix(".json")
-    meta = read_json(meta_path)
-    header, payload = read_container(base.with_suffix(".bin"), expect_type="ROLLOUT")
+    """The record saved at base_path; a container whose header lacks a
+    key, holds a value of the wrong kind or times another number of
+    states than the payload holds raises StorageError naming it."""
+    path = Path(base_path).with_suffix(".bin")
+    header, payload = read_container(path, expect_type="ROLLOUT")
     try:
-        times = meta["times"]
+        times = header["times"]
         if len(times) != len(payload):
             raise ValueError(f"{len(times)} times for {len(payload)} states")
         states = [Snapshot.from_fields(payload[i], times[i]) for i in range(len(times))]
         return RolloutRecord(
-            config=TTCConfig(**meta["config"]),
-            ic_family=meta["ic_family"], ic_seed=meta["ic_seed"],
+            config=TTCConfig(**header["config"]),
+            ic_family=header["ic_family"], ic_seed=header["ic_seed"],
             start=states[0], chosen=states[1:],
             rewards=[[None if s is None else float(s) for s in row]
-                     for row in meta["rewards"]],
-            selected=list(meta["selected"]),
-            fallback_steps=list(meta["fallback_steps"]),
-            wall_times=list(meta["wall_times"]),
+                     for row in header["rewards"]],
+            selected=list(header["selected"]),
+            fallback_steps=list(header["fallback_steps"]),
+            wall_times=list(header["wall_times"]),
         )
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise StorageError(f"{meta_path}: not a rollout record: "
+        raise StorageError(f"{path}: not a rollout record: "
                            f"{type(exc).__name__} {exc}") from None

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdettc import cli, euler, metrics, rewards, storage, ttc
+from pdettc import cli, euler, metrics, render, rewards, storage, ttc
 from pdettc.surrogate import Surrogate
 
 
@@ -237,8 +237,8 @@ def small_run(tmp_path_factory):
     ("gen-data", ["--n", "-1"], "'data.n_per_family' must be >= 1, got -1"),
     ("gen-data", ["--jobs", "0"], "'jobs' must be >= 1, got 0"),
     ("gen-data", ["--jobs", "-3"], "'jobs' must be >= 1, got -3"),
-    ("train", ["--jobs", "0"], "'jobs' must be >= 1, got 0"),
-    ("finetune", ["--jobs", "-3"], "'jobs' must be >= 1, got -3"),
+    ("train-prm", ["--jobs", "-3"], "'jobs' must be >= 1, got -3"),
+    ("rollout", ["--jobs", "-3"], "'jobs' must be >= 1, got -3"),
     ("train-prm", ["--jobs", "0"], "'jobs' must be >= 1, got 0"),
 ])
 def test_values_the_constructors_reject_exit_before_any_work(
@@ -252,8 +252,10 @@ def test_values_the_constructors_reject_exit_before_any_work(
     inputs = {"gen-data": [],
               "train": ["--data", small_run["data"]],
               "finetune": ["--from", small_run["ckpt"], "--data", small_run["data"]],
-              "train-prm": ["--from", small_run["ckpt"], "--data", small_run["data"]]}
-    _fails_with_one_line(capsys, [command, *inputs[command], *flags, "--out", "out"], match)
+              "train-prm": ["--from", small_run["ckpt"], "--data", small_run["data"]],
+              "rollout": ["--surrogate", small_run["ckpt"], "--data", small_run["data"]]}
+    out = ["--out-dir" if command == "rollout" else "--out", "out"]
+    _fails_with_one_line(capsys, [command, *inputs[command], *flags, *out], match)
     assert not Path("out").exists()
 
 
@@ -300,8 +302,9 @@ def test_gen_data_with_a_pool_writes_the_payload_of_one_process(tmp_path, monkey
 # Each config-bound flag, a value for it, and the config keys it sets to
 # that value.
 _FLAGS = {
-    "*": [("--seed", "7", ["seed"], 7), ("--jobs", "3", ["jobs"], 3)],
+    "*": [("--seed", "7", ["seed"], 7)],
     "gen-data": [
+        ("--jobs", "3", ["jobs"], 3),
         ("--families", "rp,kh", ["data.families"], ["rp", "kh"]),
         ("--n", "5", ["data.n_per_family"], 5),
         ("--grid", "32", ["grid.nx", "grid.ny"], 32),
@@ -323,12 +326,14 @@ _FLAGS = {
         ("--lr", "0.01", ["finetune.lr"], 0.01),
     ],
     "train-prm": [
+        ("--jobs", "3", ["jobs"], 3),
         ("--K", "5", ["prm.k_candidates"], 5),
         ("--alpha", "0.2", ["prm.margin"], 0.2),
         ("--epochs", "3", ["prm.epochs"], 3),
         ("--lr", "0.01", ["prm.lr"], 0.01),
     ],
     "rollout": [
+        ("--jobs", "3", ["jobs"], 3),
         ("--reward", "arm_energy", ["ttc.reward"], "arm_energy"),
         ("--B", "1,2", ["ttc.b_list"], [1, 2]),
         ("--n-ics", "3", ["ttc.n_ics"], 3),
@@ -649,34 +654,109 @@ def test_a_checkpoint_of_the_wrong_kind_exits_2(mismatched, tmp_path, monkeypatc
     assert not Path("out").exists()
 
 
-def test_corrupt_rollout_json_exits_2(small_run, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
+def _short_rollout(small_run, b_list: str) -> None:
+    """Two-step arm_mass rollouts of the first test IC into records/."""
     Path("short.json").write_text(json.dumps({"ttc": {"n_steps": 2}}))
     assert cli.main(["rollout", "--config", "short.json", "--surrogate", small_run["ckpt"],
-                     "--data", small_run["data"], "--reward", "arm_mass", "--B", "1",
+                     "--data", small_run["data"], "--reward", "arm_mass", "--B", b_list,
                      "--n-ics", "1", "--out-dir", "records"]) == cli.EXIT_OK
+
+
+def _edited_record(raw: bytes, edit) -> bytes:
+    """A rollout container's bytes with its header replaced by ``edit`` of
+    it."""
+    (n,) = struct.unpack("<Q", raw[16:24])
+    blob = json.dumps(edit(json.loads(raw[24:24 + n]))).encode()
+    return raw[:16] + struct.pack("<Q", len(blob)) + blob + raw[24 + n:]
+
+
+def test_corrupt_rollout_json_exits_2(small_run, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _short_rollout(small_run, "1")
     index = Path("records/index.json")
-    record = index.parent / (json.loads(index.read_text())["records"][0]["base"] + ".json")
-    meta = json.loads(record.read_text())
-    for path, bad, match in [(index, None, f"input error: {index}: corrupt JSON"),
-                             (record, None, f"input error: {record}: corrupt JSON"),
-                             (index, "[]", f"{index} does not record the split"),
-                             (index, "5", f"{index} does not record the split"),
-                             (record, "{}", f"input error: {record}: not a rollout record: "
-                                            "KeyError 'times'"),
-                             (record, "[]", f"input error: {record}: not a rollout record: "
-                                            "TypeError"),
-                             (record, json.dumps({**meta, "times": meta["times"][:1]}),
-                              f"{record}: not a rollout record: ValueError 1 times for 3 "
-                              "states")]:
-        whole = path.read_text()
-        path.write_text(whole[: len(whole) // 2] if bad is None else bad)
+    record = index.parent / (json.loads(index.read_text())["records"][0]["base"] + ".bin")
+    raw = record.read_bytes()
+    not_a_record = f"input error: {record}: not a rollout record: "
+    for path, bad, match in [
+            (index, None, f"input error: {index}: corrupt JSON"),
+            (record, None, f"input error: {record}: truncated payload"),
+            (index, b"[]", f"{index} does not record the split"),
+            (index, b"5", f"{index} does not record the split"),
+            (record, _edited_record(raw, lambda h: []),
+             f"input error: {record}: corrupt header: not a JSON object"),
+            (record, _edited_record(raw, lambda h: {k: h[k] for k in h if k != "times"}),
+             not_a_record + "KeyError 'times'"),
+            (record, _edited_record(raw, lambda h: {**h, "rewards": 5}),
+             not_a_record + "TypeError"),
+            (record, _edited_record(raw, lambda h: {**h, "times": h["times"][:1]}),
+             not_a_record + "ValueError 1 times for 3 states")]:
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2] if bad is None else bad)
         for command in ("evaluate", "report"):
             _fails_with_one_line(capsys, [command, "--records-dir", "records", "--data",
                                           small_run["data"], "--out-dir", command], match)
-        path.write_text(whole)
+        path.write_bytes(whole)
     assert cli.main(["evaluate", "--records-dir", "records", "--data", small_run["data"],
                      "--out-dir", "evaluate"]) == cli.EXIT_OK
+
+
+def test_a_record_in_the_two_file_layout_exits_2(small_run, tmp_path, monkeypatch, capsys):
+    """A record saved as <base>.json metadata beside a <base>.bin container
+    of the states and their times alone is refused with one line."""
+    monkeypatch.chdir(tmp_path)
+    _short_rollout(small_run, "1")
+    record = Path("records/arm_mass_ic000_B1.bin")
+    header, payload = storage.read_container(record)
+    kept = ("record_type", "channel_order", "times", "grid")
+    storage.write_container(record, {k: header[k] for k in kept}, payload)
+    meta = ("config", "ic_family", "ic_seed", "times", "rewards", "selected",
+            "fallback_steps", "wall_times")
+    Path("records/arm_mass_ic000_B1.json").write_text(json.dumps({k: header[k] for k in meta}))
+    for command in ("evaluate", "report"):
+        _fails_with_one_line(capsys, [command, "--records-dir", "records", "--data",
+                                      small_run["data"], "--out-dir", command],
+                             f"input error: {record}: not a rollout record: KeyError")
+
+
+def test_a_rollout_directory_holds_the_index_and_one_container_per_record(
+        small_run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _short_rollout(small_run, "1,2")
+    bases = [f"arm_mass_ic000_B{b}" for b in (1, 2)]
+    assert sorted(os.listdir("records")) == sorted(
+        ["index.json"] + [f"{b}.bin" for b in bases] + [f"{b}.bin.json" for b in bases])
+
+
+def test_report_writes_the_metrics_and_summary_of_evaluate(small_run, tmp_path,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _short_rollout(small_run, "1,2")
+    for command in ("evaluate", "report"):
+        assert cli.main([command, "--seed", "4", "--records-dir", "records", "--data",
+                         small_run["data"], "--out-dir", command]) == cli.EXIT_OK
+    for name in ("metrics.csv", "summary.json"):
+        assert Path("report", name).read_bytes() == Path("evaluate", name).read_bytes()
+    assert "sources" in json.loads(Path("report/summary.json").read_text())
+
+
+def test_report_draws_the_truth_at_the_time_of_the_prediction(small_run, tmp_path,
+                                                             monkeypatch):
+    """The two-step rollout's final density beside the truth two steps on,
+    not at the trajectory's last snapshot, on the grey scale of the pair."""
+    monkeypatch.chdir(tmp_path)
+    _short_rollout(small_run, "1,2")
+    assert cli.main(["report", "--records-dir", "records", "--data", small_run["data"],
+                     "--out-dir", "report"]) == cli.EXIT_OK
+    pred = ttc.load_rollout_record("records/arm_mass_ic000_B2").chosen[-1]
+    truth = storage.load_dataset(small_run["data"]).split_trajectories("test")[0]
+    assert len(truth) > 3 and truth.snapshots[2].t == pytest.approx(pred.t)
+    pair = {"field_truth_rho_ic000.ppm": truth.snapshots[2].rho,
+            "field_arm_mass_B2_rho_ic000.ppm": pred.rho}
+    lo = min(rho.min() for rho in pair.values())
+    hi = max(rho.max() for rho in pair.values())
+    for name, rho in pair.items():
+        render.write_field_ppm(f"want_{name}", rho, lo, hi)
+        assert Path("report", name).read_text() == Path(f"want_{name}").read_text(), name
 
 
 def _edited_checkpoint(src, dst, edit) -> str:

@@ -12,7 +12,7 @@ from pdettc.rewards import (_PRM_DROPOUT_TAG, _PRM_SHUFFLE_TAG, EnergyReward, Ma
                             TripletRecord, accumulate_margin_grad,
                             build_prm_triplets, load_triplets,
                             prm_backbone_config, ranking_accuracy,
-                            save_triplets, train_prm, triplet_loss)
+                            save_triplets, train_prm)
 from pdettc.surrogate import Surrogate, TrainConfig, fit, train
 from pdettc.vit import MODE_DETERMINISTIC, MODE_TRAIN, ModelConfig
 
@@ -179,44 +179,6 @@ def test_oracle_scores_minus_normalized_mse_against_truth():
     assert scores[0] == 0.0
     want = np.mean((0.01 / norm.std[:, None, None]) ** 2 * np.ones((4, 16, 16)))
     assert scores[1] == pytest.approx(-want, rel=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# triplet loss
-
-
-def test_triplet_loss_margins_met():
-    assert triplet_loss(0.0, 0.2, 0.4, 0.1) == 0.0
-
-
-def test_triplet_loss_first_hinge_active():
-    assert triplet_loss(0.1, 0.15, 0.3, 0.1) == pytest.approx(0.05)
-
-
-def test_triplet_loss_equal_scores():
-    assert triplet_loss(0.5, 0.5, 0.5, 0.1) == pytest.approx(0.2)
-
-
-def test_triplet_loss_nonnegative_and_subgradient():
-    rng = np.random.default_rng(1)
-    h = 1e-6
-    for _ in range(50):
-        r = rng.normal(size=3)
-        alpha = 0.1
-        base = triplet_loss(*r, alpha)
-        assert base >= 0.0
-        # away from hinge corners, finite differences match the subgradient
-        if min(abs(r[0] - r[1] + alpha), abs(r[1] - r[2] + alpha)) < 1e-4:
-            continue
-        g_fd = []
-        for i in range(3):
-            rp, rm = r.copy(), r.copy()
-            rp[i] += h
-            rm[i] -= h
-            g_fd.append((triplet_loss(*rp, alpha) - triplet_loss(*rm, alpha)) / (2 * h))
-        h1 = 1.0 if r[0] - r[1] + alpha > 0 else 0.0
-        h2 = 1.0 if r[1] - r[2] + alpha > 0 else 0.0
-        assert np.allclose(g_fd, [h1, h2 - h1, -h2], atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

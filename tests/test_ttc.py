@@ -197,9 +197,9 @@ def test_rollout_record_round_trip_is_exact(tmp_path, model, dataset):
         assert np.array_equal(b.fields(), a.fields().astype(np.float32))
     back.verify_argmax()
     save_rollout_record(tmp_path / "b", back)
-    for suffix in (".json", ".bin"):
-        assert ((tmp_path / "a").with_suffix(suffix).read_bytes()
-                == (tmp_path / "b").with_suffix(suffix).read_bytes())
+    for name in ("{}.bin", "{}.bin.json"):
+        assert ((tmp_path / name.format("a")).read_bytes()
+                == (tmp_path / name.format("b")).read_bytes())
 
 
 def test_verify_argmax_agrees_with_select_on_stored_records(tmp_path, model, dataset):
