@@ -12,7 +12,7 @@ from .euler import (GridSpec, Snapshot, ICSpec, Trajectory, Dataset,
                     totals, SolverError, InvalidInitialCondition)
 from .metrics import aggregate_gain, conservation_trace, evaluate, mse, sample_gain
 from .rewards import (EnergyReward, MassReward, MomentumReward, OracleMseReward,
-                      PRMConfig, ProcessRewardModel, TripletRecord,
+                      PRMConfig, ProcessRewardModel, Triplets,
                       build_prm_triplets, ranking_accuracy, train_prm)
 from .rng import RngStream, mix64
 from .storage import load_checkpoint, load_dataset, save_dataset

@@ -291,7 +291,7 @@ def cmd_train_prm(cfg: dict, from_path: str, data_path: str, out_path: str,
         train_triplets = rewards.load_triplets(triplets_in)
         if not train_triplets:
             raise ConfigError(f"{triplets_in} holds no triplets")
-        _check_grid(model, from_path, train_triplets[0].current.rho.shape, triplets_in)
+        _check_grid(model, from_path, train_triplets.fields.shape[-2:], triplets_in)
         print(f"building holdout triplets: K={p['k_candidates']} over "
               f"{len(holdout_ids)} trajectories")
     else:
@@ -393,17 +393,23 @@ def _evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> tupl
         raise ConfigError(f"no rollout index.json found under {records_dir}")
     for idx_file in index_files:
         index = storage.read_json(idx_file)
+        kinds = {"split": str, "n_ics": int, "dataset_digest": str, "config_digest": str,
+                 "records": list}
         if not (isinstance(index, dict)
-                and all(k in index for k in ("split", "n_ics", "dataset_digest"))):
-            raise ConfigError(f"{idx_file} does not record the split, n_ics and "
-                              f"dataset digest it ran on")
+                and all(isinstance(index.get(k), kind) for k, kind in kinds.items())):
+            raise ConfigError(f"{idx_file} does not record the split, n_ics, dataset and "
+                              f"config digests and records it ran on")
         if index["dataset_digest"] != ds.payload_digest:
-            raise ConfigError(f"{idx_file} ran on dataset {index['dataset']} "
+            raise ConfigError(f"{idx_file} ran on dataset {index.get('dataset')} "
                               f"(payload digest {index['dataset_digest'][:16]}), "
                               f"not on --data (payload digest {ds.payload_digest[:16]})")
+        try:
+            entries += [(e["reward"], int(e["ic"]), int(e["B"]), idx_file.parent / e["base"])
+                        for e in index["records"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise storage.StorageError(f"{idx_file}: not a rollout record entry: "
+                                       f"{type(exc).__name__} {exc}") from None
         meta.append(index)
-        entries += [(e["reward"], e["ic"], e["B"], idx_file.parent / e["base"])
-                    for e in index["records"]]
     runs = sorted({(m["split"], m["n_ics"]) for m in meta})
     if len(runs) > 1:
         raise ConfigError(f"rollout indexes under {records_dir} disagree on "
@@ -593,17 +599,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None)
     p.add_argument("--out-dir", required=True)
 
-    p = sub.add_parser("evaluate", help="metrics CSV + summary from records")
-    _add_common(p)
-    p.add_argument("--records-dir", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out-dir", required=True)
-
-    p = sub.add_parser("report", help="evaluate, then render curves and field images")
-    _add_common(p)
-    p.add_argument("--records-dir", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out-dir", required=True)
+    for name, text in (("evaluate", "metrics CSV + summary from records"),
+                       ("report", "evaluate, then render curves and field images")):
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.add_argument("--records-dir", required=True)
+        p.add_argument("--data", required=True)
+        p.add_argument("--out-dir", required=True)
     return ap
 
 
@@ -653,8 +655,9 @@ def main(argv=None) -> int:
     except storage.StorageError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"input error: no such file: {exc.filename}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        what = "no such file" if isinstance(exc, FileNotFoundError) else "is a directory"
+        print(f"input error: {what}: {exc.filename}", file=sys.stderr)
         return EXIT_CONFIG
     except (euler.SolverError, euler.InvalidInitialCondition, NonFiniteGradient,
             NonFiniteActivation) as exc:

@@ -23,6 +23,7 @@ from .rewards import (energy_violation, mass_violation, momentum_violation,
 from .storage import write_text
 from .ttc import RolloutRecord
 
+# The columns of metrics.csv, which are the keys of each row in this order
 CSV_COLUMNS = ("dataset", "family", "ic_seed", "model", "reward", "B", "t",
                "mse", "sg", "mass_arm", "mom_x_arm", "mom_y_arm", "energy_arm")
 
@@ -125,21 +126,10 @@ def evaluate(records, trajectories: list, norm: Normalization | None,
                 base = reduced[(ic, 1)][0] if (ic, 1) in reduced else None
                 for k, e in enumerate(errs):
                     sg = sample_gain(e, base[k]) if base else None
-                    report.rows.append({
-                        "dataset": dataset_label,
-                        "family": family,
-                        "ic_seed": ic_seed,
-                        "model": model_label,
-                        "reward": reward,
-                        "B": b,
-                        "t": k + 1,
-                        "mse": e,
-                        "sg": sg,
-                        "mass_arm": trace["mass"][k],
-                        "mom_x_arm": trace["momentum_x"][k],
-                        "mom_y_arm": trace["momentum_y"][k],
-                        "energy_arm": trace["energy"][k],
-                    })
+                    report.rows.append(dict(zip(CSV_COLUMNS, (
+                        dataset_label, family, ic_seed, model_label, reward, b, k + 1, e, sg,
+                        trace["mass"][k], trace["momentum_x"][k], trace["momentum_y"][k],
+                        trace["energy"][k]))))
                 curve += np.asarray(errs)
                 finals.append(errs[-1])
                 if base:

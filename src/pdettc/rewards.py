@@ -16,6 +16,10 @@ margin loss on candidates ranked by MSE against ground truth.  It scores
 each candidate with its own batch-1 forward, so a candidate's score does
 not depend on which other candidates are scored with it.
 
+The ranked triples have one representation, `Triplets`, the float32 rows
+of the triplet store: built or loaded, the PRM trains and is judged on the
+same numbers.
+
 The PRM is a `surrogate.Model`, whose docstring states its constructor,
 input layout and checkpoint contract; it trains through `surrogate.fit`,
 and `ranking_accuracy` scores through `ProcessRewardModel.score`, as a
@@ -32,7 +36,7 @@ import numpy as np
 from .euler import (CHANNELS, GAMMA_DEFAULT, Dataset, GridSpec, Normalization,
                     Snapshot, Trajectory, check_same_grid, energy_density, total)
 from .rng import RngStream, mix64
-from .storage import read_container, write_container
+from .storage import StorageError, read_container, write_container
 from .surrogate import (Model, Surrogate, TrainResult, accumulate_grad, check_fit_config,
                         fit)
 from .vit import MODE_DETERMINISTIC, ModelConfig, VisionTransformer
@@ -127,38 +131,45 @@ class OracleMseReward:
 # Triplet construction
 
 
-@dataclass(frozen=True)
-class TripletRecord:
-    """One ranked (best, median, worst) candidate triple for a pair."""
+@dataclass(frozen=True, eq=False)
+class Triplets:
+    """Ranked triples as the triplet store holds them: the float32 (n, 4, 4,
+    nx, ny) current, best, median and worst ``fields``, and one ``meta`` dict
+    {"traj", "t_index", "t", "t_next", "mse"} per triple, mse ascending."""
 
-    current: Snapshot
-    best: Snapshot
-    median: Snapshot
-    worst: Snapshot
-    mse: tuple                      # (best, median, worst), ascending
-    traj_index: int = -1
-    t_index: int = -1
+    fields: np.ndarray
+    meta: list
 
     def __post_init__(self):
-        a, b, c = self.mse
-        if not (a <= b <= c):
-            raise ValueError(f"triplet mse must be ascending, got {self.mse}")
+        n = len(self.meta)
+        if self.fields.ndim != 5 or self.fields.shape[:3] != (n, 4, 4):
+            raise ValueError(f"fields of shape {self.fields.shape} for {n} triples")
+        for m in self.meta:
+            row = [m["traj"], m["t_index"], m["t"], m["t_next"], *m["mse"]]
+            if len(row) != 7 or not all(isinstance(v, (int, float)) for v in row):
+                raise ValueError(f"not a triplet row: {m}")
+            if not row[4] <= row[5] <= row[6]:
+                raise ValueError(f"triplet mse must be ascending, got {m['mse']}")
+
+    def __len__(self) -> int:
+        return len(self.meta)
 
 
 def build_prm_triplets(surrogate: Surrogate, dataset: Dataset, k_candidates: int,
-                       seed: int, indices=None, log=None) -> list:
+                       seed: int, indices=None, log=None) -> Triplets:
     """Rank K stochastic candidates per consecutive train pair.
 
     Keeps the argmin / rank-floor(K/2) / argmax candidates by MSE against
     the true next snapshot (ties -> lowest candidate index); skips pairs
-    whose candidates are numerically indistinguishable.
+    whose candidates are numerically indistinguishable.  Each row is
+    converted to float32 as it is built.
     """
     if k_candidates < 3:
         raise ValueError("need at least 3 candidates per pair")
     if indices is None:
         indices = dataset.split["train"]
     norm = surrogate.norm
-    records = []
+    rows, meta = [], []
     for ti in indices:
         tr = dataset.trajectories[ti]
         pair_seed = mix64(seed, _TRIPLET_TAG, ti)
@@ -170,54 +181,37 @@ def build_prm_triplets(surrogate: Surrogate, dataset: Dataset, k_candidates: int
             if float(mses.max() - mses.min()) < DEGENERATE_MSE_SPREAD:
                 continue
             order = np.argsort(mses, kind="stable")
-            i_best = int(order[0])
-            i_median = int(order[k_candidates // 2])
-            i_worst = int(np.argmax(mses))     # first index attaining the max
-            records.append(TripletRecord(
-                current=u_t, best=cands[i_best], median=cands[i_median],
-                worst=cands[i_worst],
-                mse=(float(mses[i_best]), float(mses[i_median]), float(mses[i_worst])),
-                traj_index=ti, t_index=k))
+            picks = (int(order[0]), int(order[k_candidates // 2]), int(np.argmax(mses)))
+            rows.append(np.array([u_t.fields()] + [cands[i].fields() for i in picks],
+                                 dtype=np.float32))
+            meta.append({"traj": int(ti), "t_index": k, "t": u_t.t, "t_next": cands[0].t,
+                         "mse": [float(mses[i]) for i in picks]})
         if log:
-            log(f"triplets: trajectory {ti} done ({len(records)} records)")
-    return records
+            log(f"triplets: trajectory {ti} done ({len(meta)} records)")
+    shape = (len(rows), 4, 4, dataset.grid.nx, dataset.grid.ny)
+    return Triplets(np.array(rows, dtype=np.float32).reshape(shape), meta)
 
 
-def save_triplets(path, records: list, grid: GridSpec, gamma: float) -> None:
+def save_triplets(path, triplets: Triplets, grid: GridSpec, gamma: float) -> None:
     header = {
         "record_type": "TRIPLET",
         "grid": {"nx": grid.nx, "ny": grid.ny, "lx": grid.lx, "ly": grid.ly},
         "gamma": gamma,
         "channel_order": ["rho", "vx", "vy", "p"],
         "slot_order": ["current", "best", "median", "worst"],
-        "records": [
-            {"traj": r.traj_index, "t_index": r.t_index,
-             "t": r.current.t, "t_next": r.best.t, "mse": list(r.mse)}
-            for r in records
-        ],
+        "records": triplets.meta,
     }
-    if records:
-        payload = np.stack([
-            np.stack([r.current.fields(), r.best.fields(),
-                      r.median.fields(), r.worst.fields()])
-            for r in records
-        ])
-    else:
-        payload = np.zeros((0, 4, 4, grid.nx, grid.ny))
-    write_container(path, header, payload)
+    write_container(path, header, triplets.fields)
 
 
-def load_triplets(path) -> list:
+def load_triplets(path) -> Triplets:
+    """The stored triplets; StorageError if the records do not fit the payload."""
     header, payload = read_container(path, expect_type="TRIPLET")
-    records = []
-    for i, meta in enumerate(header["records"]):
-        t, t_next = meta["t"], meta["t_next"]
-        snaps = [Snapshot.from_fields(payload[i, j], t if j == 0 else t_next)
-                 for j in range(4)]
-        records.append(TripletRecord(
-            current=snaps[0], best=snaps[1], median=snaps[2], worst=snaps[3],
-            mse=tuple(meta["mse"]), traj_index=meta["traj"], t_index=meta["t_index"]))
-    return records
+    try:
+        return Triplets(payload, header["records"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StorageError(f"{path}: not a triplet store: "
+                           f"{type(exc).__name__} {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +261,15 @@ class ProcessRewardModel(Model):
                          for c in cands], dtype=np.float64)
 
 
-def ranking_accuracy(prm: ProcessRewardModel, triplets: list) -> float:
+def ranking_accuracy(prm: ProcessRewardModel, triplets: Triplets) -> float:
     """Fraction of triplets whose best candidate outscores the worst under
     `ProcessRewardModel.score`, the scores a rollout sees."""
     if not triplets:
         return np.nan
     correct = 0
-    for r in triplets:
-        s_best, s_worst = prm.score(r.current, [r.best, r.worst])
+    for row, m in zip(triplets.fields, triplets.meta):
+        best, worst = (Snapshot.from_fields(row[j], m["t_next"]) for j in (1, 3))
+        s_best, s_worst = prm.score(Snapshot.from_fields(row[0], m["t"]), [best, worst])
         correct += int(s_best > s_worst)
     return correct / len(triplets)
 
@@ -301,8 +296,8 @@ def accumulate_margin_grad(model: VisionTransformer, nb: int, build, margin: flo
                            lambda rows: (build(rows), None), rng, loss)
 
 
-def train_prm(triplets: list, prm_cfg: PRMConfig, normalization: Normalization,
-              holdout: list | None = None, log=None) -> TrainResult:
+def train_prm(triplets: Triplets, prm_cfg: PRMConfig, normalization: Normalization,
+              holdout: Triplets | None = None, log=None) -> TrainResult:
     """`surrogate.fit` a new PRM to the mean triplet margin loss over
     ranked candidate triples.
 
@@ -317,13 +312,12 @@ def train_prm(triplets: list, prm_cfg: PRMConfig, normalization: Normalization,
 
     def step(sel, rng):
         def build(rows):
-            chunk = [triplets[j] for j in sel[rows]]
-            cur = np.repeat(np.stack([r.current.fields() for r in chunk]), 3, axis=0)
-            cur_t = np.repeat(np.array([r.current.t for r in chunk]), 3)
-            cand = np.stack([f for r in chunk
-                             for f in (r.worst.fields(), r.median.fields(), r.best.fields())])
-            cand_t = np.repeat(np.array([r.best.t for r in chunk]), 3)
-            return prm.inputs((cur, cur_t), (cand, cand_t))
+            chunk = triplets.fields[sel[rows]]
+            t, t_next = np.array([[triplets.meta[j][k] for k in ("t", "t_next")]
+                                  for j in sel[rows]]).T
+            cand = chunk[:, [3, 2, 1]].reshape(-1, *chunk.shape[2:])   # worst, median, best
+            return prm.inputs((np.repeat(chunk[:, 0], 3, axis=0), np.repeat(t, 3)),
+                              (cand, np.repeat(t_next, 3)))
 
         return accumulate_margin_grad(prm.model, len(sel), build, prm_cfg.margin, rng)
 

@@ -101,6 +101,3 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen().permutation(n)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RngStream(seed={self.seed}, stream={self.stream}, counter={self.counter})"

@@ -1,11 +1,16 @@
-"""Binary persistence: dataset containers, model checkpoints.
+"""Binary persistence: containers and model checkpoints.
 
 Container layout (one file per artifact):
   bytes  0..15   magic "PDETTC01" padded with NULs to 16 bytes
   bytes 16..23   u64 little-endian JSON header length
-  header         UTF-8 JSON (record_type, shapes, metadata)
-  payload        row-major little-endian float32, trajectory-major then
-                 time-major then channel-major, channels [rho, vx, vy, p]
+  header         UTF-8 JSON (record_type, payload_shape, metadata)
+  payload        row-major little-endian float32 of payload_shape, by type:
+                 DATASET (trajectory, time, channel, x, y), `save_dataset`;
+                 TRIPLET (triple, slot, channel, x, y), slots [current, best,
+                 median, worst], `rewards.save_triplets`; ROLLOUT (state,
+                 channel, x, y), `ttc.save_rollout_record`.  Channels are
+                 [rho, vx, vy, p].  A reader checks the header first: a
+                 missing key or a wrong value raises StorageError naming it.
 
 Checkpoint layout:
   magic "PDETTCPM", u64 header length, JSON header (model kind,
@@ -30,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import struct
 import threading
@@ -138,8 +144,10 @@ def read_container(path, expect_type: str | None = None):
     path = Path(path)
     with open(path, "rb") as fh:
         header = _read_header(fh, CONTAINER_MAGIC, path)
-        shape = tuple(header["payload_shape"])
-        n = int(np.prod(shape))
+        shape = header.get("payload_shape")
+        if not (isinstance(shape, list) and all(isinstance(d, int) and d >= 0 for d in shape)):
+            raise StorageError(f"{path}: corrupt header: payload_shape {shape!r}")
+        n = math.prod(shape)
         raw = fh.read(4 * n)
         if len(raw) != 4 * n:
             raise StorageError(f"{path}: truncated payload")
@@ -196,23 +204,30 @@ def load_dataset(path) -> Dataset:
     """The dataset at path, carrying the `payload_digest` of the bytes it
     was read from, so that a caller need not read the file again."""
     header, payload = read_container(path, expect_type="DATASET")
-    g = header["grid"]
-    grid = GridSpec(nx=g["nx"], ny=g["ny"], lx=g["lx"], ly=g["ly"])
-    times = np.asarray(header["times"])
-    trajectories = []
-    for i, meta in enumerate(header["trajectories"]):
-        spec = ICSpec(family=meta["family"], params=meta["params"], seed=meta["seed"])
-        snaps = [Snapshot.from_fields(payload[i, k], times[k])
-                 for k in range(header["n_snapshots"])]
-        trajectories.append(Trajectory(ic=spec, snapshots=snaps, times=times))
-    norm = header["normalization"]
-    return Dataset(
-        grid=grid, gamma=header["gamma"], trajectories=trajectories,
-        split={k: list(v) for k, v in header["splits"].items()},
-        normalization=Normalization.from_dict(norm) if norm else None,
-        seed=header["seed"], families=tuple(header["families"]),
-        payload_digest=hashlib.sha256(payload).hexdigest(),
-    )
+    try:
+        g = header["grid"]
+        grid = GridSpec(nx=g["nx"], ny=g["ny"], lx=g["lx"], ly=g["ly"])
+        times = np.asarray(header["times"], dtype=np.float64)
+        want = (len(header["trajectories"]), header["n_snapshots"], 4, grid.nx, grid.ny)
+        if payload.shape != want or times.shape != want[1:2]:
+            raise ValueError(f"payload shape {payload.shape} and {times.size} times for {want}")
+        trajectories = []
+        for i, meta in enumerate(header["trajectories"]):
+            spec = ICSpec(family=meta["family"], params=meta["params"], seed=meta["seed"])
+            snaps = [Snapshot.from_fields(payload[i, k], times[k]) for k in range(want[1])]
+            trajectories.append(Trajectory(ic=spec, snapshots=snaps, times=times))
+        split = {k: list(header["splits"][k]) for k in ("train", "val", "test")}
+        if not all(isinstance(i, int) and 0 <= i < want[0] for ids in split.values() for i in ids):
+            raise ValueError(f"split indices outside the {want[0]} trajectories: {split}")
+        norm = header["normalization"]
+        return Dataset(
+            grid=grid, gamma=header["gamma"], trajectories=trajectories, split=split,
+            normalization=Normalization.from_dict(norm) if norm else None,
+            seed=header["seed"], families=tuple(header["families"]),
+            payload_digest=hashlib.sha256(payload).hexdigest(),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StorageError(f"{path}: not a dataset: {type(exc).__name__} {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .euler import Dataset, Normalization, Snapshot
+from .euler import N_SNAPSHOTS, T_FINAL, Dataset, Normalization, Snapshot
 from .nn import AdamW, NonFiniteActivation, NonFiniteGradient
 from .rng import RngStream, mix64
 from .storage import StorageError, load_checkpoint, save_checkpoint
@@ -43,7 +43,7 @@ _DROPOUT_TAG = 0xD0
 _CANDIDATE_TAG = 0xCA4D
 _SUBSET_TAG = 0x5B5E
 
-DT_OUT_DEFAULT = 0.05          # 21 snapshots on [0, 1]
+DT_OUT_DEFAULT = T_FINAL / (N_SNAPSHOTS - 1)      # the solver's output interval
 
 
 def check_fit_config(cfg) -> None:
@@ -82,8 +82,7 @@ FINETUNE_CONFIG = TrainConfig(lr=1e-4, weight_decay=0.01, batch_size=32, epochs=
 
 PAPER_MODEL = ModelConfig(height=128, width=128, embed_dim=256, depth=6,
                           n_heads=8, mlp_ratio=4.0, dropout_p=0.1)
-DESK_MODEL = ModelConfig(height=64, width=64, embed_dim=64, depth=4,
-                         n_heads=4, mlp_ratio=4.0, dropout_p=0.1)
+DESK_MODEL = ModelConfig()      # the ModelConfig defaults are the desk model
 
 
 def candidate_stream(rollout_seed: int, t_index: int, i: int) -> RngStream:

@@ -109,6 +109,12 @@ def test_missing_or_corrupt_inputs_exit_with_a_config_error(tmp_path, monkeypatc
     _fails_with_one_line(capsys, train, "no such file: data.pdt")
     assert cli.main(["gen-data", "--families", "rp", "--n", "1", "--grid", "16",
                      "--split", "1,0,0", "--out", "data.pdt"]) == cli.EXIT_OK
+    Path("adir").mkdir()
+    _fails_with_one_line(capsys, ["train", "--data", "adir", "--out", "s.ckpt"],
+                         "input error: is a directory: adir")
+    _fails_with_one_line(capsys, ["rollout", "--surrogate", "adir", "--data", "data.pdt",
+                                  "--reward", "arm_mass", "--out-dir", "r"],
+                         "input error: is a directory: adir")
     whole = Path("data.pdt").read_bytes()
     Path("data.pdt").write_bytes(whole[:-10])
     _fails_with_one_line(capsys, train, "truncated payload")
@@ -397,11 +403,49 @@ def test_training_on_a_dataset_without_train_trajectories_exits_2(
 def test_train_prm_refuses_an_empty_triplet_store(small_run, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     ds = storage.load_dataset(small_run["data"])
-    rewards.save_triplets("empty.npz", [], ds.grid, ds.gamma)
+    rewards.save_triplets("empty.npz", rewards.Triplets(
+        np.zeros((0, 4, 4, ds.grid.nx, ds.grid.ny), np.float32), []), ds.grid, ds.gamma)
     _fails_with_one_line(capsys, ["train-prm", "--from", small_run["ckpt"],
                                   "--data", small_run["data"], "--triplets-in", "empty.npz",
                                   "--out", "out"], "empty.npz holds no triplets")
     assert not Path("out").exists()
+
+
+def _drop(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+@pytest.mark.parametrize("edit,match", [
+    pytest.param(_drop("payload_shape"), "corrupt header: payload_shape None",
+                 id="no-payload-shape"),
+    pytest.param(lambda h: {**h, "payload_shape": [2, "x"]},
+                 "corrupt header: payload_shape [2, 'x']", id="bad-payload-shape"),
+    pytest.param(_drop("grid"), "not a dataset: KeyError 'grid'", id="no-grid"),
+    pytest.param(_drop("normalization"), "not a dataset: KeyError 'normalization'",
+                 id="no-normalization"),
+    pytest.param(lambda h: {**h, "grid": 5}, "not a dataset: TypeError", id="grid-5"),
+    pytest.param(lambda h: {**h, "n_snapshots": h["n_snapshots"] + 1},
+                 "not a dataset: ValueError payload shape", id="snapshots-beyond-payload"),
+    pytest.param(lambda h: {**h, "n_snapshots": h["n_snapshots"] - 1},
+                 "not a dataset: ValueError payload shape", id="snapshots-short-of-payload"),
+    pytest.param(lambda h: {**h, "times": h["times"][:-1]},
+                 "not a dataset: ValueError payload shape", id="times-short"),
+    pytest.param(lambda h: {**h, "trajectories": h["trajectories"][:-1]},
+                 "not a dataset: ValueError payload shape", id="trajectories-short"),
+    pytest.param(lambda h: {**h, "splits": []}, "not a dataset: TypeError", id="splits-a-list"),
+    pytest.param(lambda h: {**h, "splits": {"train": [0], "test": [1]}},
+                 "not a dataset: KeyError 'val'", id="no-val-split"),
+    pytest.param(lambda h: {**h, "splits": {**h["splits"], "train": [0, 4]}},
+                 "not a dataset: ValueError split indices outside the 4 trajectories",
+                 id="split-index-beyond"),
+])
+def test_a_dataset_header_that_does_not_describe_its_payload_exits_2(
+        small_run, tmp_path, monkeypatch, capsys, edit, match):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.pdt").write_bytes(_edited_container(Path(small_run["data"]).read_bytes(), edit))
+    _fails_with_one_line(capsys, ["train", "--data", "bad.pdt", "--epochs", "0",
+                                  "--out", "s.ckpt"], f"input error: bad.pdt: {match}")
+    assert not Path("s.ckpt").exists()
 
 
 def test_train_without_epochs_counts_none(small_run, tmp_path, monkeypatch, capsys):
@@ -461,6 +505,50 @@ def test_train_prm_from_stored_triplets_reports_a_holdout_accuracy(
     assert len(accs) == 2 and all(math.isfinite(a) for a in accs)
     best = float(re.search(r"best early-stopping accuracy (\S+);", out).group(1))
     assert best == max(accs)
+
+
+def test_train_prm_on_built_or_stored_triplets_writes_equal_checkpoints(
+        small_run, tmp_path, monkeypatch):
+    """The stored triplets are the rows a direct run trains on."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen-data", "--seed", "3", "--families", "rp", "--n", "3", "--grid",
+                     "16", "--split", "0.34,0.33,0.33", "--out", "d.pdt"]) == cli.EXIT_OK
+    run = ["train-prm", "--seed", "3", "--from", small_run["ckpt"], "--data", "d.pdt",
+           "--K", "3", "--epochs", "2"]
+    assert cli.main([*run, "--triplets-out", "t.pdt", "--out", "a.ckpt"]) == cli.EXIT_OK
+    assert cli.main([*run, "--triplets-in", "t.pdt", "--out", "b.ckpt"]) == cli.EXIT_OK
+    assert Path("a.ckpt").read_bytes() == Path("b.ckpt").read_bytes()
+    losses = [[row.rsplit(",", 1)[0] for row in Path(f"{c}.ckpt.loss.csv").read_text().split()]
+              for c in "ab"]
+    assert losses[0] == losses[1] and len(losses[0]) == 3
+
+
+def _rows_edited(edit):
+    return lambda header: {**header, "records": [edit(r) for r in header["records"]]}
+
+
+@pytest.mark.parametrize("edit,match", [
+    pytest.param(_drop("records"), "KeyError 'records'", id="no-records"),
+    pytest.param(lambda h: {**h, "records": 5}, "TypeError", id="records-5"),
+    pytest.param(lambda h: {**h, "records": []}, "ValueError fields of shape (1, 4, 4, 16, 16) "
+                 "for 0 triples", id="one-row-short"),
+    pytest.param(lambda h: {**h, "records": h["records"] * 2}, "ValueError fields of shape "
+                 "(1, 4, 4, 16, 16) for 2 triples", id="one-row-over"),
+    pytest.param(lambda h: {**h, "records": [{}]}, "KeyError 'traj'", id="empty-row"),
+    pytest.param(_rows_edited(_drop("t")), "KeyError 't'", id="no-time"),
+    pytest.param(_rows_edited(lambda r: {**r, "t": "0"}), "ValueError not a triplet row",
+                 id="str-time"),
+    pytest.param(_rows_edited(lambda r: {**r, "mse": [0.0, 2.0, 1.0]}),
+                 "ValueError triplet mse must be ascending", id="descending-mse"),
+])
+def test_a_malformed_triplet_store_exits_2(mismatched, tmp_path, monkeypatch, capsys, edit,
+                                           match):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.pdt").write_bytes(_edited_container(Path(mismatched["trip16"]).read_bytes(), edit))
+    _fails_with_one_line(capsys, ["train-prm", "--from", mismatched["ckpt"], "--data",
+                                  mismatched["data"], "--triplets-in", "bad.pdt", "--out", "out"],
+                         f"input error: bad.pdt: not a triplet store: {match}")
+    assert not Path("out").exists()
 
 
 def test_rollout_saves_each_record_before_the_next_rollout(small_run, tmp_path,
@@ -602,8 +690,9 @@ def mismatched(small_run, tmp_path_factory):
                                s16.norm).save(paths["prm16"])
     ds16 = storage.load_dataset(small_run["data"])
     u = ds16.trajectories[0].snapshots
-    rewards.save_triplets(paths["trip16"], [rewards.TripletRecord(
-        current=u[0], best=u[1], median=u[1], worst=u[1], mse=(0.0, 0.0, 0.0))],
+    rewards.save_triplets(paths["trip16"], rewards.Triplets(
+        np.array([[u[0].fields(), u[1].fields(), u[1].fields(), u[1].fields()]], np.float32),
+        [{"traj": 0, "t_index": 0, "t": u[0].t, "t_next": u[1].t, "mse": [0.0, 0.0, 0.0]}]),
         ds16.grid, ds16.gamma)
     return {**small_run, **paths}
 
@@ -662,9 +751,8 @@ def _short_rollout(small_run, b_list: str) -> None:
                      "--n-ics", "1", "--out-dir", "records"]) == cli.EXIT_OK
 
 
-def _edited_record(raw: bytes, edit) -> bytes:
-    """A rollout container's bytes with its header replaced by ``edit`` of
-    it."""
+def _edited_container(raw: bytes, edit) -> bytes:
+    """A container's bytes with its header replaced by ``edit`` of it."""
     (n,) = struct.unpack("<Q", raw[16:24])
     blob = json.dumps(edit(json.loads(raw[24:24 + n]))).encode()
     return raw[:16] + struct.pack("<Q", len(blob)) + blob + raw[24 + n:]
@@ -674,21 +762,28 @@ def test_corrupt_rollout_json_exits_2(small_run, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _short_rollout(small_run, "1")
     index = Path("records/index.json")
-    record = index.parent / (json.loads(index.read_text())["records"][0]["base"] + ".bin")
+    idx = json.loads(index.read_text())
+    record = index.parent / (idx["records"][0]["base"] + ".bin")
     raw = record.read_bytes()
     not_a_record = f"input error: {record}: not a rollout record: "
+    unrecorded = (f"config error: {index} does not record the split, n_ics, dataset and "
+                  f"config digests and records it ran on")
     for path, bad, match in [
             (index, None, f"input error: {index}: corrupt JSON"),
             (record, None, f"input error: {record}: truncated payload"),
             (index, b"[]", f"{index} does not record the split"),
             (index, b"5", f"{index} does not record the split"),
-            (record, _edited_record(raw, lambda h: []),
+            (index, json.dumps({**idx, "records": [_drop("base")(e) for e in idx["records"]]})
+             .encode(), f"input error: {index}: not a rollout record entry: KeyError 'base'"),
+            *[(index, json.dumps({**idx, **edit}).encode(), unrecorded)
+              for edit in ({"records": {}}, {"records": "abc"}, {"n_ics": "1"})],
+            (record, _edited_container(raw, lambda h: []),
              f"input error: {record}: corrupt header: not a JSON object"),
-            (record, _edited_record(raw, lambda h: {k: h[k] for k in h if k != "times"}),
+            (record, _edited_container(raw, lambda h: {k: h[k] for k in h if k != "times"}),
              not_a_record + "KeyError 'times'"),
-            (record, _edited_record(raw, lambda h: {**h, "rewards": 5}),
+            (record, _edited_container(raw, lambda h: {**h, "rewards": 5}),
              not_a_record + "TypeError"),
-            (record, _edited_record(raw, lambda h: {**h, "times": h["times"][:1]}),
+            (record, _edited_container(raw, lambda h: {**h, "times": h["times"][:1]}),
              not_a_record + "ValueError 1 times for 3 states")]:
         whole = path.read_bytes()
         path.write_bytes(whole[: len(whole) // 2] if bad is None else bad)

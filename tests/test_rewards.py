@@ -9,7 +9,7 @@ from pdettc.euler import (GridSpec, ICSpec, Normalization, Snapshot, generate_da
                           make_initial_condition, sample_ic, solve_trajectory)
 from pdettc.rewards import (_PRM_DROPOUT_TAG, _PRM_SHUFFLE_TAG, EnergyReward, MassReward,
                             MomentumReward, OracleMseReward, PRMConfig, ProcessRewardModel,
-                            TripletRecord, accumulate_margin_grad,
+                            Triplets, accumulate_margin_grad,
                             build_prm_triplets, load_triplets,
                             prm_backbone_config, ranking_accuracy,
                             save_triplets, train_prm)
@@ -202,30 +202,33 @@ def mini_surrogate(mini_dataset):
 
 def test_build_triplets_ranked_and_train_split_only(mini_surrogate, mini_dataset):
     recs = build_prm_triplets(mini_surrogate, mini_dataset, 4, seed=3)
-    assert recs, "expected at least one triplet"
+    assert len(recs), "expected at least one triplet"
+    assert recs.fields.dtype == np.float32 and recs.fields.shape == (len(recs), 4, 4, 16, 16)
     train_ids = set(mini_dataset.split["train"])
-    for r in recs:
-        assert r.traj_index in train_ids
-        assert r.mse[0] <= r.mse[1] <= r.mse[2]
+    for m in recs.meta:
+        assert m["traj"] in train_ids
+        assert m["mse"][0] <= m["mse"][1] <= m["mse"][2]
         # median is the rank-K//2 (0-indexed) candidate of K=4
-        assert r.mse[1] >= r.mse[0]
+        assert m["mse"][1] >= m["mse"][0]
 
 
 def test_build_triplets_k3_is_sorted_candidates(mini_surrogate, mini_dataset):
     recs = build_prm_triplets(mini_surrogate, mini_dataset, 3, seed=4,
                               indices=[mini_dataset.split["train"][0]])
-    u = recs[0].current
-    t_idx = recs[0].t_index
-    pair_seed = None
+    m = recs.meta[0]
+    tr = mini_dataset.trajectories[m["traj"]]
+    u = tr.snapshots[m["t_index"]]
     # regenerate the candidate set and check the triple is its MSE-sorted form
     from pdettc.rng import mix64
     from pdettc.rewards import _TRIPLET_TAG, norm_mse
-    pair_seed = mix64(4, _TRIPLET_TAG, recs[0].traj_index)
-    cands = mini_surrogate.sample_candidates(u, 3, pair_seed, t_index=t_idx)
-    truth = mini_dataset.trajectories[recs[0].traj_index].snapshots[t_idx + 1]
-    mses = sorted(norm_mse(c.fields(), truth.fields(), mini_surrogate.norm)
-                  for c in cands)
-    assert list(recs[0].mse) == pytest.approx(mses)
+    pair_seed = mix64(4, _TRIPLET_TAG, m["traj"])
+    cands = mini_surrogate.sample_candidates(u, 3, pair_seed, t_index=m["t_index"])
+    truth = tr.snapshots[m["t_index"] + 1]
+    mses = [norm_mse(c.fields(), truth.fields(), mini_surrogate.norm) for c in cands]
+    assert m["mse"] == pytest.approx(sorted(mses))
+    ranked = [cands[i].fields() for i in np.argsort(mses, kind="stable")]
+    assert recs.fields[0].tobytes() == np.array([u.fields(), *ranked], np.float32).tobytes()
+    assert (m["t"], m["t_next"]) == (u.t, cands[0].t)
 
 
 def test_build_triplets_degenerate_candidates_skipped(mini_dataset):
@@ -234,28 +237,57 @@ def test_build_triplets_degenerate_candidates_skipped(mini_dataset):
                       mlp_ratio=2.0, dropout_p=0.0)   # p=0: all candidates identical
     s = Surrogate(cfg, mini_dataset.normalization, init_seed=0)
     recs = build_prm_triplets(s, mini_dataset, 4, seed=0)
-    assert recs == []
+    assert len(recs) == 0 and recs.meta == []
+    assert recs.fields.shape == (0, 4, 4, 16, 16) and recs.fields.dtype == np.float32
+
+
+def _row(mse=(1.0, 2.0, 3.0)):
+    return {"traj": 0, "t_index": 0, "t": 0.0, "t_next": 0.05, "mse": list(mse)}
 
 
 def test_triplet_record_order_enforced():
-    u = flat_snapshot(8, 8, 1.0, 0.0, 0.0, 1.0)
+    fields = np.zeros((1, 4, 4, 8, 8), np.float32)
     with pytest.raises(ValueError, match="ascending"):
-        TripletRecord(current=u, best=u, median=u, worst=u, mse=(3.0, 2.0, 1.0))
+        Triplets(fields, [_row((3.0, 2.0, 1.0))])
+    with pytest.raises(ValueError, match="ascending"):
+        Triplets(fields, [_row((1.0, 3.0, 2.0))])
+    Triplets(fields, [_row((2.0, 2.0, 2.0))])             # ties are ascending
+
+
+@pytest.mark.parametrize("fields,meta", [
+    (np.zeros((2, 4, 4, 8, 8), np.float32), [_row()]),
+    (np.zeros((1, 3, 4, 8, 8), np.float32), [_row()]),
+    (np.zeros((1, 4, 4, 8), np.float32), [_row()]),
+    (np.zeros((1, 4, 4, 8, 8), np.float32), [{**_row(), "mse": [1.0, 2.0]}]),
+    (np.zeros((1, 4, 4, 8, 8), np.float32), [{**_row(), "t": "0"}]),
+], ids=["count", "slots", "ndim", "two-mse", "str-time"])
+def test_triplets_refuse_rows_that_do_not_match(fields, meta):
+    with pytest.raises(ValueError):
+        Triplets(fields, meta)
 
 
 def test_triplet_store_roundtrip(tmp_path, mini_surrogate, mini_dataset):
     recs = build_prm_triplets(mini_surrogate, mini_dataset, 3, seed=3,
                               indices=[mini_dataset.split["train"][0]])
-    path = tmp_path / "trip.pdt"
-    save_triplets(path, recs, mini_dataset.grid, mini_dataset.gamma)
-    back = load_triplets(path)
-    assert len(back) == len(recs)
-    for a, b in zip(recs, back):
-        assert a.traj_index == b.traj_index and a.t_index == b.t_index
-        assert a.mse == pytest.approx(b.mse)
-        assert np.array_equal(a.current.fields().astype(np.float32),
-                              b.current.fields().astype(np.float32))
-        assert b.best.t == pytest.approx(a.best.t)
+    empty = Triplets(np.zeros((0, 4, 4, 16, 16), np.float32), [])
+    for i, triplets in enumerate((recs, empty)):
+        path = tmp_path / f"trip{i}.pdt"
+        save_triplets(path, triplets, mini_dataset.grid, mini_dataset.gamma)
+        back = load_triplets(path)
+        assert len(back) == len(triplets)
+        assert back.fields.shape == triplets.fields.shape
+        assert back.fields.tobytes() == triplets.fields.tobytes()
+        assert back.meta == triplets.meta
+
+
+def test_building_twice_with_one_seed_writes_equal_stores(tmp_path, mini_surrogate,
+                                                          mini_dataset):
+    stores = []
+    for name in ("a.pdt", "b.pdt"):
+        triplets = build_prm_triplets(mini_surrogate, mini_dataset, 3, seed=3)
+        save_triplets(tmp_path / name, triplets, mini_dataset.grid, mini_dataset.gamma)
+        stores.append([(tmp_path / f).read_bytes() for f in (name, name + ".json")])
+    assert stores[0] == stores[1]
 
 
 # ---------------------------------------------------------------------------
@@ -263,27 +295,32 @@ def test_triplet_store_roundtrip(tmp_path, mini_surrogate, mini_dataset):
 
 
 def _noise_triplets(dataset, rng, stride=2):
-    out = []
+    rows, meta = [], []
     std = dataset.normalization.std[:, None, None]
 
     def noisy(s, scale):
-        return Snapshot.from_fields(s.fields() + rng.normal(size=(4, 16, 16)) * scale * std,
-                                    s.t + 0.05)
+        return s.fields() + rng.normal(size=(4, 16, 16)) * scale * std
 
     for ti, tr in enumerate(dataset.trajectories):
         for k in range(0, len(tr) - 1, stride):
             nxt = tr.snapshots[k + 1]
-            out.append(TripletRecord(
-                current=tr.snapshots[k], best=noisy(nxt, 0.02),
-                median=noisy(nxt, 0.1), worst=noisy(nxt, 0.4),
-                mse=(0.02 ** 2, 0.1 ** 2, 0.4 ** 2), traj_index=ti, t_index=k))
-    return out
+            rows.append([tr.snapshots[k].fields(), noisy(nxt, 0.02), noisy(nxt, 0.1),
+                         noisy(nxt, 0.4)])
+            meta.append({"traj": ti, "t_index": k, "t": tr.snapshots[k].t,
+                         "t_next": nxt.t + 0.05,
+                         "mse": [0.02 ** 2, 0.1 ** 2, 0.4 ** 2]})
+    return Triplets(np.array(rows, np.float32), meta)
+
+
+def _rows(triplets, sel):
+    """The Triplets of the rows ``sel`` of ``triplets``."""
+    return Triplets(triplets.fields[sel], triplets.meta[sel])
 
 
 def test_train_prm_learns_noise_ranking(mini_dataset):
     rng = np.random.default_rng(7)
     triplets = _noise_triplets(mini_dataset, rng)
-    holdout, triplets = triplets[:6], triplets[6:]
+    holdout, triplets = _rows(triplets, slice(6)), _rows(triplets, slice(6, None))
     cfg = ModelConfig(height=16, width=16, patch_size=3, in_channels=5,
                       out_channels=4, embed_dim=16, depth=1, n_heads=2,
                       mlp_ratio=2.0, dropout_p=0.1)
@@ -302,9 +339,9 @@ def test_train_prm_non_finite_forward_diverges_and_keeps_the_best_weights(mini_d
                       out_channels=4, embed_dim=16, depth=1, n_heads=2,
                       mlp_ratio=2.0, dropout_p=0.1)
     init = ProcessRewardModel(rewards_backbone(cfg), mini_dataset.normalization, init_seed=0)
-    for holdout in (None, triplets[:6]):
-        res = train_prm(triplets[6:], PRMConfig(backbone=cfg, epochs=3, lr=1e20,
-                                                batch_triplets=8, seed=0),
+    for holdout in (None, _rows(triplets, slice(6))):
+        res = train_prm(_rows(triplets, slice(6, None)),
+                        PRMConfig(backbone=cfg, epochs=3, lr=1e20, batch_triplets=8, seed=0),
                         mini_dataset.normalization, holdout=holdout)
         assert res.diverged
         for name in init.store.names():      # diverged in the first epoch: the init
@@ -354,12 +391,11 @@ def test_prm_training_builds_the_inputs_of_one_micro_batch_at_a_time(mini_datase
                              init_seed=cfg.seed)
 
     def step(sel, rng):
-        chunk = [triplets[j] for j in sel]
-        cur = np.repeat(np.stack([r.current.fields() for r in chunk]), 3, axis=0)
-        cur_t = np.repeat(np.array([r.current.t for r in chunk]), 3)
-        cand = np.stack([f for r in chunk
-                         for f in (r.worst.fields(), r.median.fields(), r.best.fields())])
-        cand_t = np.repeat(np.array([r.best.t for r in chunk]), 3)
+        chunk = [(triplets.fields[j], triplets.meta[j]) for j in sel]
+        cur = np.repeat(np.stack([f[0] for f, _ in chunk]), 3, axis=0)
+        cur_t = np.repeat(np.array([m["t"] for _, m in chunk]), 3)
+        cand = np.stack([f[slot] for f, _ in chunk for slot in (3, 2, 1)])
+        cand_t = np.repeat(np.array([m["t_next"] for _, m in chunk]), 3)
         x = ref.inputs((cur, cur_t), (cand, cand_t))
         return accumulate_margin_grad(ref.model, len(sel),
                                       lambda rows: x[3 * rows.start:3 * rows.stop],
@@ -378,7 +414,7 @@ def test_prm_training_and_accuracy_forward_at_most_a_micro_batch(mini_dataset,
                                                                  forward_sizes):
     sizes = forward_sizes
     triplets = _noise_triplets(mini_dataset, np.random.default_rng(7))
-    holdout, triplets = triplets[:6], triplets[6:]
+    holdout, triplets = _rows(triplets, slice(6)), _rows(triplets, slice(6, None))
     res = train_prm(triplets, PRMConfig(backbone=MICRO_CFG, epochs=1, batch_triplets=8,
                                         seed=0),
                     mini_dataset.normalization, holdout=holdout)
