@@ -179,10 +179,13 @@ def cmd_gen_data(cfg: dict) -> int:
     d = cfg["data"]
     grid = _checked("grid", euler.GridSpec, cfg["grid"]["nx"], cfg["grid"]["ny"])
     _checked("data", euler.check_solver_inputs, d["families"], d["gamma"], d["cfl"])
-    ds = euler.generate_dataset(d["families"], d["n_per_family"], grid, cfg["seed"],
-                                tuple(d["split"]), d["gamma"], d["cfl"], jobs=cfg["jobs"])
     out = Path(d["path"])
     out.parent.mkdir(parents=True, exist_ok=True)
+    # each snapshot goes to disk as it is solved; the dataset is a view of it
+    scratch = storage.SnapshotScratch(out.parent, grid)
+    ds = euler.generate_dataset(d["families"], d["n_per_family"], grid, cfg["seed"],
+                                tuple(d["split"]), d["gamma"], d["cfl"], jobs=cfg["jobs"],
+                                store=scratch.append)
     storage.save_dataset(out, ds, config_digest(cfg))
     print(f"wrote {out} ({len(ds.trajectories)} trajectories, "
           f"split {[len(ds.split[k]) for k in ('train', 'val', 'test')]})")
@@ -382,12 +385,13 @@ def _evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> tupl
     Returns (report, entries, truth trajectories), where each entry is
     (reward, ic, B, record base path).  The truth is the dataset split and
     IC count the rollouts ran on, as their indexes record them.  Indexes
-    that disagree on these, or that ran on a dataset whose payload differs
-    from data_path's, are a config error.
+    that disagree on these, that ran on a dataset whose payload differs
+    from data_path's, or that list an IC outside the trajectories they ran
+    on, are a config error.
     """
     ds = storage.load_dataset(data_path)
     records_dir = Path(records_dir)
-    meta, entries = [], []
+    meta, entries, listed_in = [], [], []      # listed_in: the index file of each entry
     index_files = sorted(records_dir.glob("**/index.json"))
     if not index_files:
         raise ConfigError(f"no rollout index.json found under {records_dir}")
@@ -404,11 +408,13 @@ def _evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> tupl
                               f"(payload digest {index['dataset_digest'][:16]}), "
                               f"not on --data (payload digest {ds.payload_digest[:16]})")
         try:
-            entries += [(e["reward"], int(e["ic"]), int(e["B"]), idx_file.parent / e["base"])
-                        for e in index["records"]]
+            listed = [(e["reward"], int(e["ic"]), int(e["B"]), idx_file.parent / e["base"])
+                      for e in index["records"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise storage.StorageError(f"{idx_file}: not a rollout record entry: "
                                        f"{type(exc).__name__} {exc}") from None
+        entries += listed
+        listed_in += [idx_file] * len(listed)
         meta.append(index)
     runs = sorted({(m["split"], m["n_ics"]) for m in meta})
     if len(runs) > 1:
@@ -419,6 +425,10 @@ def _evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> tupl
     if len(trajs) < n_ics:
         raise ConfigError(f"the rollouts ran on {n_ics} {which} trajectories; "
                           f"the dataset split has {len(trajs)}")
+    for idx_file, (_, ic, _, _) in zip(listed_in, entries):
+        if not 0 <= ic < len(trajs):
+            raise ConfigError(f"{idx_file} lists a record of ic {ic}, outside 0 ... "
+                              f"{len(trajs) - 1}, the {which} trajectories it ran on")
     records = ((reward, ic, b, ttc.load_rollout_record(path))
                for reward, ic, b, path in entries)
     report = metrics.evaluate(records, trajs, ds.normalization, ds.gamma,

@@ -28,6 +28,17 @@ distributed, and minmod keeps its sign-sum form, which fixes the sign of
 a zero slope.  tests/fv_reference.py holds the array formulation, and
 the tests compare the two bit for bit.
 
+A `Trajectory` holds its snapshots as a read-only sequence: indexing
+gives a float64 `Snapshot`, slicing gives another sequence, and each
+snapshot is read by iterating or indexing, never changed in place.  A
+solved trajectory holds a list; a trajectory of a stored dataset, and
+one that `gen-data` has solved, holds a `storage.SnapshotRows`, which
+reads each snapshot from its float32 (or scratch float64) row of the
+file when it is asked for and turns it into float64.  A `Dataset` is
+therefore as large in memory as its metadata, whatever its file holds.
+The reductions over trajectories (`Normalization.from_trajectories`,
+`conservation_drift`) read each snapshot once, in order.
+
 Also hosts the initial-condition families used to build trajectory
 datasets: quadrant Riemann problems (rp), curved-interface variants
 (crp), Gaussian perturbations (gauss), Kelvin-Helmholtz shear layers
@@ -37,9 +48,11 @@ shock hitting a corrugated density interface (rm).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import threading
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -165,8 +178,11 @@ class ICSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """An IC and its snapshots at ``times``: a list, or a read-only view of
+    a file (see the module docstring)."""
+
     ic: ICSpec
-    snapshots: list[Snapshot]
+    snapshots: Sequence[Snapshot]
     times: np.ndarray
 
     def __len__(self) -> int:
@@ -175,7 +191,8 @@ class Trajectory:
 
 @dataclass
 class Normalization:
-    """Per-channel z-score statistics, computed on the train split only."""
+    """Per-channel z-score statistics, computed on the train split only,
+    summing the float64 snapshots in trajectory and time order."""
 
     mean: np.ndarray            # (4,)
     std: np.ndarray             # (4,), floored away from zero
@@ -485,34 +502,44 @@ def fv_step(u: Snapshot, dt: float, gamma: float = GAMMA_DEFAULT,
     return out
 
 
-def solve_trajectory(spec: ICSpec, grid: GridSpec, gamma: float = GAMMA_DEFAULT,
-                     cfl: float = CFL_DEFAULT, n_snapshots: int = N_SNAPSHOTS,
-                     t_final: float = T_FINAL) -> Trajectory:
-    """Evolve an initial condition, storing uniformly spaced snapshots.
+def trajectory_snapshots(spec: ICSpec, grid: GridSpec, gamma: float = GAMMA_DEFAULT,
+                         cfl: float = CFL_DEFAULT, n_snapshots: int = N_SNAPSHOTS,
+                         t_final: float = T_FINAL) -> Iterator[Snapshot]:
+    """Evolve an initial condition, yielding each of the uniformly spaced
+    snapshots as the solver reaches its time, so that a caller can store
+    it before the next one is computed.
 
     The solver substeps adaptively under the CFL bound between output
-    times; stored snapshot times are exact multiples of
+    times; the snapshot times are exact multiples of
     t_final/(n_snapshots-1).
     """
     cur = make_initial_condition(spec, grid)
-    times = np.linspace(0.0, t_final, n_snapshots)
-    snaps = [cur]
-    for target in times[1:]:
+    yield cur
+    for target in np.linspace(0.0, t_final, n_snapshots)[1:]:
         while cur.t < target - 1e-13:
             cur = fv_step(cur, target - cur.t, gamma, grid, cfl)
         cur = replace(cur, t=float(target))   # clear substep float drift
-        snaps.append(cur)
-    return Trajectory(ic=spec, snapshots=snaps, times=times)
+        yield cur
+
+
+def solve_trajectory(spec: ICSpec, grid: GridSpec, gamma: float = GAMMA_DEFAULT,
+                     cfl: float = CFL_DEFAULT, n_snapshots: int = N_SNAPSHOTS,
+                     t_final: float = T_FINAL) -> Trajectory:
+    """The trajectory of `trajectory_snapshots`, held in memory."""
+    snaps = list(trajectory_snapshots(spec, grid, gamma, cfl, n_snapshots, t_final))
+    return Trajectory(ic=spec, snapshots=snaps, times=np.linspace(0.0, t_final, n_snapshots))
 
 
 def conservation_drift(traj: Trajectory, gamma: float = GAMMA_DEFAULT) -> dict:
-    """Worst relative drift of the four discrete totals over a trajectory.
+    """Worst relative drift of the four discrete totals over a trajectory,
+    whose snapshots are read once, in order.
 
     Momentum totals can be legitimately near zero (antisymmetric flows),
     so momentum drift is normalized by max(|P(0)|, M(0) * mean sound
     speed at t=0) rather than by |P(0)| alone.
     """
-    s0 = traj.snapshots[0]
+    snaps = iter(traj.snapshots)
+    s0 = next(snaps)
     ref = totals(s0, gamma)
     c0 = float(np.mean(np.sqrt(gamma * s0.p / s0.rho)))
     scale = np.array([abs(ref[0]),
@@ -520,7 +547,7 @@ def conservation_drift(traj: Trajectory, gamma: float = GAMMA_DEFAULT) -> dict:
                       max(abs(ref[2]), ref[0] * c0),
                       abs(ref[3])])
     worst = np.zeros(4)
-    for s in traj.snapshots[1:]:
+    for s in snaps:
         worst = np.maximum(worst, np.abs(totals(s, gamma) - ref) / scale)
     return dict(zip(("mass", "momentum_x", "momentum_y", "energy"), worst))
 
@@ -827,7 +854,7 @@ def assemble_dataset(trajectories: list, grid: GridSpec, seed: int, families,
 def generate_dataset(families, n_per_family: int, grid: GridSpec, seed: int,
                      split_fractions=(0.75, 0.125, 0.125),
                      gamma: float = GAMMA_DEFAULT, cfl: float = CFL_DEFAULT,
-                     n_snapshots: int = N_SNAPSHOTS, jobs: int = 1) -> Dataset:
+                     n_snapshots: int = N_SNAPSHOTS, jobs: int = 1, store=list) -> Dataset:
     """Solve n_per_family trajectories per family into a split dataset.
 
     Deterministic given (families, n_per_family, grid, seed): the i-th
@@ -835,16 +862,28 @@ def generate_dataset(families, n_per_family: int, grid: GridSpec, seed: int,
     is the same for every ``jobs``.  With ``jobs`` > 1 the trajectories
     are solved by a pool of at most that many worker processes, started
     fresh (spawned) rather than forked from a process that may hold
-    threads.
+    threads, and taken from it one at a time, in order.
+
+    ``store`` receives each trajectory's snapshots, in order, as an
+    iterable that (with one job) solves each snapshot as it is read, and
+    returns the sequence the trajectory keeps: `list` holds them in
+    memory, and `storage.SnapshotScratch.append` writes each to a file
+    as it arrives.
     """
     check_solver_inputs(families, gamma, cfl)
     check_split_fractions(split_fractions)
     specs = [sample_ic(fam, seed, i) for fam in families for i in range(n_per_family)]
-    solve = partial(solve_trajectory, grid=grid, gamma=gamma, cfl=cfl,
-                    n_snapshots=n_snapshots)
-    if jobs > 1 and len(specs) > 1:
-        with multiprocessing.get_context("spawn").Pool(min(jobs, len(specs))) as pool:
-            trajectories = pool.map(solve, specs)
-    else:
-        trajectories = list(map(solve, specs))
+    times = np.linspace(0.0, T_FINAL, n_snapshots)
+    with contextlib.ExitStack() as stack:
+        if jobs > 1 and len(specs) > 1:
+            pool = stack.enter_context(
+                multiprocessing.get_context("spawn").Pool(min(jobs, len(specs))))
+            solve = partial(solve_trajectory, grid=grid, gamma=gamma, cfl=cfl,
+                            n_snapshots=n_snapshots)
+            solved = (tr.snapshots for tr in pool.imap(solve, specs))
+        else:
+            solved = (trajectory_snapshots(spec, grid, gamma, cfl, n_snapshots)
+                      for spec in specs)
+        trajectories = [Trajectory(ic=spec, snapshots=store(snaps), times=times)
+                        for spec, snaps in zip(specs, solved)]
     return assemble_dataset(trajectories, grid, seed, families, split_fractions, gamma)

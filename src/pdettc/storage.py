@@ -1,4 +1,4 @@
-"""Binary persistence: containers and model checkpoints.
+"""Binary persistence: containers, datasets and model checkpoints.
 
 Container layout (one file per artifact):
   bytes  0..15   magic "PDETTC01" padded with NULs to 16 bytes
@@ -11,6 +11,9 @@ Container layout (one file per artifact):
                  channel, x, y), `ttc.save_rollout_record`.  Channels are
                  [rho, vx, vy, p].  A reader checks the header first: a
                  missing key or a wrong value raises StorageError naming it.
+                 It compares the sizes the header declares with the size
+                 of the file before it reads them, so a corrupt size is
+                 refused as a truncated file instead of being allocated.
 
 Checkpoint layout:
   magic "PDETTCPM", u64 header length, JSON header (model kind,
@@ -20,6 +23,23 @@ Checkpoint layout:
 
 A sidecar <path>.json mirrors every container header for human
 inspection.
+
+Datasets live in their files.  `load_dataset` checks the header and the
+file size, hashes the payload in fixed-size chunks and keeps one open
+descriptor on the file it opened.  Each trajectory's ``snapshots`` is a
+read-only `SnapshotRows` sequence over that file: indexing it reads one
+float32 row at its offset and returns it as a new float64 `Snapshot`,
+slicing it gives another such sequence, and nothing else of the payload
+is held.  So a command holds the snapshots it is using, not the dataset.
+The descriptor closes when the last trajectory of the dataset is
+dropped.  A file that later replaces the path (every write here does,
+through os.replace) is not seen by a dataset opened before it.
+`SnapshotScratch` is the writing side: `gen-data` appends each solved
+snapshot, as the solver reaches it, to an unnamed float64 file beside
+its output and gets the same kind of sequence back.  The normalisation,
+the drift audit and `save_dataset` then each read one exact float64
+snapshot at a time, so the dataset file is byte for byte the one a
+dataset held in memory gives.
 
 Every file is written to a temporary file in its own directory, synced
 to disk, moved over its path with os.replace, and the directory synced,
@@ -38,19 +58,23 @@ import json
 import math
 import os
 import struct
+import tempfile
 import threading
+import weakref
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .euler import (Dataset, GridSpec, ICSpec, Normalization, Snapshot,
+from .euler import (CHANNELS, Dataset, GridSpec, ICSpec, Normalization, Snapshot,
                     Trajectory)
 from .nn import ParamStore
 from .vit import ModelConfig
 
 CONTAINER_MAGIC = b"PDETTC01" + b"\x00" * 8
 CHECKPOINT_MAGIC = b"PDETTCPM"
+CHUNK_BYTES = 1 << 20           # read size of a payload digest
 
 
 class StorageError(RuntimeError):
@@ -110,6 +134,17 @@ def _check_end(fh, path) -> None:
         raise StorageError(f"{path}: trailing bytes after the payload")
 
 
+def _read_exact(fh, n: int, path, what: str) -> bytes:
+    """The next n bytes of fh; StorageError "truncated <what>" if the file
+    holds fewer, checked before anything is allocated."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise StorageError(f"{path}: truncated {what}")
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise StorageError(f"{path}: truncated {what}")
+    return raw
+
+
 def _read_header(fh, magic: bytes, path) -> dict:
     got = fh.read(len(magic))
     if got != magic:
@@ -119,12 +154,17 @@ def _read_header(fh, magic: bytes, path) -> dict:
         raise StorageError(f"{path}: truncated header")
     (n,) = struct.unpack("<Q", size)
     try:
-        header = json.loads(fh.read(n).decode("utf-8"))
+        header = json.loads(_read_exact(fh, n, path, "header").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StorageError(f"{path}: corrupt header: {exc}") from None
     if not isinstance(header, dict):
         raise StorageError(f"{path}: corrupt header: not a JSON object")
     return header
+
+
+def _write_sidecar(path: Path, header: dict) -> None:
+    write_text(path.with_suffix(path.suffix + ".json"),
+               json.dumps(header, sort_keys=True, indent=2) + "\n")
 
 
 def write_container(path, header: dict, payload: np.ndarray) -> None:
@@ -136,49 +176,146 @@ def write_container(path, header: dict, payload: np.ndarray) -> None:
     with _replacing(path) as fh:
         _write_header(fh, CONTAINER_MAGIC, header)
         fh.write(data)
-    write_text(path.with_suffix(path.suffix + ".json"),
-               json.dumps(header, sort_keys=True, indent=2) + "\n")
+    _write_sidecar(path, header)
 
 
-def read_container(path, expect_type: str | None = None):
-    path = Path(path)
-    with open(path, "rb") as fh:
-        header = _read_header(fh, CONTAINER_MAGIC, path)
-        shape = header.get("payload_shape")
-        if not (isinstance(shape, list) and all(isinstance(d, int) and d >= 0 for d in shape)):
-            raise StorageError(f"{path}: corrupt header: payload_shape {shape!r}")
-        n = math.prod(shape)
-        raw = fh.read(4 * n)
-        if len(raw) != 4 * n:
-            raise StorageError(f"{path}: truncated payload")
-        _check_end(fh, path)
+def _open_container(fh, path, expect_type: str | None) -> tuple:
+    """The header and payload shape of the container open in fh, which is
+    left at the payload.  The payload must fill the rest of the file
+    exactly, and the record type must be ``expect_type`` (if given)."""
+    header = _read_header(fh, CONTAINER_MAGIC, path)
+    shape = header.get("payload_shape")
+    if not (isinstance(shape, list) and all(isinstance(d, int) and d >= 0 for d in shape)):
+        raise StorageError(f"{path}: corrupt header: payload_shape {shape!r}")
+    declared, left = 4 * math.prod(shape), os.fstat(fh.fileno()).st_size - fh.tell()
+    if declared > left:
+        raise StorageError(f"{path}: truncated payload")
+    if declared < left:
+        raise StorageError(f"{path}: trailing bytes after the payload")
     if expect_type is not None and header.get("record_type") != expect_type:
         raise StorageError(
             f"{path}: record_type {header.get('record_type')!r}, wanted {expect_type!r}")
-    payload = np.frombuffer(raw, dtype="<f4").reshape(shape)
-    return header, payload
+    return header, shape
+
+
+def read_container(path, expect_type: str | None = None):
+    """The header and the whole float32 payload of the container at path."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        header, shape = _open_container(fh, path, expect_type)
+        raw = _read_exact(fh, 4 * math.prod(shape), path, "payload")
+    return header, np.frombuffer(raw, dtype="<f4").reshape(shape)
+
+
+def _payload_sha256(fh, nbytes: int, path) -> str:
+    """SHA-256 of the next nbytes of fh, read CHUNK_BYTES at a time."""
+    h = hashlib.sha256()
+    while nbytes:
+        chunk = fh.read(min(CHUNK_BYTES, nbytes))
+        if not chunk:
+            raise StorageError(f"{path}: truncated payload")
+        h.update(chunk)
+        nbytes -= len(chunk)
+    return h.hexdigest()
 
 
 def payload_digest(path) -> str:
     """SHA-256 of a container's payload.  Unlike a digest of the file, it
     does not depend on the header, which records the config (output path
     included) that wrote the file."""
-    _, payload = read_container(path)
-    return hashlib.sha256(payload).hexdigest()
+    path = Path(path)
+    with open(path, "rb") as fh:
+        _, shape = _open_container(fh, path, None)
+        return _payload_sha256(fh, 4 * math.prod(shape), path)
 
 
 # ---------------------------------------------------------------------------
 # Datasets
 
 
+class _Rows:
+    """Equal rows of ``shape`` values of ``dtype``, back to back from byte
+    ``offset`` of the file open as ``fd``.  The object owns the descriptor
+    and closes it when it is collected."""
+
+    def __init__(self, fd: int, offset: int, shape: tuple, dtype: str, path):
+        self.fd, self.offset, self.shape, self.path = fd, offset, tuple(shape), path
+        self.dtype = np.dtype(dtype)
+        self.nbytes = self.dtype.itemsize * math.prod(self.shape)
+        weakref.finalize(self, os.close, fd)
+
+    def read(self, r: int) -> np.ndarray:
+        """Row r as a new float64 array."""
+        raw = os.pread(self.fd, self.nbytes, self.offset + r * self.nbytes)
+        if len(raw) != self.nbytes:
+            raise StorageError(f"{self.path}: truncated payload")
+        return np.frombuffer(raw, self.dtype).reshape(self.shape).astype(np.float64)
+
+
+class SnapshotRows(Sequence):
+    """Read-only snapshots of one trajectory, kept as rows of a file.
+
+    Item j is row ``first + index[j]`` at time ``times[index[j]]``, read
+    when it is asked for and returned as a new float64 `Snapshot`; a
+    slice is another `SnapshotRows` over the same file.
+    """
+
+    def __init__(self, rows: _Rows, first: int, times: np.ndarray, index: range):
+        self._rows, self._first, self._times, self._index = rows, first, times, index
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return SnapshotRows(self._rows, self._first, self._times, self._index[k])
+        j = self._index[k]
+        return Snapshot.from_fields(self._rows.read(self._first + j), self._times[j])
+
+
+class SnapshotScratch:
+    """An unnamed float64 file in ``directory`` for solved snapshots on
+    ``grid``.
+
+    `append` writes one trajectory's snapshots as they arrive and returns
+    them as a `SnapshotRows` over this file, bit for bit the snapshots it
+    was given.  The file has no name, so it disappears when its last view
+    is dropped, even if the process dies.
+    """
+
+    def __init__(self, directory, grid: GridSpec):
+        fd, name = tempfile.mkstemp(dir=directory, prefix=".pdettc-", suffix=".rows")
+        os.unlink(name)
+        self._rows = _Rows(fd, 0, (len(CHANNELS), grid.nx, grid.ny), "<f8",
+                           Path(directory) / "(snapshot scratch file)")
+        self._count = 0
+
+    def append(self, snapshots) -> SnapshotRows:
+        first, times = self._count, []
+        for s in snapshots:
+            data = np.ascontiguousarray(s.fields(), dtype="<f8")
+            if data.shape != self._rows.shape:
+                raise ValueError(f"snapshot of shape {data.shape} on a grid of {self._rows.shape}")
+            view = memoryview(data).cast("B")
+            while view:
+                view = view[os.write(self._rows.fd, view):]
+            times.append(s.t)
+            self._count += 1
+        return SnapshotRows(self._rows, first, np.asarray(times), range(len(times)))
+
+
 def save_dataset(path, ds: Dataset, config_digest: str | None = None) -> None:
+    """Write ds as a DATASET container and its sidecar, converting one
+    snapshot at a time to a float32 row."""
+    path = Path(path)
     n = len(ds.trajectories)
     n_t = len(ds.trajectories[0]) if n else 0
+    row = (len(CHANNELS), ds.grid.nx, ds.grid.ny)
     header = {
         "record_type": "DATASET",
         "grid": {"nx": ds.grid.nx, "ny": ds.grid.ny, "lx": ds.grid.lx, "ly": ds.grid.ly},
         "gamma": ds.gamma,
-        "channel_order": ["rho", "vx", "vy", "p"],
+        "channel_order": list(CHANNELS),
         "n_trajectories": n,
         "n_snapshots": n_t,
         "times": ds.trajectories[0].times.tolist() if n else [],
@@ -190,44 +327,57 @@ def save_dataset(path, ds: Dataset, config_digest: str | None = None) -> None:
         ],
         "splits": ds.split,
         "normalization": ds.normalization.to_dict() if ds.normalization else None,
+        "payload_shape": [n, n_t, *row],
     }
     if config_digest is not None:
         header["config_digest"] = config_digest
-    payload = np.empty((n, n_t, 4, ds.grid.nx, ds.grid.ny), dtype="<f4")
-    for i, tr in enumerate(ds.trajectories):
-        for k, s in enumerate(tr.snapshots):
-            payload[i, k] = s.fields()
-    write_container(path, header, payload)
+    with _replacing(path) as fh:
+        _write_header(fh, CONTAINER_MAGIC, header)
+        for tr in ds.trajectories:
+            if len(tr) != n_t:
+                raise ValueError(f"a trajectory of {len(tr)} snapshots among {n_t}")
+            for s in tr.snapshots:
+                if s.fields().shape != row:
+                    raise ValueError(f"snapshot of shape {s.fields().shape} on a "
+                                     f"{ds.grid.nx}x{ds.grid.ny} grid")
+                fh.write(np.ascontiguousarray(s.fields(), dtype="<f4"))
+    _write_sidecar(path, header)
 
 
 def load_dataset(path) -> Dataset:
-    """The dataset at path, carrying the `payload_digest` of the bytes it
-    was read from, so that a caller need not read the file again."""
-    header, payload = read_container(path, expect_type="DATASET")
-    try:
-        g = header["grid"]
-        grid = GridSpec(nx=g["nx"], ny=g["ny"], lx=g["lx"], ly=g["ly"])
-        times = np.asarray(header["times"], dtype=np.float64)
-        want = (len(header["trajectories"]), header["n_snapshots"], 4, grid.nx, grid.ny)
-        if payload.shape != want or times.shape != want[1:2]:
-            raise ValueError(f"payload shape {payload.shape} and {times.size} times for {want}")
-        trajectories = []
-        for i, meta in enumerate(header["trajectories"]):
-            spec = ICSpec(family=meta["family"], params=meta["params"], seed=meta["seed"])
-            snaps = [Snapshot.from_fields(payload[i, k], times[k]) for k in range(want[1])]
-            trajectories.append(Trajectory(ic=spec, snapshots=snaps, times=times))
-        split = {k: list(header["splits"][k]) for k in ("train", "val", "test")}
-        if not all(isinstance(i, int) and 0 <= i < want[0] for ids in split.values() for i in ids):
-            raise ValueError(f"split indices outside the {want[0]} trajectories: {split}")
-        norm = header["normalization"]
-        return Dataset(
-            grid=grid, gamma=header["gamma"], trajectories=trajectories, split=split,
-            normalization=Normalization.from_dict(norm) if norm else None,
-            seed=header["seed"], families=tuple(header["families"]),
-            payload_digest=hashlib.sha256(payload).hexdigest(),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StorageError(f"{path}: not a dataset: {type(exc).__name__} {exc}") from None
+    """The dataset at path, read-only and backed by the file (see the
+    module docstring).  It carries the `payload_digest` of the bytes it
+    reads, so that a caller need not read the file again."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        header, shape = _open_container(fh, path, "DATASET")
+        offset = fh.tell()
+        try:
+            g = header["grid"]
+            grid = GridSpec(nx=g["nx"], ny=g["ny"], lx=g["lx"], ly=g["ly"])
+            times = np.asarray(header["times"], dtype=np.float64)
+            n, n_t = len(header["trajectories"]), header["n_snapshots"]
+            want = [n, n_t, len(CHANNELS), grid.nx, grid.ny]
+            if shape != want or times.shape != (n_t,):
+                raise ValueError(f"payload shape {tuple(shape)} and {times.size} times "
+                                 f"for {tuple(want)}")
+            specs = [ICSpec(family=meta["family"], params=meta["params"], seed=meta["seed"])
+                     for meta in header["trajectories"]]
+            split = {k: list(header["splits"][k]) for k in ("train", "val", "test")}
+            if not all(isinstance(i, int) and 0 <= i < n for ids in split.values() for i in ids):
+                raise ValueError(f"split indices outside the {n} trajectories: {split}")
+            norm = header["normalization"]
+            norm = Normalization.from_dict(norm) if norm else None
+            gamma, seed, families = header["gamma"], header["seed"], tuple(header["families"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StorageError(f"{path}: not a dataset: {type(exc).__name__} {exc}") from None
+        digest = _payload_sha256(fh, 4 * math.prod(shape), path)
+        rows = _Rows(os.dup(fh.fileno()), offset, want[2:], "<f4", path)
+    trajectories = [Trajectory(ic=spec, snapshots=SnapshotRows(rows, i * n_t, times,
+                                                               range(n_t)), times=times)
+                    for i, spec in enumerate(specs)]
+    return Dataset(grid=grid, gamma=gamma, trajectories=trajectories, split=split,
+                   normalization=norm, seed=seed, families=families, payload_digest=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +422,7 @@ def load_checkpoint(path, kind: str) -> Checkpoint:
         for meta in header["params"]:
             shape = tuple(meta["shape"])
             n = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * n)
-            if len(raw) != 8 * n:
-                raise StorageError(f"{path}: truncated parameter blob {meta['name']}")
+            raw = _read_exact(fh, 8 * n, path, f"parameter blob {meta['name']}")
             values[meta["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         _check_end(fh, path)
     norm = header["normalization"]

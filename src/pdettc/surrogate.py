@@ -207,13 +207,16 @@ def _gather(dataset: Dataset, pairs, sel) -> tuple:
     return np.stack(fields), np.asarray(times), np.stack(targets)
 
 
-def _val_mse(surrogate: Surrogate, dataset: Dataset, pairs) -> float:
+def _val_mse(surrogate: Surrogate, dataset: Dataset, pairs, batch: int | None = None) -> float:
     """Deterministic one-step MSE over ``pairs``, in normalised units,
-    forwarded one micro-batch at a time."""
+    forwarded one micro-batch, and at most ``batch`` pairs, at a time.
+    Training passes its batch size, so that on a small grid, where a
+    micro-batch can hold hundreds of samples, the pass still holds no
+    more pairs than a training step, however large the split."""
     if not pairs:
         return np.nan
     total, count = 0.0, 0
-    m = surrogate.model.micro_batch
+    m = min(surrogate.model.micro_batch, batch or surrogate.model.micro_batch)
     for start in range(0, len(pairs), m):
         sel = range(start, min(start + m, len(pairs)))
         fields, times, targets = _gather(dataset, pairs, sel)
@@ -221,6 +224,7 @@ def _val_mse(surrogate: Surrogate, dataset: Dataset, pairs) -> float:
         d = pred - surrogate.norm.apply(targets)
         total += float(np.sum(d * d))
         count += d.size
+        del fields, targets, pred, d        # before the next chunk is gathered
     return total / count
 
 
@@ -361,7 +365,7 @@ def fit_surrogate(surrogate: Surrogate, dataset: Dataset, indices, cfg: TrainCon
         return accumulate_loss_grad(surrogate.model, len(sel), build, cfg.loss_p, rng)
 
     def judge(train_loss):
-        val = _val_mse(surrogate, dataset, val_pairs) if val_pairs else np.nan
+        val = _val_mse(surrogate, dataset, val_pairs, cfg.batch_size) if val_pairs else np.nan
         return (-val if val_pairs else -train_loss), {"val_mse": val}
 
     result = fit(surrogate, len(train_pairs), cfg.batch_size, cfg,

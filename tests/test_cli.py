@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -172,7 +173,7 @@ def test_config_file_lists_are_checked_before_anything_runs(tmp_path, monkeypatc
     def solve(*_, **__):
         raise AssertionError("solved a trajectory with a bad config")
 
-    monkeypatch.setattr(euler, "solve_trajectory", solve)
+    monkeypatch.setattr(euler, "trajectory_snapshots", solve)
     for argv in (["gen-data", "--families", "rp", "--grid", "16", "--out", "d.pdt"],
                  ["rollout", "--surrogate", "s.ckpt", "--data", "d.pdt", "--out-dir", "r"]):
         _fails_with_one_line(capsys, [*argv, "--config", "bad.json"], f"'{key}'")
@@ -254,7 +255,7 @@ def test_values_the_constructors_reject_exit_before_any_work(
     def solve(*_, **__):
         raise AssertionError("solved a trajectory with a bad config")
 
-    monkeypatch.setattr(euler, "solve_trajectory", solve)
+    monkeypatch.setattr(euler, "trajectory_snapshots", solve)
     inputs = {"gen-data": [],
               "train": ["--data", small_run["data"]],
               "finetune": ["--from", small_run["ckpt"], "--data", small_run["data"]],
@@ -916,3 +917,147 @@ def test_a_checkpoint_the_model_cannot_be_built_from_exits_2(mismatched, tmp_pat
                                f"input error: {bad}: cannot build a {kind} model: ")
     assert match in err, err
     assert not Path("out").exists()
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == cli.EXIT_OK, argv[0]
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_does_not_grow_with_the_dataset(tmp_path, monkeypatch):
+    """gen-data, train --epochs 0 and rollout --n-ics 1 --B 1 on 4 and on
+    48 trajectories at 16x16: each holds the snapshots it is using, not
+    the dataset, so the larger run's traced peak is not two float64
+    trajectories larger.  Half of each dataset is val, so that both runs
+    forward the val pairs in whole training batches (32 pairs)."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PDETTC_SEED", raising=False)
+
+    def commands(n):
+        data, ckpt = f"d{n}.pdt", f"s{n}.ckpt"
+        return [["gen-data", "--seed", "3", "--families", "rp", "--n", str(n), "--grid", "16",
+                 "--split", "0.25,0.5,0.25", "--out", data],
+                ["train", "--seed", "3", "--data", data, "--epochs", "0", "--out", ckpt],
+                ["rollout", "--seed", "3", "--surrogate", ckpt, "--data", data, "--n-ics", "1",
+                 "--B", "1", "--reward", "arm_mass", "--out-dir", f"r{n}"]]
+
+    for argv in commands(4):
+        assert cli.main(argv) == cli.EXIT_OK              # first-call costs untraced
+    small, large = ([_traced_peak(argv) for argv in commands(n)] for n in (4, 48))
+    trajectory_bytes = 21 * 4 * 16 * 16 * 8               # one trajectory's float64 states
+    for command, a, b in zip(("gen-data", "train", "rollout"), small, large):
+        assert b - a < 2 * trajectory_bytes, (command, a, b)
+
+
+_GEN_16 = ["gen-data", "--seed", "3", "--families", "rp,kh", "--n", "4", "--grid", "16",
+           "--split", "0.5,0.25,0.25", "--out", "data.pdt"]
+
+
+def test_gen_data_writes_the_frozen_bytes(tmp_path, monkeypatch):
+    """Two families with train, val and test trajectories.  The digests
+    were computed with the writer that held every trajectory in memory
+    until it wrote the file."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PDETTC_SEED", raising=False)
+    assert cli.main(_GEN_16) == cli.EXIT_OK
+    assert storage.load_dataset("data.pdt").split == {"train": [0, 2, 6, 7], "val": [1, 3],
+                                                      "test": [4, 5]}
+    digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+               for name in ("data.pdt", "data.pdt.json")}
+    assert digests == {
+        "data.pdt": "2c98c683582ccc0cba0cae7714ba194f35c3c413c32c99ec1d690087bc044ae0",
+        "data.pdt.json": "b30a64124087ab544f5d7983c61b61354d1b3f902622d2fddf341ba3526ca167",
+    }
+
+
+def test_gen_data_with_one_or_two_jobs_writes_the_same_dataset(tmp_path, monkeypatch):
+    """The files differ only in the config digest, which hashes `jobs`
+    with the rest of the config."""
+    monkeypatch.delenv("PDETTC_SEED", raising=False)
+    written = []
+    for jobs in ("1", "2"):
+        (tmp_path / jobs).mkdir()
+        monkeypatch.chdir(tmp_path / jobs)
+        assert cli.main([*_GEN_16, "--jobs", jobs]) == cli.EXIT_OK
+        written.append((_edited_container(Path("data.pdt").read_bytes(), _drop("config_digest")),
+                        _drop("config_digest")(json.loads(Path("data.pdt.json").read_text()))))
+    assert written[0] == written[1]
+
+
+def test_an_open_dataset_keeps_reading_the_file_it_opened(tmp_path, monkeypatch):
+    """A later gen-data replaces the path; the dataset opened before it
+    still reads the rows it opened, never a row of the new file."""
+    monkeypatch.chdir(tmp_path)
+    gen = ["gen-data", "--families", "rp", "--n", "2", "--grid", "16", "--split", "0.5,0,0.5",
+           "--out", "data.pdt"]
+    assert cli.main([*gen, "--seed", "3"]) == cli.EXIT_OK
+    _, first = storage.read_container("data.pdt")
+    ds = storage.load_dataset("data.pdt")
+    assert cli.main([*gen, "--seed", "4"]) == cli.EXIT_OK
+    _, second = storage.read_container("data.pdt")
+    assert not np.array_equal(first, second)
+    for i, tr in enumerate(ds.trajectories):
+        for k, s in enumerate(tr.snapshots):
+            assert s.fields().tobytes() == first[i, k].astype(np.float64).tobytes()
+    assert ds.payload_digest == hashlib.sha256(first.tobytes()).hexdigest()
+
+
+def _triplet_store(path, ds) -> None:
+    meta = [{"traj": 0, "t_index": 0, "t": 0.0, "t_next": 0.05, "mse": [0.1, 0.2, 0.3]}]
+    rewards.save_triplets(path, rewards.Triplets(
+        np.zeros((1, 4, 4, ds.grid.nx, ds.grid.ny), np.float32), meta), ds.grid, ds.gamma)
+
+
+@pytest.mark.parametrize("kind", ["dataset", "triplets", "record"])
+@pytest.mark.parametrize("size,match", [
+    ("payload", "truncated payload"), ("header", "truncated header")])
+def test_a_container_that_declares_more_than_its_file_holds_exits_2(
+        small_run, tmp_path, monkeypatch, capsys, kind, size, match):
+    """A payload_shape of 10**12 floats, or a header length of 2**62
+    bytes, is refused by its size against the file's before anything of
+    that size is read."""
+    monkeypatch.chdir(tmp_path)
+    data, ckpt = small_run["data"], small_run["ckpt"]
+    if kind == "dataset":
+        path, argv = Path("bad.pdt"), ["train", "--data", "bad.pdt", "--out", "out"]
+        path.write_bytes(Path(data).read_bytes())
+    elif kind == "triplets":
+        path = Path("bad.pdt")
+        _triplet_store(path, storage.load_dataset(data))
+        argv = ["train-prm", "--from", ckpt, "--data", data, "--triplets-in", "bad.pdt",
+                "--out", "out"]
+    else:
+        _short_rollout(small_run, "1")
+        path = Path("records/arm_mass_ic000_B1.bin")
+        argv = ["evaluate", "--records-dir", "records", "--data", data, "--out-dir", "out"]
+    raw = path.read_bytes()
+    if size == "payload":
+        raw = _edited_container(raw, lambda h: {**h, "payload_shape": [10**12]})
+    else:
+        raw = raw[:16] + struct.pack("<Q", 2**62) + raw[24:]
+    path.write_bytes(raw)
+    _fails_with_one_line(capsys, argv, f"input error: {path}: {match}")
+    assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("ic", [7, 1, -1])
+def test_an_index_entry_outside_the_ics_it_ran_on_exits_2(small_run, tmp_path, monkeypatch,
+                                                          capsys, ic):
+    """The rollouts ran on one IC, so 0 is the only IC an entry can name;
+    -1 used to score the record against the last trajectory."""
+    monkeypatch.chdir(tmp_path)
+    _short_rollout(small_run, "1")
+    index = Path("records/index.json")
+    idx = json.loads(index.read_text())
+    idx["records"][0]["ic"] = ic
+    index.write_text(json.dumps(idx))
+    for command in ("evaluate", "report"):
+        _fails_with_one_line(capsys, [command, "--records-dir", "records", "--data",
+                                      small_run["data"], "--out-dir", command],
+                             f"config error: {index} lists a record of ic {ic}, outside "
+                             f"0 ... 0, the test trajectories it ran on")
+        assert not Path(command).exists()

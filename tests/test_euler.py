@@ -107,7 +107,7 @@ def test_generate_dataset_checks_its_inputs_before_solving(monkeypatch, families
     def solve(*_, **__):
         raise AssertionError("solved a trajectory with bad inputs")
 
-    monkeypatch.setattr(euler, "solve_trajectory", solve)
+    monkeypatch.setattr(euler, "trajectory_snapshots", solve)
     with pytest.raises(ValueError, match=match):
         generate_dataset(families, 1, GridSpec(8, 8), seed=0, split_fractions=split,
                          gamma=gamma, cfl=cfl)

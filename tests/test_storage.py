@@ -1,10 +1,12 @@
 import builtins
 import errno
+import gc
 import hashlib
 import json
 import os
 import stat
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -268,3 +270,67 @@ def test_a_write_fsyncs_the_file_before_and_the_directory_after_the_rename(
     storage.write_text(path, "x")
     assert synced == [(False, False), (True, True)]
     assert path.read_text() == "x" and os.listdir(tmp_path) == ["a.txt"]
+
+
+def test_a_loaded_dataset_reads_the_float64_of_each_payload_row(tmp_path, small_dataset,
+                                                                monkeypatch):
+    path = tmp_path / "ds.pdt"
+    save_dataset(path, small_dataset)
+    _, payload = read_container(path)
+    monkeypatch.setattr(storage, "CHUNK_BYTES", 1000)     # the digest reads many chunks
+    ds = load_dataset(path)
+    assert ds.payload_digest == hashlib.sha256(payload.tobytes()).hexdigest()
+    assert storage.payload_digest(path) == ds.payload_digest
+    for i, tr in enumerate(ds.trajectories):
+        assert isinstance(tr.snapshots, storage.SnapshotRows)
+        rows = [payload[i, k].astype(np.float64).tobytes() for k in range(len(tr))]
+        assert [s.fields().tobytes() for s in tr.snapshots] == rows
+        assert all(s.fields().dtype == np.float64 for s in tr.snapshots)
+        assert [s.t for s in tr.snapshots] == list(tr.times)
+        tail = tr.snapshots[1:][::2]
+        assert isinstance(tail, storage.SnapshotRows) and len(tail) == len(tr) // 2
+        assert [s.fields().tobytes() for s in tail] == rows[1::2]
+        assert tr.snapshots[-1].fields().tobytes() == rows[-1]
+        with pytest.raises(IndexError):
+            tr.snapshots[len(tr)]
+
+
+def test_a_dataset_solved_into_a_scratch_file_equals_the_one_in_memory(tmp_path):
+    grid = GridSpec(8, 8)
+    args = (["rp", "gauss"], 2, grid, 5, (0.5, 0.25, 0.25))
+    scratch = storage.SnapshotScratch(tmp_path, grid)
+    on_disk = generate_dataset(*args, store=scratch.append)
+    in_memory = generate_dataset(*args)
+    assert os.listdir(tmp_path) == []                    # the scratch file has no name
+    assert on_disk.split == in_memory.split
+    assert on_disk.normalization.to_dict() == in_memory.normalization.to_dict()
+    for a, b in zip(on_disk.trajectories, in_memory.trajectories, strict=True):
+        assert isinstance(a.snapshots, storage.SnapshotRows) and a.ic == b.ic
+        assert [(s.fields().tobytes(), s.t) for s in a.snapshots] == \
+            [(s.fields().tobytes(), s.t) for s in b.snapshots]
+    save_dataset(tmp_path / "a.pdt", on_disk, config_digest="x")
+    save_dataset(tmp_path / "b.pdt", in_memory, config_digest="x")
+    assert (tmp_path / "a.pdt").read_bytes() == (tmp_path / "b.pdt").read_bytes()
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_dropping_a_dataset_closes_its_file_without_a_resource_warning(tmp_path,
+                                                                       small_dataset):
+    path = tmp_path / "ds.pdt"
+    save_dataset(path, small_dataset)
+    before = _open_fds()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ds = load_dataset(path)
+        scratch = storage.SnapshotScratch(tmp_path, small_dataset.grid)
+        rows = scratch.append(small_dataset.trajectories[0].snapshots)
+        assert _open_fds() == before + 2
+        assert ds.trajectories[1].snapshots[2].t == small_dataset.trajectories[1].times[2]
+        del ds, scratch, rows
+        gc.collect()
+    assert _open_fds() == before
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
