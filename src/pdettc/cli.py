@@ -5,7 +5,12 @@ report.  All take an optional JSON config; command-line flags override
 file values, and the env var PDETTC_SEED overrides the config seed
 (flags still win).  `DEFAULTS` is the config schema: a key that is not
 in it is rejected, and each value must have its default's type (an int
-is accepted for a float).  Every config-bound flag has its dotted config
+is accepted for a float).  A default has one home: a section that
+becomes a config dataclass (`surrogate.TrainConfig`, `rewards.PRMConfig`,
+`ttc.TTCConfig`) takes its defaults from that class, and the data section
+its gamma, CFL and split from `euler`.  `rollout` runs each B of
+``ttc.b_list`` under the one `ttc.TTCConfig` that the ``ttc`` section
+and the seed make.  Every config-bound flag has its dotted config
 key as its argparse ``dest`` (``--epochs`` of train is ``train.epochs``),
 except ``--grid``, which sets both ``grid.nx`` and ``grid.ny``.  Values
 are checked where they become a grid, a training or PRM config, a family
@@ -47,9 +52,9 @@ class ConfigError(ValueError):
 
 def _field_defaults(config) -> dict:
     """Field values of a config dataclass or instance, leaving out the ones
-    set from elsewhere (the seed and the PRM's backbone)."""
+    set from elsewhere (the seed, the PRM's backbone, the rollout's B)."""
     return {f.name: getattr(config, f.name) for f in dataclasses.fields(config)
-            if f.name not in ("seed", "backbone")}
+            if f.name not in ("seed", "backbone", "n_branch")}
 
 
 DEFAULTS = {
@@ -59,7 +64,7 @@ DEFAULTS = {
     "data": {
         "families": ["rp"],
         "n_per_family": 16,
-        "split": [0.75, 0.125, 0.125],
+        "split": list(euler.SPLIT_DEFAULT),
         "gamma": euler.GAMMA_DEFAULT,
         "cfl": euler.CFL_DEFAULT,
         "path": "dataset.pdt",
@@ -69,8 +74,8 @@ DEFAULTS = {
     "finetune": {**_field_defaults(sg.FINETUNE_CONFIG), "n_traj": 32},
     "prm": {**_field_defaults(rewards.PRMConfig),
             "train_trajectories": 0, "holdout_trajectories": 0},
-    "ttc": {"b_list": [1, 4, 16, 64], "reward": "prm", "n_steps": 20,
-            "teacher_forced": False, "n_ics": 0, "split": "test"},
+    "ttc": {"b_list": [1, 4, 16, 64], **_field_defaults(ttc.TTCConfig),
+            "n_ics": 0, "split": "test"},
 }
 
 # Dotted names of the config values, e.g. "seed" and "train.epochs".
@@ -348,6 +353,8 @@ def cmd_rollout(cfg: dict, surrogate_path: str, data_path: str, prm_path: str | 
     if trajs and not 1 <= n_steps <= len(trajs[0]) - 1:
         raise ConfigError(f"config 'ttc.n_steps': {n_steps} is outside 1 ... "
                           f"{len(trajs[0]) - 1}, the steps of the trajectories in {data_path}")
+    run = _checked("ttc", ttc.TTCConfig, seed=cfg["seed"],
+                   **{k: cfg["ttc"][k] for k in _field_defaults(ttc.TTCConfig)})
     model = sg.Surrogate.from_checkpoint(surrogate_path)
     _check_grid(model, surrogate_path, (ds.grid.nx, ds.grid.ny), data_path)
     prm = rewards.ProcessRewardModel.from_checkpoint(prm_path) if prm_path else None
@@ -361,11 +368,8 @@ def cmd_rollout(cfg: dict, surrogate_path: str, data_path: str, prm_path: str | 
              "dataset_digest": ds.payload_digest,
              "reward": reward, "split": cfg["ttc"]["split"],
              "n_ics": len(trajs), "records": []}
-    sweep = ttc.rollout_sweep(
-        model, reward, trajs, cfg["ttc"]["b_list"], cfg["seed"], prm=prm,
-        gamma=ds.gamma, n_steps=n_steps,
-        teacher_forced=cfg["ttc"]["teacher_forced"],
-        log=lambda m: print(m))
+    sweep = ttc.rollout_sweep(model, trajs, cfg["ttc"]["b_list"], run, gamma=ds.gamma,
+                              prm=prm, log=print)
     for (ic, b), rec in sweep:
         base = out / f"{reward}_ic{ic:03d}_B{b}"
         ttc.save_rollout_record(base, rec)
@@ -375,6 +379,24 @@ def cmd_rollout(cfg: dict, surrogate_path: str, data_path: str, prm_path: str | 
     storage.write_text(out / "index.json", json.dumps(index, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(index['records'])} rollout records to {out}")
     return EXIT_OK
+
+
+def _load_records(entries, listed_in):
+    """Each entry's (reward, ic, B, record), loaded as it is asked for.  A
+    record that is not of its entry's reward and B, or that runs another
+    number of steps than the first record of its reward, is a config
+    error."""
+    steps = {}      # reward -> step count of its first record
+    for (reward, ic, b, path), idx_file in zip(entries, listed_in):
+        rec = ttc.load_rollout_record(path)
+        c, name = rec.config, path.with_suffix(".bin")
+        if (c.reward, c.n_branch) != (reward, b):
+            raise ConfigError(f"{name} holds a rollout of reward {c.reward} and B={c.n_branch}, "
+                              f"but {idx_file} lists it as reward {reward} and B={b}")
+        if c.n_steps != steps.setdefault(reward, c.n_steps):
+            raise ConfigError(f"{name} runs {c.n_steps} steps, but the first {reward} "
+                              f"record runs {steps[reward]}")
+        yield reward, ic, b, rec
 
 
 def _evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> tuple:
@@ -387,7 +409,7 @@ def _evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> tupl
     IC count the rollouts ran on, as their indexes record them.  Indexes
     that disagree on these, that ran on a dataset whose payload differs
     from data_path's, or that list an IC outside the trajectories they ran
-    on, are a config error.
+    on, are a config error, as are the records `_load_records` refuses.
     """
     ds = storage.load_dataset(data_path)
     records_dir = Path(records_dir)
@@ -429,10 +451,8 @@ def _evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> tupl
         if not 0 <= ic < len(trajs):
             raise ConfigError(f"{idx_file} lists a record of ic {ic}, outside 0 ... "
                               f"{len(trajs) - 1}, the {which} trajectories it ran on")
-    records = ((reward, ic, b, ttc.load_rollout_record(path))
-               for reward, ic, b, path in entries)
-    report = metrics.evaluate(records, trajs, ds.normalization, ds.gamma,
-                              dataset_label=Path(data_path).stem,
+    report = metrics.evaluate(_load_records(entries, listed_in), trajs, ds.normalization,
+                              ds.gamma, dataset_label=Path(data_path).stem,
                               model_label=cfg["model"]["patch"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -62,6 +62,7 @@ from .rng import RngStream, mix64
 
 GAMMA_DEFAULT = 1.4
 CFL_DEFAULT = 0.4
+SPLIT_DEFAULT = (0.75, 0.125, 0.125)   # train, val, test fractions
 N_SNAPSHOTS = 21
 T_FINAL = 1.0
 CHANNELS = ("rho", "vx", "vy", "p")
@@ -239,7 +240,7 @@ class Dataset:
     normalization: Normalization | None
     seed: int = 0
     families: tuple = ()
-    # `storage.payload_digest` of the container it was loaded from, or None
+    # SHA-256 of the payload of the container it was loaded from, or None
     payload_digest: str | None = None
 
     def split_trajectories(self, name: str) -> list[Trajectory]:
@@ -513,7 +514,7 @@ def trajectory_snapshots(spec: ICSpec, grid: GridSpec, gamma: float = GAMMA_DEFA
     times; the snapshot times are exact multiples of
     t_final/(n_snapshots-1).
     """
-    cur = make_initial_condition(spec, grid)
+    cur = make_initial_condition(spec, grid, gamma)
     yield cur
     for target in np.linspace(0.0, t_final, n_snapshots)[1:]:
         while cur.t < target - 1e-13:
@@ -530,7 +531,7 @@ def solve_trajectory(spec: ICSpec, grid: GridSpec, gamma: float = GAMMA_DEFAULT,
     return Trajectory(ic=spec, snapshots=snaps, times=np.linspace(0.0, t_final, n_snapshots))
 
 
-def conservation_drift(traj: Trajectory, gamma: float = GAMMA_DEFAULT) -> dict:
+def conservation_drift(traj: Trajectory, gamma: float) -> dict:
     """Worst relative drift of the four discrete totals over a trajectory,
     whose snapshots are read once, in order.
 
@@ -585,12 +586,12 @@ def _quadrant_fields(grid, x_of_y, y_of_x, states):
     return fields
 
 
-def _build_rp(params, grid):
+def _build_rp(params, grid, gamma):
     x0, y0 = params["x0"], params["y0"]
     return _quadrant_fields(grid, lambda y: x0, lambda x: y0, params["states"])
 
 
-def _build_rpui(params, grid):
+def _build_rpui(params, grid, gamma):
     x0, y0 = params["x0"], params["y0"]
     tx, ty = params["tilt_x"], params["tilt_y"]
     ax, ay = params["wave_amp_x"], params["wave_amp_y"]
@@ -605,7 +606,7 @@ def _build_rpui(params, grid):
     return _quadrant_fields(grid, x_of_y, y_of_x, params["states"])
 
 
-def _build_crp(params, grid):
+def _build_crp(params, grid, gamma):
     x, y = grid.cell_centers()
     dx = x - params["x0"]
     dy = y - params["y0"]
@@ -626,7 +627,7 @@ def _wrapped_dist2(x, y, cx, cy, lx, ly):
     return dx * dx + dy * dy
 
 
-def _build_gauss(params, grid):
+def _build_gauss(params, grid, gamma):
     x, y = grid.cell_centers()
     rho = np.full((grid.nx, grid.ny), params["rho0"])
     p = np.full((grid.nx, grid.ny), params["p0"])
@@ -639,7 +640,7 @@ def _build_gauss(params, grid):
     return np.stack([rho, z, z, p])
 
 
-def _build_kh(params, grid):
+def _build_kh(params, grid, gamma):
     x, y = grid.cell_centers()
     yc = params.get("y_c", 0.5)
     hw = params.get("half_width", 0.25)
@@ -664,9 +665,8 @@ def shock_jump_state(rho1: float, p1: float, mach: float, gamma: float):
     return rho2, u2, p2
 
 
-def _build_rm(params, grid):
+def _build_rm(params, grid, gamma):
     x, y = grid.cell_centers()
-    gamma = params.get("gamma", GAMMA_DEFAULT)
     rho1, p1 = params["rho1"], params["p1"]
     rho_s, u_s, p_s = shock_jump_state(rho1, p1, params["mach"], gamma)
     xi = params["x_interface"] + sum(
@@ -690,9 +690,10 @@ _BUILDERS = {
 }
 
 
-def make_initial_condition(spec: ICSpec, grid: GridSpec) -> Snapshot:
-    """Realize an ICSpec on the grid as the t=0 snapshot."""
-    fields = _BUILDERS[spec.family](spec.params, grid)
+def make_initial_condition(spec: ICSpec, grid: GridSpec,
+                           gamma: float = GAMMA_DEFAULT) -> Snapshot:
+    """Realize an ICSpec on the grid as the t=0 snapshot for adiabatic index gamma."""
+    fields = _BUILDERS[spec.family](spec.params, grid, gamma)
     if np.min(fields[0]) <= 0.0 or np.min(fields[3]) <= 0.0:
         raise InvalidInitialCondition(
             f"{spec.family} parameters yield non-positive density/pressure")
@@ -852,7 +853,7 @@ def assemble_dataset(trajectories: list, grid: GridSpec, seed: int, families,
 
 
 def generate_dataset(families, n_per_family: int, grid: GridSpec, seed: int,
-                     split_fractions=(0.75, 0.125, 0.125),
+                     split_fractions=SPLIT_DEFAULT,
                      gamma: float = GAMMA_DEFAULT, cfl: float = CFL_DEFAULT,
                      n_snapshots: int = N_SNAPSHOTS, jobs: int = 1, store=list) -> Dataset:
     """Solve n_per_family trajectories per family into a split dataset.

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .euler import (GAMMA_DEFAULT, Normalization, Snapshot, Trajectory,
-                    check_same_grid, totals)
+from .euler import Normalization, Snapshot, check_same_grid, totals
 from .rewards import (energy_violation, mass_violation, momentum_violation,
                       norm_mse)
 from .storage import write_text
@@ -49,7 +48,7 @@ def aggregate_gain(ratios) -> float:
     return (1.0 - float(np.mean(ratios))) * 100.0
 
 
-def conservation_trace(record: RolloutRecord, gamma: float = GAMMA_DEFAULT) -> dict:
+def conservation_trace(record: RolloutRecord, gamma: float) -> dict:
     """ARM values along the chosen trajectory, one entry per step.
 
     Momentum entries where the reward is undefined (near-zero total)
@@ -93,7 +92,7 @@ class EvalReport:
 
 
 def evaluate(records, trajectories: list, norm: Normalization | None,
-             gamma: float = GAMMA_DEFAULT, dataset_label: str = "",
+             gamma: float, dataset_label: str = "",
              model_label: str = "") -> EvalReport:
     """Build an EvalReport from (reward, ic_index, B, record) items.
 

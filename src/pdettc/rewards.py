@@ -33,8 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .euler import (CHANNELS, GAMMA_DEFAULT, Dataset, GridSpec, Normalization,
-                    Snapshot, Trajectory, check_same_grid, energy_density, total)
+from .euler import (CHANNELS, Dataset, GridSpec, Normalization, Snapshot, Trajectory,
+                    check_same_grid, energy_density, total)
 from .rng import RngStream, mix64
 from .storage import StorageError, read_container, write_container
 from .surrogate import (Model, Surrogate, TrainResult, accumulate_grad, check_fit_config,
@@ -103,7 +103,7 @@ class MomentumReward:
 
 
 class EnergyReward:
-    def __init__(self, gamma: float = GAMMA_DEFAULT):
+    def __init__(self, gamma: float):
         self.gamma = gamma
 
     def score(self, cur: Snapshot, cands) -> np.ndarray:

@@ -219,16 +219,6 @@ def _payload_sha256(fh, nbytes: int, path) -> str:
     return h.hexdigest()
 
 
-def payload_digest(path) -> str:
-    """SHA-256 of a container's payload.  Unlike a digest of the file, it
-    does not depend on the header, which records the config (output path
-    included) that wrote the file."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        _, shape = _open_container(fh, path, None)
-        return _payload_sha256(fh, 4 * math.prod(shape), path)
-
-
 # ---------------------------------------------------------------------------
 # Datasets
 
@@ -346,8 +336,10 @@ def save_dataset(path, ds: Dataset, config_digest: str | None = None) -> None:
 
 def load_dataset(path) -> Dataset:
     """The dataset at path, read-only and backed by the file (see the
-    module docstring).  It carries the `payload_digest` of the bytes it
-    reads, so that a caller need not read the file again."""
+    module docstring).  Its ``payload_digest`` is the SHA-256 of the
+    payload bytes it reads: unlike a digest of the file, it does not
+    depend on the header, which records the config (output path
+    included) that wrote the file."""
     path = Path(path)
     with open(path, "rb") as fh:
         header, shape = _open_container(fh, path, "DATASET")

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .euler import GAMMA_DEFAULT, Normalization, Snapshot, SolverError, Trajectory
+from .euler import Normalization, Snapshot, SolverError, Trajectory
 from .rewards import (EnergyReward, MassReward, MomentumReward,
                       OracleMseReward, ProcessRewardModel)
 from .rng import mix64
@@ -50,7 +50,7 @@ REWARD_NAMES = tuple(_REWARD_MODELS)
 @dataclass(frozen=True)
 class TTCConfig:
     n_branch: int = 1                 # branching factor B
-    reward: str = "arm_mass"
+    reward: str = "prm"
     seed: int = 0
     n_steps: int = 20                 # rollout steps T
     teacher_forced: bool = False      # feed ground truth back instead of the pick
@@ -103,7 +103,7 @@ class RolloutRecord:
                     f"but the rule picks {want} (fallback {fell_back}) from {scores}")
 
 
-def make_reward_model(name: str, *, gamma: float = GAMMA_DEFAULT,
+def make_reward_model(name: str, *, gamma: float,
                       prm: ProcessRewardModel | None = None,
                       truth: Trajectory | None = None,
                       norm: Normalization | None = None):
@@ -155,13 +155,13 @@ def greedy_rollout(surrogate: Surrogate, reward_model, u_start: Snapshot,
     return rec
 
 
-def rollout_sweep(surrogate: Surrogate, reward_name: str, trajectories: list,
-                  b_list, seed: int, *, prm: ProcessRewardModel | None = None,
-                  gamma: float = GAMMA_DEFAULT, n_steps: int = 20,
-                  teacher_forced: bool = False, log=None):
+def rollout_sweep(surrogate: Surrogate, trajectories: list, b_list, cfg: TTCConfig, *,
+                  gamma: float, prm: ProcessRewardModel | None = None, log=None):
     """Rollouts for every (trajectory, B), yielded as ((ic_index, B),
     record) as each completes, IC by IC and B in ``b_list`` order.
 
+    Each record runs under ``cfg`` with its branching factor set to B and
+    its seed to mix64(cfg.seed, ic_index); ``gamma`` is the dataset's.
     The generator holds no record while it runs the next rollout, so a
     caller that drops each record it was given holds one at a time.
     The per-IC stream seed is shared across B values, so smaller-B runs
@@ -171,18 +171,16 @@ def rollout_sweep(surrogate: Surrogate, reward_name: str, trajectories: list,
     if not b_list:
         raise ValueError("b_list must be non-empty")
     for idx, truth in enumerate(trajectories):
-        ic_seed = mix64(seed, idx)
-        reward_model = make_reward_model(reward_name, gamma=gamma, prm=prm,
+        reward_model = make_reward_model(cfg.reward, gamma=gamma, prm=prm,
                                          truth=truth, norm=surrogate.norm)
         for b in b_list:
-            cfg = TTCConfig(n_branch=b, reward=reward_name, seed=ic_seed,
-                            n_steps=n_steps, teacher_forced=teacher_forced)
-            rec = greedy_rollout(surrogate, reward_model, truth.snapshots[0], cfg,
+            rec = greedy_rollout(surrogate, reward_model, truth.snapshots[0],
+                                 replace(cfg, n_branch=b, seed=mix64(cfg.seed, idx)),
                                  truth=truth)
             rec.ic_family = truth.ic.family
             rec.ic_seed = truth.ic.seed
             if log:
-                log(f"rollout ic={idx} B={b} reward={reward_name} done")
+                log(f"rollout ic={idx} B={b} reward={cfg.reward} done")
             yield (idx, b), rec
             del rec
 
@@ -211,8 +209,10 @@ def save_rollout_record(base_path, rec: RolloutRecord) -> None:
 
 def load_rollout_record(base_path) -> RolloutRecord:
     """The record saved at base_path; a container whose header lacks a
-    key, holds a value of the wrong kind or times another number of
-    states than the payload holds raises StorageError naming it."""
+    key, holds a value of the wrong kind, times another number of states
+    than the payload holds, or does not hold one state, rewards row,
+    selection and wall time per step of its config, or B scores per
+    rewards row, raises StorageError naming it."""
     path = Path(base_path).with_suffix(".bin")
     header, payload = read_container(path, expect_type="ROLLOUT")
     try:
@@ -220,7 +220,7 @@ def load_rollout_record(base_path) -> RolloutRecord:
         if len(times) != len(payload):
             raise ValueError(f"{len(times)} times for {len(payload)} states")
         states = [Snapshot.from_fields(payload[i], times[i]) for i in range(len(times))]
-        return RolloutRecord(
+        rec = RolloutRecord(
             config=TTCConfig(**header["config"]),
             ic_family=header["ic_family"], ic_seed=header["ic_seed"],
             start=states[0], chosen=states[1:],
@@ -230,6 +230,14 @@ def load_rollout_record(base_path) -> RolloutRecord:
             fallback_steps=list(header["fallback_steps"]),
             wall_times=list(header["wall_times"]),
         )
+        n, b = rec.config.n_steps, rec.config.n_branch
+        for name, values in (("chosen states", rec.chosen), ("rewards rows", rec.rewards),
+                             ("selections", rec.selected), ("wall times", rec.wall_times)):
+            if len(values) != n:
+                raise ValueError(f"{len(values)} {name} for {n} steps")
+        if any(len(row) != b for row in rec.rewards):
+            raise ValueError(f"a rewards row without the {b} scores of B={b}")
+        return rec
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise StorageError(f"{path}: not a rollout record: "
                            f"{type(exc).__name__} {exc}") from None

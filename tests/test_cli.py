@@ -142,7 +142,7 @@ def test_evaluate_rejects_records_of_another_dataset(tmp_path, monkeypatch):
     for argv in calls:
         assert cli.main(argv) == cli.EXIT_OK, argv[0]
     index = json.loads(Path("records/index.json").read_text())
-    assert index["dataset_digest"] == storage.payload_digest("data.pdt")
+    assert index["dataset_digest"] == storage.load_dataset("data.pdt").payload_digest
     for command in ("evaluate", "report"):
         argv = [command, "--records-dir", "records", "--out-dir", command]
         assert cli.main([*argv, "--data", "other.pdt"]) == cli.EXIT_CONFIG
@@ -812,6 +812,41 @@ def test_a_record_in_the_two_file_layout_exits_2(small_run, tmp_path, monkeypatc
         _fails_with_one_line(capsys, [command, "--records-dir", "records", "--data",
                                       small_run["data"], "--out-dir", command],
                              f"input error: {record}: not a rollout record: KeyError")
+
+
+def test_records_of_one_reward_with_different_step_counts_exit_2(small_run, tmp_path,
+                                                                  monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, b, steps in (("a", "1", 2), ("b", "2", 3)):
+        Path(f"{name}.json").write_text(json.dumps({"ttc": {"n_steps": steps}}))
+        assert cli.main(["rollout", "--config", f"{name}.json", "--surrogate",
+                         small_run["ckpt"], "--data", small_run["data"], "--reward",
+                         "arm_mass", "--B", b, "--n-ics", "1",
+                         "--out-dir", f"records/{name}"]) == cli.EXIT_OK
+    for command in ("evaluate", "report"):
+        _fails_with_one_line(capsys, [command, "--records-dir", "records", "--data",
+                                      small_run["data"], "--out-dir", command],
+                             f"{Path('records/b/arm_mass_ic000_B2.bin')} runs 3 steps, "
+                             "but the first arm_mass record runs 2")
+        assert not Path(command).exists()
+
+
+@pytest.mark.parametrize("entry", [{"B": 4}, {"reward": "arm_energy"}])
+def test_an_index_entry_that_does_not_describe_its_record_exits_2(small_run, tmp_path,
+                                                                  monkeypatch, capsys, entry):
+    monkeypatch.chdir(tmp_path)
+    _short_rollout(small_run, "1,2")
+    index = Path("records/index.json")
+    idx = json.loads(index.read_text())
+    idx["records"][1].update(entry)
+    index.write_text(json.dumps(idx))
+    listed = {"reward": "arm_mass", "B": 2, **entry}
+    for command in ("evaluate", "report"):
+        _fails_with_one_line(capsys, [command, "--records-dir", "records", "--data",
+                                      small_run["data"], "--out-dir", command],
+                             f"{Path('records/arm_mass_ic000_B2.bin')} holds a rollout of "
+                             f"reward arm_mass and B=2, but {index} lists it as reward "
+                             f"{listed['reward']} and B={listed['B']}")
 
 
 def test_a_rollout_directory_holds_the_index_and_one_container_per_record(

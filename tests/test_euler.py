@@ -388,6 +388,21 @@ def test_trajectory_starts_at_realized_ic():
     assert np.array_equal(traj.snapshots[0].fields(), ic.fields())
 
 
+@pytest.mark.parametrize("gamma", [1.4, 1.6])
+def test_rm_post_shock_state_is_that_of_the_solve_gamma(gamma):
+    grid = GridSpec(16, 16)
+    spec = sample_ic("rm", seed=3)
+    u = next(euler.trajectory_snapshots(spec, grid, gamma))
+    x, _ = grid.cell_centers()
+    behind = x < spec.params["x_shock"]
+    assert behind.any()
+    want = euler.shock_jump_state(spec.params["rho1"], spec.params["p1"],
+                                  spec.params["mach"], gamma)
+    for field, value in zip((u.rho, u.vx, u.p), want):
+        assert np.all(field[behind] == value)
+    assert np.array_equal(make_initial_condition(spec, grid, gamma).fields(), u.fields())
+
+
 def test_kh_trajectory_conserves_to_1e10():
     traj = solve_trajectory(sample_ic("kh", seed=3), GridSpec(32, 32))
     drift = conservation_drift(traj, GAMMA)

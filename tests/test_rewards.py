@@ -77,7 +77,7 @@ def test_arm_values_never_positive():
         a = flat_snapshot(8, 8, *rng.uniform(0.5, 1.5, size=4))
         b = flat_snapshot(8, 8, *rng.uniform(0.5, 1.5, size=4))
         assert arm(MASS, a, b) <= 0.0
-        assert arm(EnergyReward(), a, b) <= 0.0
+        assert arm(EnergyReward(GAMMA), a, b) <= 0.0
 
 
 def _random_state(rng, nx, ny, t=0.0):
@@ -153,7 +153,7 @@ def test_arm_invariant_under_shared_periodic_shift():
         return Snapshot.from_fields(np.roll(s.fields(), (5, -3), axis=(1, 2)), s.t)
 
     assert arm(MASS, a, b) == arm(MASS, roll(a), roll(b))
-    assert arm(EnergyReward(), a, b) == arm(EnergyReward(), roll(a), roll(b))
+    assert arm(EnergyReward(GAMMA), a, b) == arm(EnergyReward(GAMMA), roll(a), roll(b))
     assert arm(MOM_X, a, b) == arm(MOM_X, roll(a), roll(b))
 
 

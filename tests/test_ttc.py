@@ -5,6 +5,7 @@ import pytest
 
 from pdettc.euler import GridSpec, Snapshot, generate_dataset
 from pdettc.rewards import MassReward, ProcessRewardModel, prm_backbone_config
+from pdettc.storage import StorageError, read_container, write_container
 from pdettc.surrogate import Surrogate
 from pdettc.ttc import (REWARD_NAMES, RolloutRecord, TTCConfig, greedy_rollout,
                         load_rollout_record, make_reward_model,
@@ -227,7 +228,8 @@ def test_candidate_scores_do_not_depend_on_b(name, model, dataset):
     truth = dataset.trajectories[0]
     prm = ProcessRewardModel(prm_backbone_config(model.config), dataset.normalization,
                              init_seed=2)
-    reward = make_reward_model(name, prm=prm, truth=truth, norm=dataset.normalization)
+    reward = make_reward_model(name, gamma=dataset.gamma, prm=prm, truth=truth,
+                               norm=dataset.normalization)
     start = truth.snapshots[1]
     scores = {b: reward.score(start, model.sample_candidates(start, b, 23, t_index=1))
               for b in (1, 4, 16)}
@@ -236,3 +238,25 @@ def test_candidate_scores_do_not_depend_on_b(name, model, dataset):
         assert scores[b].tobytes() == scores[16][:b].tobytes()
     if not name.startswith("arm_momentum"):
         assert np.isfinite(scores[16]).all() and len(set(scores[16].tolist())) > 1
+
+
+@pytest.mark.parametrize("edit,match", [
+    ({"selected": []}, "0 selections for 3 steps"),
+    ({"rewards": [[-1.0, -2.0]]}, "1 rewards rows for 3 steps"),
+    ({"wall_times": []}, "0 wall times for 3 steps"),
+    ({"rewards": [[-1.0, -2.0], [-1.0], [-1.0, -2.0]]}, "a rewards row without the 2 scores"),
+    ({"config": {"n_branch": 2, "reward": "arm_mass", "seed": 0, "n_steps": 2,
+                 "teacher_forced": False}}, "3 chosen states for 2 steps"),
+])
+def test_a_record_without_one_entry_per_step_and_candidate_is_refused(tmp_path, edit, match):
+    rec = RolloutRecord(config=TTCConfig(n_branch=2, reward="arm_mass", n_steps=3),
+                        ic_family="rp", ic_seed=0, start=_uniform(0.0),
+                        chosen=[_uniform(0.05 * k) for k in (1, 2, 3)],
+                        rewards=[[-1.0, -2.0]] * 3, selected=[0, 0, 0],
+                        wall_times=[0.0] * 3)
+    save_rollout_record(tmp_path / "r", rec)
+    load_rollout_record(tmp_path / "r").verify_argmax()
+    header, payload = read_container(tmp_path / "r.bin")
+    write_container(tmp_path / "r.bin", {**header, **edit}, payload)
+    with pytest.raises(StorageError, match=f"r.bin: not a rollout record: ValueError {match}"):
+        load_rollout_record(tmp_path / "r")
