@@ -18,7 +18,7 @@ list or a rollout length, before a command does any work; the worker
 cap ``jobs`` (``--jobs`` of gen-data, train-prm and rollout) and
 ``data.n_per_family`` must be at least 1 for every command.  Every
 command is deterministic given its effective config; artifacts embed the
-config digest that produced them.
+config digest that produced them, which leaves out ``jobs``.
 
 Exit codes: 0 ok, 2 config or input error (a bad flag or config value, a
 missing, corrupt or mismatched input file; one line on stderr), 3
@@ -145,7 +145,10 @@ def load_config(path: str | None) -> dict:
 
 
 def config_digest(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True).encode("utf-8")
+    """Digest of the effective config, leaving out the worker cap ``jobs``,
+    which changes no output."""
+    blob = json.dumps({k: v for k, v in cfg.items() if k != "jobs"},
+                      sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -382,20 +385,28 @@ def cmd_rollout(cfg: dict, surrogate_path: str, data_path: str, prm_path: str | 
 
 
 def _load_records(entries, listed_in):
-    """Each entry's (reward, ic, B, record), loaded as it is asked for.  A
-    record that is not of its entry's reward and B, or that runs another
-    number of steps than the first record of its reward, is a config
-    error."""
-    steps = {}      # reward -> step count of its first record
+    """Each entry's (reward, ic, B, record), loaded as it is asked for.
+    Records are compared as pairs, so a record that is not of its entry's
+    reward and B, that runs another number of steps or another teacher
+    forcing than the first record of its reward, or another rollout seed
+    than the first record of its reward and IC, is a config error."""
+    first, seeds = {}, {}   # reward -> first record's config; (reward, ic) -> its seed
     for (reward, ic, b, path), idx_file in zip(entries, listed_in):
         rec = ttc.load_rollout_record(path)
         c, name = rec.config, path.with_suffix(".bin")
         if (c.reward, c.n_branch) != (reward, b):
             raise ConfigError(f"{name} holds a rollout of reward {c.reward} and B={c.n_branch}, "
                               f"but {idx_file} lists it as reward {reward} and B={b}")
-        if c.n_steps != steps.setdefault(reward, c.n_steps):
+        ref = first.setdefault(reward, c)
+        if c.n_steps != ref.n_steps:
             raise ConfigError(f"{name} runs {c.n_steps} steps, but the first {reward} "
-                              f"record runs {steps[reward]}")
+                              f"record runs {ref.n_steps}")
+        if c.teacher_forced != ref.teacher_forced:
+            raise ConfigError(f"{name} has teacher_forced {c.teacher_forced}, but the first "
+                              f"{reward} record has {ref.teacher_forced}")
+        if c.seed != seeds.setdefault((reward, ic), c.seed):
+            raise ConfigError(f"{name} ran with rollout seed {c.seed}, but the first {reward} "
+                              f"record of ic {ic} ran with {seeds[reward, ic]}")
         yield reward, ic, b, rec
 
 

@@ -162,7 +162,8 @@ def build_prm_triplets(surrogate: Surrogate, dataset: Dataset, k_candidates: int
     Keeps the argmin / rank-floor(K/2) / argmax candidates by MSE against
     the true next snapshot (ties -> lowest candidate index); skips pairs
     whose candidates are numerically indistinguishable.  Each row is
-    converted to float32 as it is built.
+    converted to float32 as it is built, and a step's K candidates are
+    dropped before the next step samples its own.
     """
     if k_candidates < 3:
         raise ValueError("need at least 3 candidates per pair")
@@ -178,14 +179,14 @@ def build_prm_triplets(surrogate: Surrogate, dataset: Dataset, k_candidates: int
             target = tr.snapshots[k + 1].fields()
             cands = surrogate.sample_candidates(u_t, k_candidates, pair_seed, t_index=k)
             mses = np.array([norm_mse(c.fields(), target, norm) for c in cands])
-            if float(mses.max() - mses.min()) < DEGENERATE_MSE_SPREAD:
-                continue
-            order = np.argsort(mses, kind="stable")
-            picks = (int(order[0]), int(order[k_candidates // 2]), int(np.argmax(mses)))
-            rows.append(np.array([u_t.fields()] + [cands[i].fields() for i in picks],
-                                 dtype=np.float32))
-            meta.append({"traj": int(ti), "t_index": k, "t": u_t.t, "t_next": cands[0].t,
-                         "mse": [float(mses[i]) for i in picks]})
+            if not float(mses.max() - mses.min()) < DEGENERATE_MSE_SPREAD:  # NaN: kept
+                order = np.argsort(mses, kind="stable")
+                picks = (int(order[0]), int(order[k_candidates // 2]), int(np.argmax(mses)))
+                rows.append(np.array([u_t.fields()] + [cands[i].fields() for i in picks],
+                                     dtype=np.float32))
+                meta.append({"traj": int(ti), "t_index": k, "t": u_t.t,
+                             "t_next": cands[0].t, "mse": [float(mses[i]) for i in picks]})
+            del cands       # before step k+1 samples its K
         if log:
             log(f"triplets: trajectory {ti} done ({len(meta)} records)")
     shape = (len(rows), 4, 4, dataset.grid.nx, dataset.grid.ny)
@@ -201,7 +202,7 @@ def save_triplets(path, triplets: Triplets, grid: GridSpec, gamma: float) -> Non
         "slot_order": ["current", "best", "median", "worst"],
         "records": triplets.meta,
     }
-    write_container(path, header, triplets.fields)
+    write_container(path, header, triplets.fields.shape, triplets.fields)
 
 
 def load_triplets(path) -> Triplets:

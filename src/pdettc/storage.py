@@ -14,6 +14,10 @@ Container layout (one file per artifact):
                  It compares the sizes the header declares with the size
                  of the file before it reads them, so a corrupt size is
                  refused as a truncated file instead of being allocated.
+                 Every payload is written row by row by `write_container`
+                 (a row is a snapshot, a triple or a state), each row
+                 converted to float32 on its own, so a writer never holds
+                 a copy of the whole payload.
 
 Checkpoint layout:
   magic "PDETTCPM", u64 header length, JSON header (model kind,
@@ -167,15 +171,37 @@ def _write_sidecar(path: Path, header: dict) -> None:
                json.dumps(header, sort_keys=True, indent=2) + "\n")
 
 
-def write_container(path, header: dict, payload: np.ndarray) -> None:
-    """Write one container plus its sidecar .json header mirror."""
+def write_container(path, header: dict, payload_shape, rows) -> None:
+    """Write one container of ``payload_shape`` plus its sidecar .json
+    header mirror, converting each of ``rows`` to float32 as it writes it.
+
+    Every row has the shape of the first, which must be the trailing
+    dimensions of ``payload_shape``, and the rows must fill it exactly;
+    if not, ValueError, and the file at path is left as it was.
+    """
     path = Path(path)
-    header = dict(header)
-    header["payload_shape"] = list(payload.shape)
-    data = np.ascontiguousarray(payload, dtype="<f4")   # no copy if already so
+    shape = [int(d) for d in payload_shape]
+    header = {**header, "payload_shape": shape}
+    row_shape, count, want = None, 0, 0
     with _replacing(path) as fh:
         _write_header(fh, CONTAINER_MAGIC, header)
-        fh.write(data)
+        for row in rows:
+            data = np.asarray(row, dtype="<f4", order="C")   # no copy if already so
+            if row_shape is None:
+                row_shape, lead = data.shape, len(shape) - data.ndim
+                if lead < 0 or list(row_shape) != shape[lead:]:
+                    raise ValueError(f"a row of shape {row_shape} in a payload of "
+                                     f"shape {tuple(shape)}")
+                want = math.prod(shape[:lead])
+            elif data.shape != row_shape:
+                raise ValueError(f"a row of shape {data.shape} among rows of {row_shape}")
+            count += 1
+            if count > want:
+                raise ValueError(f"more than {want} rows for a payload of shape {tuple(shape)}")
+            fh.write(data)
+            del data        # before the next row is made
+        if count < want or (row_shape is None and math.prod(shape)):
+            raise ValueError(f"{count} rows for a payload of shape {tuple(shape)}")
     _write_sidecar(path, header)
 
 
@@ -295,12 +321,13 @@ class SnapshotScratch:
 
 
 def save_dataset(path, ds: Dataset, config_digest: str | None = None) -> None:
-    """Write ds as a DATASET container and its sidecar, converting one
-    snapshot at a time to a float32 row."""
-    path = Path(path)
+    """Write ds as a DATASET container and its sidecar, one snapshot per
+    row."""
     n = len(ds.trajectories)
     n_t = len(ds.trajectories[0]) if n else 0
-    row = (len(CHANNELS), ds.grid.nx, ds.grid.ny)
+    for tr in ds.trajectories:
+        if len(tr) != n_t:
+            raise ValueError(f"a trajectory of {len(tr)} snapshots among {n_t}")
     header = {
         "record_type": "DATASET",
         "grid": {"nx": ds.grid.nx, "ny": ds.grid.ny, "lx": ds.grid.lx, "ly": ds.grid.ly},
@@ -317,21 +344,11 @@ def save_dataset(path, ds: Dataset, config_digest: str | None = None) -> None:
         ],
         "splits": ds.split,
         "normalization": ds.normalization.to_dict() if ds.normalization else None,
-        "payload_shape": [n, n_t, *row],
     }
     if config_digest is not None:
         header["config_digest"] = config_digest
-    with _replacing(path) as fh:
-        _write_header(fh, CONTAINER_MAGIC, header)
-        for tr in ds.trajectories:
-            if len(tr) != n_t:
-                raise ValueError(f"a trajectory of {len(tr)} snapshots among {n_t}")
-            for s in tr.snapshots:
-                if s.fields().shape != row:
-                    raise ValueError(f"snapshot of shape {s.fields().shape} on a "
-                                     f"{ds.grid.nx}x{ds.grid.ny} grid")
-                fh.write(np.ascontiguousarray(s.fields(), dtype="<f4"))
-    _write_sidecar(path, header)
+    write_container(path, header, (n, n_t, len(CHANNELS), ds.grid.nx, ds.grid.ny),
+                    (s.fields() for tr in ds.trajectories for s in tr.snapshots))
 
 
 def load_dataset(path) -> Dataset:

@@ -16,6 +16,10 @@ state: when the kept candidate is non-physical (a fallback step, where
 no candidate was defined), the step's chosen state is the current state
 with its time advanced by the surrogate's ``dt_out``, and the next step
 starts from it.  Records store an undefined score as None.
+
+A rollout holds one step's candidates: step k's B candidates are dropped
+before step k+1 samples its own, and only the kept one lives on, as the
+next state and in the record.  A record is saved one state at a time.
 """
 
 from __future__ import annotations
@@ -94,13 +98,20 @@ class RolloutRecord:
         return [self.start] + list(self.chosen)
 
     def verify_argmax(self) -> None:
-        """Machine-check the selection contract on the stored record."""
+        """Machine-check the selection contract on the stored record: each
+        step keeps the candidate `select` picks, and ``fallback_steps`` lists
+        exactly the steps where it falls back, in step order."""
+        fell_back_at = []
         for k, (scores, sel) in enumerate(zip(self.rewards, self.selected)):
             want, fell_back = select(np.array(scores, dtype=np.float64))  # None -> NaN
-            if sel != want or fell_back != (k in self.fallback_steps):
-                raise AssertionError(
-                    f"step {k}: selected {sel} (fallback {k in self.fallback_steps}), "
-                    f"but the rule picks {want} (fallback {fell_back}) from {scores}")
+            if sel != want:
+                raise AssertionError(f"step {k}: selected {sel}, but the rule picks "
+                                     f"{want} from {scores}")
+            if fell_back:
+                fell_back_at.append(k)
+        if self.fallback_steps != fell_back_at:
+            raise AssertionError(f"fallback_steps {self.fallback_steps}, but the rule "
+                                 f"falls back at steps {fell_back_at}")
 
 
 def make_reward_model(name: str, *, gamma: float,
@@ -152,6 +163,7 @@ def greedy_rollout(surrogate: Surrogate, reward_model, u_start: Snapshot,
         rec.chosen.append(chosen)
         rec.wall_times.append(time.perf_counter() - t0)
         state = truth.snapshots[k + 1] if cfg.teacher_forced else chosen
+        del candidates      # before step k+1 samples its B
     return rec
 
 
@@ -204,15 +216,16 @@ def save_rollout_record(base_path, rec: RolloutRecord) -> None:
               "fallback_steps": rec.fallback_steps,
               "wall_times": rec.wall_times}
     write_container(Path(base_path).with_suffix(".bin"), header,
-                    np.stack([s.fields() for s in states]))
+                    (len(states), *states[0].fields().shape), (s.fields() for s in states))
 
 
 def load_rollout_record(base_path) -> RolloutRecord:
     """The record saved at base_path; a container whose header lacks a
     key, holds a value of the wrong kind, times another number of states
-    than the payload holds, or does not hold one state, rewards row,
+    than the payload holds, does not hold one state, rewards row,
     selection and wall time per step of its config, or B scores per
-    rewards row, raises StorageError naming it."""
+    rewards row, or lists fallback steps that are not distinct steps of
+    its config, raises StorageError naming it."""
     path = Path(base_path).with_suffix(".bin")
     header, payload = read_container(path, expect_type="ROLLOUT")
     try:
@@ -237,6 +250,10 @@ def load_rollout_record(base_path) -> RolloutRecord:
                 raise ValueError(f"{len(values)} {name} for {n} steps")
         if any(len(row) != b for row in rec.rewards):
             raise ValueError(f"a rewards row without the {b} scores of B={b}")
+        steps = rec.fallback_steps
+        if not (all(type(k) is int and 0 <= k < n for k in steps)
+                and len(set(steps)) == len(steps)):
+            raise ValueError(f"fallback_steps {steps} are not distinct steps of 0 ... {n - 1}")
         return rec
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise StorageError(f"{path}: not a rollout record: "

@@ -123,7 +123,7 @@ def test_missing_or_corrupt_inputs_exit_with_a_config_error(tmp_path, monkeypatc
     _fails_with_one_line(capsys, train, "truncated header")
     Path("data.pdt").write_bytes(b"not a container at all")
     _fails_with_one_line(capsys, train, "bad magic")
-    storage.write_container("data.pdt", {"record_type": "TRIPLET"}, np.zeros((1, 2)))
+    storage.write_container("data.pdt", {"record_type": "TRIPLET"}, (1, 2), np.zeros((1, 2)))
     _fails_with_one_line(capsys, train, "record_type 'TRIPLET'")
 
 
@@ -804,7 +804,7 @@ def test_a_record_in_the_two_file_layout_exits_2(small_run, tmp_path, monkeypatc
     record = Path("records/arm_mass_ic000_B1.bin")
     header, payload = storage.read_container(record)
     kept = ("record_type", "channel_order", "times", "grid")
-    storage.write_container(record, {k: header[k] for k in kept}, payload)
+    storage.write_container(record, {k: header[k] for k in kept}, payload.shape, payload)
     meta = ("config", "ic_family", "ic_seed", "times", "rewards", "selected",
             "fallback_steps", "wall_times")
     Path("records/arm_mass_ic000_B1.json").write_text(json.dumps({k: header[k] for k in meta}))
@@ -828,6 +828,30 @@ def test_records_of_one_reward_with_different_step_counts_exit_2(small_run, tmp_
                                       small_run["data"], "--out-dir", command],
                              f"{Path('records/b/arm_mass_ic000_B2.bin')} runs 3 steps, "
                              "but the first arm_mass record runs 2")
+        assert not Path(command).exists()
+
+
+@pytest.mark.parametrize("first,match", [
+    (["--teacher-forced"], "arm_mass_ic000_B4.bin has teacher_forced False, but the first "
+                           "arm_mass record has True"),
+    ([], "arm_mass_ic000_B4.bin ran with rollout seed "),
+])
+def test_records_of_one_reward_that_are_not_paired_exit_2(small_run, tmp_path, monkeypatch,
+                                                          capsys, first, match):
+    """A teacher-forced B=1 baseline, or one of another rollout seed, does
+    not pair with a free-running B=4 rollout of seed 7."""
+    monkeypatch.chdir(tmp_path)
+    Path("short.json").write_text(json.dumps({"ttc": {"n_steps": 2}}))
+    for name, flags in (("a", ["--B", "1", "--seed", "0", *first]),
+                        ("b", ["--B", "4", "--seed", "7"])):
+        assert cli.main(["rollout", "--config", "short.json", "--surrogate",
+                         small_run["ckpt"], "--data", small_run["data"], "--reward",
+                         "arm_mass", "--n-ics", "1", *flags,
+                         "--out-dir", f"records/{name}"]) == cli.EXIT_OK
+    for command in ("evaluate", "report"):
+        _fails_with_one_line(capsys, [command, "--records-dir", "records", "--data",
+                                      small_run["data"], "--out-dir", command],
+                             f"config error: {Path('records/b')}/{match}")
         assert not Path(command).exists()
 
 
@@ -995,7 +1019,9 @@ _GEN_16 = ["gen-data", "--seed", "3", "--families", "rp,kh", "--n", "4", "--grid
 def test_gen_data_writes_the_frozen_bytes(tmp_path, monkeypatch):
     """Two families with train, val and test trajectories.  The digests
     were computed with the writer that held every trajectory in memory
-    until it wrote the file."""
+    until it wrote the file, and updated once when the config digest in
+    the header stopped hashing ``jobs``; nothing else in either file
+    changed."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("PDETTC_SEED", raising=False)
     assert cli.main(_GEN_16) == cli.EXIT_OK
@@ -1004,22 +1030,21 @@ def test_gen_data_writes_the_frozen_bytes(tmp_path, monkeypatch):
     digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
                for name in ("data.pdt", "data.pdt.json")}
     assert digests == {
-        "data.pdt": "2c98c683582ccc0cba0cae7714ba194f35c3c413c32c99ec1d690087bc044ae0",
-        "data.pdt.json": "b30a64124087ab544f5d7983c61b61354d1b3f902622d2fddf341ba3526ca167",
+        "data.pdt": "abc2ac3dbba193d9e3b3a3833904da748b88f0dd0887264f83d57dd85e2c244b",
+        "data.pdt.json": "c6eec453c53cb3e68a2eaee0e8307d6cf86f126015e93256eab52d116c4d01e2",
     }
 
 
 def test_gen_data_with_one_or_two_jobs_writes_the_same_dataset(tmp_path, monkeypatch):
-    """The files differ only in the config digest, which hashes `jobs`
-    with the rest of the config."""
+    """The container and its sidecar are byte-identical: the config
+    digest leaves `jobs` out."""
     monkeypatch.delenv("PDETTC_SEED", raising=False)
     written = []
     for jobs in ("1", "2"):
         (tmp_path / jobs).mkdir()
         monkeypatch.chdir(tmp_path / jobs)
         assert cli.main([*_GEN_16, "--jobs", jobs]) == cli.EXIT_OK
-        written.append((_edited_container(Path("data.pdt").read_bytes(), _drop("config_digest")),
-                        _drop("config_digest")(json.loads(Path("data.pdt.json").read_text()))))
+        written.append((Path("data.pdt").read_bytes(), Path("data.pdt.json").read_bytes()))
     assert written[0] == written[1]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,24 @@ def test_build_triplets_ranked_and_train_split_only(mini_surrogate, mini_dataset
         assert m["mse"][0] <= m["mse"][1] <= m["mse"][2]
         # median is the rank-K//2 (0-indexed) candidate of K=4
         assert m["mse"][1] >= m["mse"][0]
+
+
+def test_building_triplets_holds_one_steps_candidates(mini_surrogate, mini_dataset):
+    """A step's K candidates are dropped before the next step samples its
+    own, so twelve more candidates per step cost less than one set of
+    twelve, not two."""
+    one = [mini_dataset.split["train"][0]]
+    build_prm_triplets(mini_surrogate, mini_dataset, 3, seed=3, indices=one)
+    peaks = {}
+    for k in (3, 15):
+        tracemalloc.start()
+        try:
+            build_prm_triplets(mini_surrogate, mini_dataset, k, seed=3, indices=one)
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    snapshot = 4 * 16 * 16 * 8
+    assert peaks[15] - peaks[3] < 12 * snapshot, peaks
 
 
 def test_build_triplets_k3_is_sorted_candidates(mini_surrogate, mini_dataset):

@@ -117,7 +117,7 @@ def test_truncated_payload_rejected(tmp_path, small_dataset):
 
 def test_record_type_mismatch(tmp_path):
     path = tmp_path / "x.pdt"
-    write_container(path, {"record_type": "TRIPLET"}, np.zeros((1, 2)))
+    write_container(path, {"record_type": "TRIPLET"}, (1, 2), np.zeros((1, 2)))
     with pytest.raises(StorageError, match="record_type"):
         read_container(path, expect_type="DATASET")
 
@@ -245,15 +245,51 @@ _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**53, 2**53),
 def test_container_round_trip(header, payload):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.pdt"
-        write_container(path, header, payload)
+        write_container(path, header, payload.shape, [payload])
         got_header, got = read_container(path)
         first = path.read_bytes()
-        write_container(path, header, payload)
+        write_container(path, header, payload.shape, [payload])
         assert path.read_bytes() == first
         sidecar = json.loads((Path(tmp) / "c.pdt.json").read_text())
     assert got_header == sidecar == {**header, "payload_shape": list(payload.shape)}
     assert got.dtype == np.dtype("<f4") and got.shape == payload.shape
     assert got.tobytes() == payload.astype("<f4").tobytes()       # NaN payloads too
+
+
+@pytest.mark.parametrize("lead", [1, 2, 3])
+def test_rows_of_any_trailing_shape_write_the_same_container(tmp_path, lead):
+    whole = np.arange(24, dtype=np.float64).reshape(3, 2, 4)
+    write_container(tmp_path / "a.pdt", {"record_type": "X"}, whole.shape, [whole])
+    write_container(tmp_path / "b.pdt", {"record_type": "X"}, whole.shape,
+                    list(whole.reshape(-1, *whole.shape[lead:])))
+    for name in ("{}.pdt", "{}.pdt.json"):
+        assert ((tmp_path / name.format("a")).read_bytes()
+                == (tmp_path / name.format("b")).read_bytes())
+
+
+@pytest.mark.parametrize("rows,match", [
+    ([np.ones((2, 4))] * 2, "2 rows for a payload of shape"),
+    ([np.ones((2, 4))] * 4, "more than 3 rows"),
+    ([np.ones((2, 4)), np.ones((2, 5)), np.ones((2, 4))], "a row of shape"),
+    ([np.ones((4, 2))] * 3, "a row of shape"),
+    ([np.ones((1, 3, 2, 4))], "a row of shape"),
+    ([], "0 rows"),
+])
+def test_rows_that_do_not_fill_the_payload_leave_the_previous_file(tmp_path, rows, match):
+    path = tmp_path / "c.pdt"
+    write_container(path, {"record_type": "X"}, (3, 2, 4), np.ones((3, 2, 4)))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ValueError, match=match):
+        write_container(path, {"record_type": "Y"}, (3, 2, 4), rows)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_an_empty_payload_takes_no_rows(tmp_path):
+    write_container(tmp_path / "c.pdt", {}, (0, 2), [])
+    header, payload = read_container(tmp_path / "c.pdt")
+    assert header == {"payload_shape": [0, 2]} and payload.shape == (0, 2)
+    with pytest.raises(ValueError, match="more than 0 rows"):
+        write_container(tmp_path / "c.pdt", {}, (0, 2), [np.ones(2)])
 
 
 def test_a_write_fsyncs_the_file_before_and_the_directory_after_the_rename(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,79 @@ def test_verify_argmax_agrees_with_select_on_stored_records(tmp_path, model, dat
             back.verify_argmax()
 
 
+def test_verify_argmax_wants_exactly_the_fallback_steps(model, dataset):
+    start = dataset.trajectories[0].snapshots[0]
+    rows = [[-1.0, -3.0], [None, None], [None, None]]
+    rec = RolloutRecord(config=TTCConfig(n_branch=2, n_steps=3), ic_family="rp", ic_seed=0,
+                        start=start, chosen=[start] * 3, rewards=rows, selected=[0, 0, 0],
+                        fallback_steps=[1, 2], wall_times=[0.0] * 3)
+    rec.verify_argmax()
+    for fallback_steps in ([1, 2, 99], [1, 2, "x"], [1, 1, 2], [2, 1], [1, 2, 2]):
+        rec.fallback_steps = fallback_steps
+        with pytest.raises(AssertionError, match="falls back at steps"):
+            rec.verify_argmax()
+
+
+@pytest.mark.parametrize("fallback_steps", [[99, "x"], [3], [-1], [0, 0], ["0"], [True],
+                                            [1.0], "01"])
+def test_a_record_whose_fallback_steps_are_not_its_steps_is_refused(tmp_path,
+                                                                    fallback_steps):
+    rec = RolloutRecord(config=TTCConfig(n_branch=2, reward="arm_mass", n_steps=3),
+                        ic_family="rp", ic_seed=0, start=_uniform(0.0),
+                        chosen=[_uniform(0.05 * k) for k in (1, 2, 3)],
+                        rewards=[[-1.0, -2.0]] * 3, selected=[0, 0, 0],
+                        wall_times=[0.0] * 3)
+    save_rollout_record(tmp_path / "r", rec)
+    header, payload = read_container(tmp_path / "r.bin")
+    write_container(tmp_path / "r.bin", {**header, "fallback_steps": fallback_steps},
+                    payload.shape, payload)
+    with pytest.raises(StorageError, match="r.bin: not a rollout record: ValueError "
+                                           "fallback_steps .* are not distinct steps of 0 ... 2"):
+        load_rollout_record(tmp_path / "r")
+
+
+def _traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_SNAPSHOT_BYTES = 4 * 16 * 16 * 8           # one float64 16x16 snapshot
+
+
+def test_a_rollout_holds_one_steps_candidates(model, dataset):
+    """Step k's candidates are dropped before step k+1 samples its own, so
+    six more candidates per step cost about one set of six, not two."""
+    start = dataset.trajectories[0].snapshots[0]
+
+    def rollout(b):
+        greedy_rollout(model, MassReward(), start,
+                       TTCConfig(n_branch=b, reward="arm_mass", n_steps=3))
+
+    rollout(2)
+    peaks = {b: _traced_peak(lambda b=b: rollout(b)) for b in (2, 8)}
+    assert peaks[8] - peaks[2] < 1.5 * 6 * _SNAPSHOT_BYTES, peaks
+
+
+def test_saving_a_record_holds_no_copy_of_its_states(tmp_path):
+    n = 20
+    rec = RolloutRecord(config=TTCConfig(n_branch=1, reward="arm_mass", n_steps=n),
+                        ic_family="rp", ic_seed=0,
+                        start=Snapshot.from_fields(np.full((4, 16, 16), 1.0), 0.0),
+                        chosen=[Snapshot.from_fields(np.full((4, 16, 16), 1.0 + k), 0.05 * k)
+                                for k in range(1, n + 1)],
+                        rewards=[[-1.0]] * n, selected=[0] * n, wall_times=[0.0] * n)
+    save_rollout_record(tmp_path / "r", rec)
+    peak = _traced_peak(lambda: save_rollout_record(tmp_path / "r", rec))
+    assert peak < 0.5 * (n + 1) * _SNAPSHOT_BYTES, peak
+    assert [s.t for s in load_rollout_record(tmp_path / "r").states()] == [
+        s.t for s in rec.states()]
+
+
 @pytest.mark.parametrize("name", REWARD_NAMES)
 def test_candidate_scores_do_not_depend_on_b(name, model, dataset):
     truth = dataset.trajectories[0]
@@ -257,6 +331,6 @@ def test_a_record_without_one_entry_per_step_and_candidate_is_refused(tmp_path, 
     save_rollout_record(tmp_path / "r", rec)
     load_rollout_record(tmp_path / "r").verify_argmax()
     header, payload = read_container(tmp_path / "r.bin")
-    write_container(tmp_path / "r.bin", {**header, **edit}, payload)
+    write_container(tmp_path / "r.bin", {**header, **edit}, payload.shape, payload)
     with pytest.raises(StorageError, match=f"r.bin: not a rollout record: ValueError {match}"):
         load_rollout_record(tmp_path / "r")
