@@ -6,18 +6,22 @@ Runge-Kutta time stepping.  Because the update is written purely in
 interface-flux differences, the discrete totals of mass, momentum and
 energy telescope to floating-point roundoff.
 
-Apart from its CFL check and the validation of its result, a step
-allocates nothing but the returned snapshot.  Each direction is swept
-over a copy of the primitives padded with two periodic ghost cells per
-side, so the neighbour differences, the minmod slopes and the interface
-states are slices of one padded array rather than rolled copies.  One
-pass per interface side gives its conserved state, physical flux and
-wave speed |u_n| + c.  Every intermediate is written with ``out=`` into
-a workspace of flat float64 buffers that are reshaped as views for both
-sweep directions and both Runge-Kutta stages.  There is one workspace
-per grid: each thread keeps the one for the grid it stepped last and
-replaces it when the grid changes, so a workspace is never shared
-between threads.
+Apart from its CFL check, the validation of its result and NumPy's own
+bounded iterator buffers, a step allocates nothing but the returned
+snapshot.  Each direction is swept over a copy of the primitives padded
+with two periodic ghost cells per side, so the neighbour differences,
+the minmod slopes and the interface states are slices of one padded
+array rather than rolled copies.  Both directions are swept alike, over
+the padded array seen as four flat rows, one per channel, in which a
+cell's neighbour along the sweep is ny entries away for x and one for
+y; so almost every NumPy call runs one long loop per channel (see
+`_Sweep`).  One pass per interface side gives its conserved state,
+physical flux and wave speed |u_n| + c.  Every intermediate is written
+with ``out=`` into a workspace of flat float64 buffers that are reshaped
+as views for both sweep directions and both Runge-Kutta stages.  There
+is one workspace per grid: each thread keeps the one for the grid it
+stepped last and replaces it when the grid changes, so a workspace is
+never shared between threads.
 
 The result is bit-identical to the straightforward array formulation
 (``np.roll`` neighbours, fresh temporaries): every element is computed
@@ -325,50 +329,66 @@ def _shaped(buf: np.ndarray, shape: tuple) -> np.ndarray:
 class _Sweep:
     """Views of the workspace buffers for the flux sweep along one axis.
 
-    Arrays along the sweep axis carry n + k entries for n cells: the
-    padded primitives (k=4, two periodic ghost cells on each side), their
-    differences (k=3), the limited slopes (k=2) and the interface states
-    and fluxes (k=1, interface j sits between padded cells j+1 and j+2).
+    The padded primitives, (4, nx+4, ny) for x and (4, nx, ny+4) for y
+    with two periodic ghost cells on each side of the axis, are swept as
+    (4, L) flat rows: one contiguous run of all L padded cells per
+    channel.  Neighbours along the axis sit s apart in a row, s = ny for
+    x and s = 1 for y, so one shift-based formulation serves both axes:
+    each sweep array holds the first L - k*s entries of a row, with k = 1
+    for the differences, 2 for the limited slopes and 3 for the interface
+    states and fluxes (interface q sits between padded cells q+s and
+    q+2s).  Every ufunc call but the last thus runs one long loop per
+    channel, whichever the axis.  The last, the flux differences, reads
+    the fluxes as rows of the padded grid and writes a (4, nx, ny) array.
+
+    For x the flat rows hold exactly the elements of (4, nx+4-k, ny)
+    arrays.  For y a flat row runs on past the end of each grid row, so
+    the last k of each grid row's ny+4 entries mix the cells of two grid
+    rows.  The flux differences never read them.  They stay finite, with
+    positive density and pressure in the interface states: each is built,
+    like every other, by the minmod reconstruction from consecutive
+    padded states, all of them valid, so the flux pass over them warns
+    of nothing.
     """
 
     def __init__(self, ws, axis):
         nx, ny = ws.shape
         n = ws.shape[axis]
+        padded = (nx + 4, ny) if axis == 0 else (nx, ny + 4)
+        size = padded[0] * padded[1]              # L
+        s = ny if axis == 0 else 1                # the shift along the axis
 
         def along(lo, hi):
             return (slice(None),) * (1 + axis) + (slice(lo, hi),)
 
-        def view(buf, k, channels=True):
-            shape = (nx + k, ny) if axis == 0 else (nx, ny + k)
-            return _shaped(buf, (4,) + shape if channels else shape)
+        def rows(buf, k, channels=True):
+            return _shaped(buf, (4, size - k * s) if channels else (size - k * s,))
 
         self.axis = axis
-        self.wp = view(ws.pad[axis], 4)
-        self.interior = self.wp[along(2, n + 2)]
-        self.ghosts = ((self.wp[along(0, 2)], self.wp[along(n, n + 2)]),
-                       (self.wp[along(n + 2, n + 4)], self.wp[along(2, 4)]))
-        self.w_hi, self.w_lo = self.wp[along(1, n + 4)], self.wp[along(0, n + 3)]
-        self.diff = view(ws.vec[0], 3)
-        self.sign = view(ws.vec[1], 3)
-        self.slope = view(ws.vec[2], 2)
-        self.minabs = view(ws.vec[1], 2)         # reuses the signs' buffer
-        # at slope cell s: dp = diff[s+1], dm = diff[s]
-        self.dp, self.dm = self.diff[along(1, n + 3)], self.diff[along(0, n + 2)]
-        self.sign_dp, self.sign_dm = self.sign[along(1, n + 3)], self.sign[along(0, n + 2)]
-        self.w_left = self.wp[along(1, n + 2)]
-        self.w_right = self.wp[along(2, n + 3)]
-        self.slope_left = self.slope[along(0, n + 1)]
-        self.slope_right = self.slope[along(1, n + 2)]
-        self.wl = view(ws.vec[0], 1)             # reuses the differences' buffer
-        self.wr = view(ws.vec[1], 1)
-        self.ul = view(ws.pad[axis], 1)          # padded primitives are spent by then
-        self.fl = view(ws.vec[2], 1)             # so are the slopes
-        self.ur = view(ws.vec[3], 1)
-        self.fr = view(ws.vec[4], 1)
-        self.sl = view(ws.sca[0], 1, channels=False)
-        self.sr = view(ws.sca[1], 1, channels=False)
-        self.scratch = view(ws.sca[2], 1, channels=False)
-        self.f_hi, self.f_lo = self.fl[along(1, n + 1)], self.fl[along(0, n)]
+        wp = _shaped(ws.pad[axis], (4,) + padded)
+        self.interior = wp[along(2, n + 2)]
+        self.ghosts = ((wp[along(0, 2)], wp[along(n, n + 2)]),
+                       (wp[along(n + 2, n + 4)], wp[along(2, 4)]))
+        wp = wp.reshape(4, size)
+        self.w_hi, self.w_lo = wp[:, s:], wp[:, :-s]
+        self.diff, self.sign = (rows(buf, 1) for buf in ws.vec[:2])
+        self.slope = rows(ws.vec[2], 2)
+        self.minabs = rows(ws.vec[1], 2)         # reuses the signs' buffer
+        # at slope cell q: dp = diff[q+s], dm = diff[q]
+        self.dp, self.dm = self.diff[:, s:], self.diff[:, :-s]
+        self.sign_dp, self.sign_dm = self.sign[:, s:], self.sign[:, :-s]
+        self.w_left, self.w_right = wp[:, s:-2 * s], wp[:, 2 * s:-s]
+        self.slope_left, self.slope_right = self.slope[:, :-s], self.slope[:, s:]
+        self.wl, self.wr = (rows(buf, 3) for buf in ws.vec[:2])   # over diff and sign
+        self.ul = rows(ws.pad[axis], 3)          # padded primitives are spent by then
+        self.fl = rows(ws.vec[2], 3)             # so are the slopes
+        self.ur, self.fr = (rows(buf, 3) for buf in ws.vec[3:])
+        self.sl, self.sr, self.scratch = (rows(buf, 3, channels=False) for buf in ws.sca)
+        # fluxes as padded-grid rows: for y the last is 3 short, none of them read
+        fl = np.lib.stride_tricks.as_strided(
+            self.fl, (4, nx + 1, ny) if axis == 0 else (4, nx, ny + 1),
+            self.fl.strides[:1] + self.interior.strides[1:])
+        self.f_hi, self.f_lo = fl[along(1, n + 1)], fl[along(0, n)]
 
     def fill_ghosts(self) -> None:
         for ghost, src in self.ghosts:
@@ -377,7 +397,7 @@ class _Sweep:
     def divergence(self, out, gamma, h) -> None:
         """out = (F_{i+1/2} - F_{i-1/2}) / h from the filled padded primitives."""
         d, t = self.diff, self.slope
-        np.subtract(self.w_hi, self.w_lo, out=d)   # d[j] = W[j+1] - W[j]
+        np.subtract(self.w_hi, self.w_lo, out=d)   # d[q] = W[q+s] - W[q]
         # minmod(dp, dm) = 0.5*(sign(dp) + sign(dm)) * min(|dp|, |dm|)
         np.sign(d, out=self.sign)
         np.abs(d, out=d)
@@ -405,8 +425,9 @@ class _Sweep:
 class _Workspace:
     """Every buffer one fv_step needs on an (nx, ny) grid, allocated once.
 
-    Flat buffers are reshaped as views for either sweep axis.  A buffer
-    is reused once its contents are spent: a sweep's interface states go
+    Flat buffers are reshaped as views for either sweep axis: as the
+    (4, L) flat rows of `_Sweep`, and as (4, nx, ny) fields.  A buffer is
+    reused once its contents are spent: a sweep's interface states go
     into its differences and signs, its left conserved state into its
     padded primitives, and the x divergence into the x padded buffer,
     which the y sweep does not touch.

@@ -161,16 +161,16 @@ def build_prm_triplets(surrogate: Surrogate, dataset: Dataset, k_candidates: int
 
     Keeps the argmin / rank-floor(K/2) / argmax candidates by MSE against
     the true next snapshot (ties -> lowest candidate index); skips pairs
-    whose candidates are numerically indistinguishable.  Each row is
-    converted to float32 as it is built, and a step's K candidates are
-    dropped before the next step samples its own.
+    whose candidates are numerically indistinguishable.  Each kept row is
+    converted to float32 straight into the returned array, which is sized
+    for every pair and shrunk in place if some were skipped, and a step's
+    K candidates are dropped before the next step samples its own.
     """
     if k_candidates < 3:
         raise ValueError("need at least 3 candidates per pair")
-    if indices is None:
-        indices = dataset.split["train"]
-    norm = surrogate.norm
-    rows, meta = [], []
+    indices = list(dataset.split["train"] if indices is None else indices)
+    meta, fields = [], np.empty((sum(len(dataset.trajectories[ti]) - 1 for ti in indices),
+                                 4, 4, dataset.grid.nx, dataset.grid.ny), dtype=np.float32)
     for ti in indices:
         tr = dataset.trajectories[ti]
         pair_seed = mix64(seed, _TRIPLET_TAG, ti)
@@ -178,19 +178,20 @@ def build_prm_triplets(surrogate: Surrogate, dataset: Dataset, k_candidates: int
             u_t = tr.snapshots[k]
             target = tr.snapshots[k + 1].fields()
             cands = surrogate.sample_candidates(u_t, k_candidates, pair_seed, t_index=k)
-            mses = np.array([norm_mse(c.fields(), target, norm) for c in cands])
+            mses = np.array([norm_mse(c.fields(), target, surrogate.norm) for c in cands])
             if not float(mses.max() - mses.min()) < DEGENERATE_MSE_SPREAD:  # NaN: kept
                 order = np.argsort(mses, kind="stable")
                 picks = (int(order[0]), int(order[k_candidates // 2]), int(np.argmax(mses)))
-                rows.append(np.array([u_t.fields()] + [cands[i].fields() for i in picks],
-                                     dtype=np.float32))
+                fields[len(meta), 0] = u_t.fields()
+                for slot, i in enumerate(picks, 1):
+                    fields[len(meta), slot] = cands[i].fields()
                 meta.append({"traj": int(ti), "t_index": k, "t": u_t.t,
                              "t_next": cands[0].t, "mse": [float(mses[i]) for i in picks]})
             del cands       # before step k+1 samples its K
         if log:
             log(f"triplets: trajectory {ti} done ({len(meta)} records)")
-    shape = (len(rows), 4, 4, dataset.grid.nx, dataset.grid.ny)
-    return Triplets(np.array(rows, dtype=np.float32).reshape(shape), meta)
+    fields.resize((len(meta),) + fields.shape[1:], refcheck=False)   # no view of it is alive
+    return Triplets(fields, meta)
 
 
 def save_triplets(path, triplets: Triplets, grid: GridSpec, gamma: float) -> None:

@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -195,7 +196,7 @@ def random_state(shape, seed, zero_v, patch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(shape=st.sampled_from([(8, 8), (8, 12), (24, 16)]),
+@given(shape=st.sampled_from([(8, 8), (8, 12), (24, 16), (24, 8)]),
        seed=st.integers(0, 2**32), zero_v=st.booleans(), patch=st.booleans(),
        cfl=st.floats(0.05, 1.0))
 def test_fv_step_bit_identical_to_roll_reference(shape, seed, zero_v, patch, cfl):
@@ -218,6 +219,43 @@ def test_fv_step_keeps_signed_zero_velocities_of_reference():
     ref = reference_step(u, dt, grid)
     assert np.array_equal(bits(out), bits(ref))
     assert np.any(np.signbit(ref[1]) & (ref[1] == 0.0))   # the case is exercised
+
+
+@pytest.mark.parametrize("shape", [(8, 12), (24, 8)])
+def test_fv_step_matches_reference_with_contrasting_edge_columns(shape):
+    """The flat rows of the y sweep run from the last cells of one grid row
+    into the first of the next.  With density and pressure 10^4 times
+    apart in the first and last columns and velocities of +-0, the step
+    still equals the reference bit for bit and warns of nothing (the
+    suite turns RuntimeWarning into an error)."""
+    grid = GridSpec(*shape)
+    fields = np.stack([np.ones(shape), np.zeros(shape), np.full(shape, -0.0), np.ones(shape)])
+    fields[1:3, ::2] *= -1.0                 # +0 and -0 in alternate rows
+    fields[[0, 3], :, 0] = 100.0
+    fields[[0, 3], :, -1] = 0.01
+    u = Snapshot.from_fields(fields, 0.0)
+    dt = 0.5 * max_stable_dt(u, grid, GAMMA)
+    assert np.array_equal(bits(fv_step(u, dt, GAMMA, grid).fields()),
+                          bits(reference_step(u, dt, grid)))
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_warm_fv_step_allocates_little_beyond_its_result(n):
+    """Once the workspace for the grid exists, a step allocates its result,
+    the CFL and validation temporaries and NumPy's bounded iterator
+    buffers: under two (4, n, n) float64 arrays at its peak.  A workspace
+    rebuilt or grown per step would be ten such arrays."""
+    grid = GridSpec(n, n)
+    u = make_initial_condition(sample_ic("rp", seed=3), grid)
+    dt = max_stable_dt(u, grid, GAMMA, 0.4)
+    u = fv_step(u, dt, GAMMA, grid)
+    tracemalloc.start()
+    try:
+        fv_step(u, dt, GAMMA, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * u.data.nbytes, peak / u.data.nbytes
 
 
 # sha256 of the 21 stacked float64 snapshots of a 16x16 trajectory from
