@@ -338,8 +338,10 @@ class _Sweep:
     for the differences, 2 for the limited slopes and 3 for the interface
     states and fluxes (interface q sits between padded cells q+s and
     q+2s).  Every ufunc call but the last thus runs one long loop per
-    channel, whichever the axis.  The last, the flux differences, reads
-    the fluxes as rows of the padded grid and writes a (4, nx, ny) array.
+    channel, whichever the axis.  The fluxes are laid out as whole rows
+    of the padded grid, nx+1 of them for x and nx for y, so the last
+    call, the flux differences, reads them through a plain reshape and
+    writes a (4, nx, ny) array.
 
     For x the flat rows hold exactly the elements of (4, nx+4-k, ny)
     arrays.  For y a flat row runs on past the end of each grid row, so
@@ -381,13 +383,10 @@ class _Sweep:
         self.slope_left, self.slope_right = self.slope[:, :-s], self.slope[:, s:]
         self.wl, self.wr = (rows(buf, 3) for buf in ws.vec[:2])   # over diff and sign
         self.ul = rows(ws.pad[axis], 3)          # padded primitives are spent by then
-        self.fl = rows(ws.vec[2], 3)             # so are the slopes
+        fl = _shaped(ws.vec[2], (4, nx + 1, ny) if axis == 0 else (4,) + padded)
+        self.fl = fl.reshape(4, -1)[:, :size - 3 * s]   # so are the slopes
         self.ur, self.fr = (rows(buf, 3) for buf in ws.vec[3:])
         self.sl, self.sr, self.scratch = (rows(buf, 3, channels=False) for buf in ws.sca)
-        # fluxes as padded-grid rows: for y the last is 3 short, none of them read
-        fl = np.lib.stride_tricks.as_strided(
-            self.fl, (4, nx + 1, ny) if axis == 0 else (4, nx, ny + 1),
-            self.fl.strides[:1] + self.interior.strides[1:])
         self.f_hi, self.f_lo = fl[along(1, n + 1)], fl[along(0, n)]
 
     def fill_ghosts(self) -> None:

@@ -37,9 +37,9 @@ from .euler import (CHANNELS, Dataset, GridSpec, Normalization, Snapshot, Trajec
                     check_same_grid, energy_density, total)
 from .rng import RngStream, mix64
 from .storage import StorageError, read_container, write_container
-from .surrogate import (Model, Surrogate, TrainResult, accumulate_grad, check_fit_config,
-                        fit)
-from .vit import MODE_DETERMINISTIC, ModelConfig, VisionTransformer
+from .surrogate import (Model, Surrogate, TrainResult, accumulate_grad, candidate_stream,
+                        check_fit_config, fit)
+from .vit import MODE_DETERMINISTIC, MODE_STOCHASTIC, ModelConfig, VisionTransformer
 
 _PRM_INIT_TAG = 0x9137
 _PRM_SHUFFLE_TAG = 0x3F21
@@ -161,33 +161,38 @@ def build_prm_triplets(surrogate: Surrogate, dataset: Dataset, k_candidates: int
 
     Keeps the argmin / rank-floor(K/2) / argmax candidates by MSE against
     the true next snapshot (ties -> lowest candidate index); skips pairs
-    whose candidates are numerically indistinguishable.  Each kept row is
-    converted to float32 straight into the returned array, which is sized
-    for every pair and shrunk in place if some were skipped, and a step's
-    K candidates are dropped before the next step samples its own.
+    whose candidates are numerically indistinguishable.  A step's K
+    candidates are drawn one at a time, as `Surrogate.sample_candidates`
+    draws them, and each is kept only as a float32 row of one buffer that
+    every step reuses; each kept triplet row is written once, straight
+    into the returned array, which is sized for every pair and shrunk in
+    place if some were skipped.
     """
     if k_candidates < 3:
         raise ValueError("need at least 3 candidates per pair")
     indices = list(dataset.split["train"] if indices is None else indices)
+    shape = (4, dataset.grid.nx, dataset.grid.ny)
     meta, fields = [], np.empty((sum(len(dataset.trajectories[ti]) - 1 for ti in indices),
-                                 4, 4, dataset.grid.nx, dataset.grid.ny), dtype=np.float32)
+                                 4) + shape, dtype=np.float32)
+    cands, mses = np.empty((k_candidates,) + shape, dtype=np.float32), np.empty(k_candidates)
     for ti in indices:
         tr = dataset.trajectories[ti]
         pair_seed = mix64(seed, _TRIPLET_TAG, ti)
         for k in range(len(tr) - 1):
             u_t = tr.snapshots[k]
             target = tr.snapshots[k + 1].fields()
-            cands = surrogate.sample_candidates(u_t, k_candidates, pair_seed, t_index=k)
-            mses = np.array([norm_mse(c.fields(), target, surrogate.norm) for c in cands])
+            for i in range(k_candidates):
+                c = surrogate.predict(u_t, MODE_STOCHASTIC, candidate_stream(pair_seed, k, i))
+                mses[i] = norm_mse(c.fields(), target, surrogate.norm)
+                cands[i] = c.fields()
             if not float(mses.max() - mses.min()) < DEGENERATE_MSE_SPREAD:  # NaN: kept
                 order = np.argsort(mses, kind="stable")
                 picks = (int(order[0]), int(order[k_candidates // 2]), int(np.argmax(mses)))
                 fields[len(meta), 0] = u_t.fields()
                 for slot, i in enumerate(picks, 1):
-                    fields[len(meta), slot] = cands[i].fields()
+                    fields[len(meta), slot] = cands[i]
                 meta.append({"traj": int(ti), "t_index": k, "t": u_t.t,
-                             "t_next": cands[0].t, "mse": [float(mses[i]) for i in picks]})
-            del cands       # before step k+1 samples its K
+                             "t_next": c.t, "mse": [float(mses[i]) for i in picks]})
         if log:
             log(f"triplets: trajectory {ti} done ({len(meta)} records)")
     fields.resize((len(meta),) + fields.shape[1:], refcheck=False)   # no view of it is alive

@@ -223,16 +223,18 @@ def test_fv_step_keeps_signed_zero_velocities_of_reference():
 
 @pytest.mark.parametrize("shape", [(8, 12), (24, 8)])
 def test_fv_step_matches_reference_with_contrasting_edge_columns(shape):
-    """The flat rows of the y sweep run from the last cells of one grid row
-    into the first of the next.  With density and pressure 10^4 times
-    apart in the first and last columns and velocities of +-0, the step
-    still equals the reference bit for bit and warns of nothing (the
-    suite turns RuntimeWarning into an error)."""
+    """The flat rows of the y sweep run from one padded grid row, which
+    ends with the ghosts of columns 0 and 1, into the next, which starts
+    with those of columns ny-2 and ny-1.  With density and pressure 10^4
+    times apart across that junction (100 in the first two columns, 0.01
+    in the last two) and velocities of +-0, the step still equals the
+    reference bit for bit and warns of nothing (the suite turns
+    RuntimeWarning into an error)."""
     grid = GridSpec(*shape)
     fields = np.stack([np.ones(shape), np.zeros(shape), np.full(shape, -0.0), np.ones(shape)])
     fields[1:3, ::2] *= -1.0                 # +0 and -0 in alternate rows
-    fields[[0, 3], :, 0] = 100.0
-    fields[[0, 3], :, -1] = 0.01
+    fields[[0, 3], :, :2] = 100.0
+    fields[[0, 3], :, -2:] = 0.01
     u = Snapshot.from_fields(fields, 0.0)
     dt = 0.5 * max_stable_dt(u, grid, GAMMA)
     assert np.array_equal(bits(fv_step(u, dt, GAMMA, grid).fields()),

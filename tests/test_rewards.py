@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -215,27 +216,20 @@ def test_build_triplets_ranked_and_train_split_only(mini_surrogate, mini_dataset
 
 def test_building_triplets_holds_one_steps_candidates(mini_surrogate, mini_dataset):
     """A step's K candidates are dropped before the next step samples its
-    own, so twelve more candidates per step cost less than two sets of
-    twelve, which is the least that holding the last step's set as well
-    would add."""
+    own, so twelve more candidates per step cost less than one set of
+    twelve, not two."""
     one = [mini_dataset.split["train"][0]]
-    u = mini_dataset.trajectories[one[0]].snapshots[0]
     build_prm_triplets(mini_surrogate, mini_dataset, 3, seed=3, indices=one)
-    held, peaks = {}, {}
+    peaks = {}
     for k in (3, 15):
         tracemalloc.start()
         try:
-            cands = mini_surrogate.sample_candidates(u, k, 0, t_index=0)
-            held[k] = tracemalloc.get_traced_memory()[0]
-            del cands
-            tracemalloc.reset_peak()
             build_prm_triplets(mini_surrogate, mini_dataset, k, seed=3, indices=one)
             peaks[k] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    twelve = held[15] - held[3]
-    assert twelve > 12 * 4 * 16 * 16 * 8
-    assert peaks[15] - peaks[3] < 2 * twelve, (peaks, twelve)
+    snapshot = 4 * 16 * 16 * 8
+    assert peaks[15] - peaks[3] < 12 * snapshot, peaks
 
 
 def test_building_triplets_writes_each_row_once(mini_surrogate, mini_dataset):
@@ -247,12 +241,14 @@ def test_building_triplets_writes_each_row_once(mini_surrogate, mini_dataset):
     tracemalloc.start()
     try:
         recs = build_prm_triplets(mini_surrogate, mini_dataset, 3, seed=3, indices=one)
-        held, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(recs) > 1 and recs.fields.shape[-2:] == (16, 16)
-    assert held >= recs.fields.nbytes
-    assert peak - held < 0.25 * held, (peak - held, held)
+    result = recs.fields.nbytes + sys.getsizeof(recs.meta) + sum(
+        sys.getsizeof(m) + sum(map(sys.getsizeof, m.values())) + sum(map(sys.getsizeof, m["mse"]))
+        for m in recs.meta)
+    assert peak - result < 0.25 * result, (peak - result, result)
 
 
 def test_build_triplets_k3_is_sorted_candidates(mini_surrogate, mini_dataset):
