@@ -16,7 +16,10 @@ except ``--grid``, which sets both ``grid.nx`` and ``grid.ny``.  Values
 are checked where they become a grid, a training or PRM config, a family
 list or a rollout length, before a command does any work; the worker
 cap ``jobs`` (``--jobs`` of gen-data, train-prm and rollout) and
-``data.n_per_family`` must be at least 1 for every command.  Every
+``data.n_per_family`` must be at least 1 for every command.  Only
+gen-data reads ``jobs`` yet: train-prm and rollout accept and check it,
+but run serially.  `train-prm` builds the triplets it trains on from the
+surrogate it is given.  Every
 command is deterministic given its effective config; artifacts embed the
 config digest that produced them, which leaves out ``jobs``.
 
@@ -287,35 +290,23 @@ def cmd_finetune(cfg: dict, from_path: str, data_path: str, out_path: str) -> in
     return _finish_training(result, out_path, "finetune", "val_mse", _val_summary(result))
 
 
-def cmd_train_prm(cfg: dict, from_path: str, data_path: str, out_path: str,
-                  triplets_in: str | None, triplets_out: str | None) -> int:
+def cmd_train_prm(cfg: dict, from_path: str, data_path: str, out_path: str) -> int:
     model = sg.Surrogate.from_checkpoint(from_path)
     p = cfg["prm"]
     prm_cfg = _checked("prm", rewards.PRMConfig, backbone=model.config, seed=cfg["seed"],
                        **{k: p[k] for k in _field_defaults(rewards.PRMConfig)})
     ds = storage.load_dataset(data_path)
     _check_grid(model, from_path, (ds.grid.nx, ds.grid.ny), data_path)
+    train_ids = _train_ids(ds, data_path, "train-prm")
+    if p["train_trajectories"]:
+        train_ids = train_ids[: p["train_trajectories"]]
     holdout_ids = ds.split["val"]
     if p["holdout_trajectories"]:
         holdout_ids = holdout_ids[: p["holdout_trajectories"]]
-    if triplets_in:
-        train_triplets = rewards.load_triplets(triplets_in)
-        if not train_triplets:
-            raise ConfigError(f"{triplets_in} holds no triplets")
-        _check_grid(model, from_path, train_triplets.fields.shape[-2:], triplets_in)
-        print(f"building holdout triplets: K={p['k_candidates']} over "
-              f"{len(holdout_ids)} trajectories")
-    else:
-        train_ids = _train_ids(ds, data_path, "train-prm")
-        if p["train_trajectories"]:
-            train_ids = train_ids[: p["train_trajectories"]]
-        print(f"building triplets: K={p['k_candidates']} over "
-              f"{len(train_ids)} train + {len(holdout_ids)} holdout trajectories")
-        train_triplets = rewards.build_prm_triplets(
-            model, ds, p["k_candidates"], cfg["seed"], indices=train_ids)
-        if triplets_out:
-            rewards.save_triplets(triplets_out, train_triplets, ds.grid, ds.gamma)
-            print(f"wrote {len(train_triplets)} triplets to {triplets_out}")
+    print(f"building triplets: K={p['k_candidates']} over "
+          f"{len(train_ids)} train + {len(holdout_ids)} holdout trajectories")
+    train_triplets = rewards.build_prm_triplets(
+        model, ds, p["k_candidates"], cfg["seed"], indices=train_ids)
     holdout = rewards.build_prm_triplets(
         model, ds, p["k_candidates"], cfg["seed"] + 1, indices=holdout_ids)
 
@@ -420,7 +411,9 @@ def _evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> tupl
     IC count the rollouts ran on, as their indexes record them.  Indexes
     that disagree on these, that ran on a dataset whose payload differs
     from data_path's, or that list an IC outside the trajectories they ran
-    on, are a config error, as are the records `_load_records` refuses.
+    on, are a config error, as are a reward whose records do not cover
+    each pair of its ICs and its Bs, and the records `_load_records`
+    refuses.  Every index is checked before any record is loaded.
     """
     ds = storage.load_dataset(data_path)
     records_dir = Path(records_dir)
@@ -462,6 +455,16 @@ def _evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> tupl
         if not 0 <= ic < len(trajs):
             raise ConfigError(f"{idx_file} lists a record of ic {ic}, outside 0 ... "
                               f"{len(trajs) - 1}, the {which} trajectories it ran on")
+    listed_by = {}      # reward -> {(ic, B): index file}
+    for idx_file, (reward, ic, b, _) in zip(listed_in, entries):
+        listed_by.setdefault(reward, {})[ic, b] = idx_file
+    for reward, pairs in listed_by.items():
+        ics, bs = sorted({i for i, _ in pairs}), sorted({b for _, b in pairs})
+        missing = [(ic, b) for ic in ics for b in bs if (ic, b) not in pairs]
+        if missing:
+            (ic, b), where = missing[0], ", ".join(sorted({str(f) for f in pairs.values()}))
+            raise ConfigError(f"no {reward} record of ic {ic} and B={b} in {where}; "
+                              f"each of its ics {ics} needs one at each of its B {bs}")
     report = metrics.evaluate(_load_records(entries, listed_in), trajs, ds.normalization,
                               ds.gamma, dataset_label=Path(data_path).stem,
                               model_label=cfg["model"]["patch"])
@@ -569,8 +572,11 @@ def _add_common(p):
     p.add_argument("--seed", type=int, help="override config seed")
 
 
-def _add_jobs(p):
-    p.add_argument("--jobs", type=int, help="worker cap for parallel stages")
+def _add_jobs(p, text="worker cap for parallel stages"):
+    p.add_argument("--jobs", type=int, help=text)
+
+
+_SERIAL_JOBS = "worker cap; checked, but not read yet: this command runs serially"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -611,9 +617,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", dest="finetune.lr", type=float)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train-prm", help="build triplets and train the PRM")
+    p = sub.add_parser("train-prm", help="rank the surrogate's candidates on the train "
+                       "and val splits into triplets, and train the PRM on them")
     _add_common(p)
-    _add_jobs(p)
+    _add_jobs(p, _SERIAL_JOBS)
     p.add_argument("--from", dest="from_path", required=True,
                    help="surrogate checkpoint")
     p.add_argument("--data", required=True)
@@ -621,13 +628,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", dest="prm.margin", type=float, help="triplet margin")
     p.add_argument("--epochs", dest="prm.epochs", type=int)
     p.add_argument("--lr", dest="prm.lr", type=float)
-    p.add_argument("--triplets-in", help="reuse a saved triplet store")
-    p.add_argument("--triplets-out", help="save the built triplet store")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("rollout", help="greedy best-of-B rollouts on a split")
     _add_common(p)
-    _add_jobs(p)
+    _add_jobs(p, _SERIAL_JOBS)
     p.add_argument("--surrogate", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--prm", help="PRM checkpoint (for --reward prm)")
@@ -681,8 +686,7 @@ def main(argv=None) -> int:
         if args.command == "finetune":
             return cmd_finetune(cfg, args.from_path, args.data, args.out)
         if args.command == "train-prm":
-            return cmd_train_prm(cfg, args.from_path, args.data, args.out,
-                                 args.triplets_in, args.triplets_out)
+            return cmd_train_prm(cfg, args.from_path, args.data, args.out)
         if args.command == "rollout":
             return cmd_rollout(cfg, args.surrogate, args.data, args.prm, args.out_dir)
         if args.command == "evaluate":

@@ -575,9 +575,17 @@ class PatchEmbed:
         yield from self.proj.named_params(f"{prefix}.proj")
 
     def patchify(self, x: np.ndarray) -> np.ndarray:
-        b = x.shape[0]
-        xp = np.pad(x, ((0, 0), (0, 0), (0, self.hp - self.h), (0, self.wp - self.w)),
-                    mode="wrap")
+        """The patches of x wrapped to the padded grid.  The pad is filled
+        by slice copies, the interior, then the wrapped rows, then the
+        wrapped columns: ``np.pad(mode="wrap")`` gives the same values but
+        leaves garbage on every call that only a full collection frees."""
+        b, h, w = x.shape[0], self.h, self.w
+        xp = np.empty((b, self.c, self.hp, self.wp), dtype=x.dtype)
+        xp[:, :, :h, :w] = x
+        for i in range(h, self.hp, h):
+            xp[:, :, i:i + h, :w] = xp[:, :, :min(h, self.hp - i), :w]
+        for j in range(w, self.wp, w):
+            xp[:, :, :, j:j + w] = xp[:, :, :, :min(w, self.wp - j)]
         t = xp.reshape(b, self.c, self.nh, self.p, self.nw, self.p)
         t = t.transpose(0, 2, 4, 1, 3, 5)
         return t.reshape(b, self.n_tokens, self.c * self.p * self.p)

@@ -16,9 +16,11 @@ margin loss on candidates ranked by MSE against ground truth.  It scores
 each candidate with its own batch-1 forward, so a candidate's score does
 not depend on which other candidates are scored with it.
 
-The ranked triples have one representation, `Triplets`, the float32 rows
-of the triplet store: built or loaded, the PRM trains and is judged on the
-same numbers.
+The ranked triples have one representation, `Triplets`, float32 rows
+that `build_prm_triplets` makes from the surrogate's candidate streams:
+the PRM trains and is judged on those numbers.  They are not stored; the
+streams are counter-based, so building again with the same surrogate,
+dataset, K and seed gives the same rows bit for bit.
 
 The PRM is a `surrogate.Model`, whose docstring states its constructor,
 input layout and checkpoint contract; it trains through `surrogate.fit`,
@@ -33,10 +35,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .euler import (CHANNELS, Dataset, GridSpec, Normalization, Snapshot, Trajectory,
+from .euler import (CHANNELS, Dataset, Normalization, Snapshot, Trajectory,
                     check_same_grid, energy_density, total)
 from .rng import RngStream, mix64
-from .storage import StorageError, read_container, write_container
 from .surrogate import (Model, Surrogate, TrainResult, accumulate_grad, candidate_stream,
                         check_fit_config, fit)
 from .vit import MODE_DETERMINISTIC, MODE_STOCHASTIC, ModelConfig, VisionTransformer
@@ -133,9 +134,9 @@ class OracleMseReward:
 
 @dataclass(frozen=True, eq=False)
 class Triplets:
-    """Ranked triples as the triplet store holds them: the float32 (n, 4, 4,
-    nx, ny) current, best, median and worst ``fields``, and one ``meta`` dict
-    {"traj", "t_index", "t", "t_next", "mse"} per triple, mse ascending."""
+    """Ranked triples: the float32 (n, 4, 4, nx, ny) current, best, median
+    and worst ``fields``, and one ``meta`` dict {"traj", "t_index", "t",
+    "t_next", "mse"} per triple, mse ascending."""
 
     fields: np.ndarray
     meta: list
@@ -197,28 +198,6 @@ def build_prm_triplets(surrogate: Surrogate, dataset: Dataset, k_candidates: int
             log(f"triplets: trajectory {ti} done ({len(meta)} records)")
     fields.resize((len(meta),) + fields.shape[1:], refcheck=False)   # no view of it is alive
     return Triplets(fields, meta)
-
-
-def save_triplets(path, triplets: Triplets, grid: GridSpec, gamma: float) -> None:
-    header = {
-        "record_type": "TRIPLET",
-        "grid": {"nx": grid.nx, "ny": grid.ny, "lx": grid.lx, "ly": grid.ly},
-        "gamma": gamma,
-        "channel_order": ["rho", "vx", "vy", "p"],
-        "slot_order": ["current", "best", "median", "worst"],
-        "records": triplets.meta,
-    }
-    write_container(path, header, triplets.fields.shape, triplets.fields)
-
-
-def load_triplets(path) -> Triplets:
-    """The stored triplets; StorageError if the records do not fit the payload."""
-    header, payload = read_container(path, expect_type="TRIPLET")
-    try:
-        return Triplets(payload, header["records"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StorageError(f"{path}: not a triplet store: "
-                           f"{type(exc).__name__} {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,16 @@ Container layout (one file per artifact):
   header         UTF-8 JSON (record_type, payload_shape, metadata)
   payload        row-major little-endian float32 of payload_shape, by type:
                  DATASET (trajectory, time, channel, x, y), `save_dataset`;
-                 TRIPLET (triple, slot, channel, x, y), slots [current, best,
-                 median, worst], `rewards.save_triplets`; ROLLOUT (state,
-                 channel, x, y), `ttc.save_rollout_record`.  Channels are
-                 [rho, vx, vy, p].  A reader checks the header first: a
-                 missing key or a wrong value raises StorageError naming it.
-                 It compares the sizes the header declares with the size
-                 of the file before it reads them, so a corrupt size is
-                 refused as a truncated file instead of being allocated.
-                 Every payload is written row by row by `write_container`
-                 (a row is a snapshot, a triple or a state), each row
-                 converted to float32 on its own, so a writer never holds
-                 a copy of the whole payload.
+                 ROLLOUT (state, channel, x, y), `ttc.save_rollout_record`.
+                 Channels are [rho, vx, vy, p].  A reader checks the
+                 header first: a missing key or a wrong value raises
+                 StorageError naming it.  It compares the sizes the header
+                 declares with the size of the file before it reads them,
+                 so a corrupt size is refused as a truncated file instead
+                 of being allocated.  Every payload is written row by row
+                 by `write_container` (a row is a snapshot or a state),
+                 each row converted to float32 on its own, so a writer
+                 never holds a copy of the whole payload.
 
 Checkpoint layout:
   magic "PDETTCPM", u64 header length, JSON header (model kind,

@@ -123,8 +123,8 @@ def test_missing_or_corrupt_inputs_exit_with_a_config_error(tmp_path, monkeypatc
     _fails_with_one_line(capsys, train, "truncated header")
     Path("data.pdt").write_bytes(b"not a container at all")
     _fails_with_one_line(capsys, train, "bad magic")
-    storage.write_container("data.pdt", {"record_type": "TRIPLET"}, (1, 2), np.zeros((1, 2)))
-    _fails_with_one_line(capsys, train, "record_type 'TRIPLET'")
+    storage.write_container("data.pdt", {"record_type": "ROLLOUT"}, (1, 2), np.zeros((1, 2)))
+    _fails_with_one_line(capsys, train, "record_type 'ROLLOUT'")
 
 
 def test_evaluate_rejects_records_of_another_dataset(tmp_path, monkeypatch):
@@ -401,17 +401,6 @@ def test_training_on_a_dataset_without_train_trajectories_exits_2(
     assert not Path("out").exists()
 
 
-def test_train_prm_refuses_an_empty_triplet_store(small_run, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    ds = storage.load_dataset(small_run["data"])
-    rewards.save_triplets("empty.npz", rewards.Triplets(
-        np.zeros((0, 4, 4, ds.grid.nx, ds.grid.ny), np.float32), []), ds.grid, ds.gamma)
-    _fails_with_one_line(capsys, ["train-prm", "--from", small_run["ckpt"],
-                                  "--data", small_run["data"], "--triplets-in", "empty.npz",
-                                  "--out", "out"], "empty.npz holds no triplets")
-    assert not Path("out").exists()
-
-
 def _drop(key):
     return lambda header: {k: v for k, v in header.items() if k != key}
 
@@ -491,65 +480,39 @@ def test_finetune_without_a_val_split_reports_the_same_either_way(
     assert "finetune: best val MSE nan over 0 epochs; " in outputs[0]
 
 
-def test_train_prm_from_stored_triplets_reports_a_holdout_accuracy(
+def test_train_prm_twice_with_one_seed_writes_equal_checkpoints_and_losses(
         small_run, tmp_path, monkeypatch, capsys):
+    """The triplets are rebuilt from counter-based candidate streams on
+    every run, so a re-run trains on the same rows and writes the same
+    checkpoint and losses; the summary reports the best holdout accuracy
+    of the epochs it printed."""
     monkeypatch.chdir(tmp_path)
     assert cli.main(["gen-data", "--seed", "3", "--families", "rp", "--n", "3", "--grid",
                      "16", "--split", "0.34,0.33,0.33", "--out", "d.pdt"]) == cli.EXIT_OK
     run = ["train-prm", "--seed", "3", "--from", small_run["ckpt"], "--data", "d.pdt",
            "--K", "3", "--epochs", "2"]
-    assert cli.main([*run, "--triplets-out", "t.npz", "--out", "a.ckpt"]) == cli.EXIT_OK
-    capsys.readouterr()
-    assert cli.main([*run, "--triplets-in", "t.npz", "--out", "b.ckpt"]) == cli.EXIT_OK
+    for name in ("a", "b"):
+        capsys.readouterr()
+        assert cli.main([*run, "--out", f"{name}.ckpt"]) == cli.EXIT_OK
     out = capsys.readouterr().out
+    assert Path("a.ckpt").read_bytes() == Path("b.ckpt").read_bytes()
+    # each loss row up to its last column, the epoch's wall time
+    losses = [[row.rsplit(",", 1)[0] for row in Path(f"{c}.ckpt.loss.csv").read_text().split()]
+              for c in "ab"]
+    assert losses[0] == losses[1] and len(losses[0]) == 3
     accs = [float(a) for a in re.findall(r"holdout acc (\S+)", out)]
     assert len(accs) == 2 and all(math.isfinite(a) for a in accs)
     best = float(re.search(r"best early-stopping accuracy (\S+);", out).group(1))
     assert best == max(accs)
 
 
-def test_train_prm_on_built_or_stored_triplets_writes_equal_checkpoints(
-        small_run, tmp_path, monkeypatch):
-    """The stored triplets are the rows a direct run trains on."""
+@pytest.mark.parametrize("flag", ["--triplets-in", "--triplets-out"])
+def test_train_prm_has_no_triplet_file_flags(small_run, tmp_path, monkeypatch, capsys, flag):
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["gen-data", "--seed", "3", "--families", "rp", "--n", "3", "--grid",
-                     "16", "--split", "0.34,0.33,0.33", "--out", "d.pdt"]) == cli.EXIT_OK
-    run = ["train-prm", "--seed", "3", "--from", small_run["ckpt"], "--data", "d.pdt",
-           "--K", "3", "--epochs", "2"]
-    assert cli.main([*run, "--triplets-out", "t.pdt", "--out", "a.ckpt"]) == cli.EXIT_OK
-    assert cli.main([*run, "--triplets-in", "t.pdt", "--out", "b.ckpt"]) == cli.EXIT_OK
-    assert Path("a.ckpt").read_bytes() == Path("b.ckpt").read_bytes()
-    losses = [[row.rsplit(",", 1)[0] for row in Path(f"{c}.ckpt.loss.csv").read_text().split()]
-              for c in "ab"]
-    assert losses[0] == losses[1] and len(losses[0]) == 3
-
-
-def _rows_edited(edit):
-    return lambda header: {**header, "records": [edit(r) for r in header["records"]]}
-
-
-@pytest.mark.parametrize("edit,match", [
-    pytest.param(_drop("records"), "KeyError 'records'", id="no-records"),
-    pytest.param(lambda h: {**h, "records": 5}, "TypeError", id="records-5"),
-    pytest.param(lambda h: {**h, "records": []}, "ValueError fields of shape (1, 4, 4, 16, 16) "
-                 "for 0 triples", id="one-row-short"),
-    pytest.param(lambda h: {**h, "records": h["records"] * 2}, "ValueError fields of shape "
-                 "(1, 4, 4, 16, 16) for 2 triples", id="one-row-over"),
-    pytest.param(lambda h: {**h, "records": [{}]}, "KeyError 'traj'", id="empty-row"),
-    pytest.param(_rows_edited(_drop("t")), "KeyError 't'", id="no-time"),
-    pytest.param(_rows_edited(lambda r: {**r, "t": "0"}), "ValueError not a triplet row",
-                 id="str-time"),
-    pytest.param(_rows_edited(lambda r: {**r, "mse": [0.0, 2.0, 1.0]}),
-                 "ValueError triplet mse must be ascending", id="descending-mse"),
-])
-def test_a_malformed_triplet_store_exits_2(mismatched, tmp_path, monkeypatch, capsys, edit,
-                                           match):
-    monkeypatch.chdir(tmp_path)
-    Path("bad.pdt").write_bytes(_edited_container(Path(mismatched["trip16"]).read_bytes(), edit))
-    _fails_with_one_line(capsys, ["train-prm", "--from", mismatched["ckpt"], "--data",
-                                  mismatched["data"], "--triplets-in", "bad.pdt", "--out", "out"],
-                         f"input error: bad.pdt: not a triplet store: {match}")
-    assert not Path("out").exists()
+    _fails_with_one_line(capsys, ["train-prm", "--from", small_run["ckpt"], "--data",
+                                  small_run["data"], flag, "t.pdt", "--out", "out"],
+                         f"unrecognized arguments: {flag} t.pdt")
+    assert not Path("out").exists() and not Path("t.pdt").exists()
 
 
 def test_rollout_saves_each_record_before_the_next_rollout(small_run, tmp_path,
@@ -676,11 +639,10 @@ def test_a_config_that_sets_the_removed_time_channel_key_exits_2(tmp_path, monke
 @pytest.fixture(scope="module")
 def mismatched(small_run, tmp_path_factory):
     """Artifacts that do not match small_run's 16x16 ones: a 24x24 dataset
-    and surrogate, and 16x16 PRM and triplet store."""
+    and surrogate, and a 16x16 PRM."""
     root = tmp_path_factory.mktemp("mismatched")
     paths = {k: str(root / name) for k, name in
-             (("data24", "data24.pdt"), ("ckpt24", "s24.ckpt"), ("prm16", "prm16.ckpt"),
-              ("trip16", "trip16.pdt"))}
+             (("data24", "data24.pdt"), ("ckpt24", "s24.ckpt"), ("prm16", "prm16.ckpt"))}
     assert cli.main(["gen-data", "--seed", "3", "--families", "rp", "--n", "2", "--grid",
                      "24", "--split", "0.5,0,0.5", "--out", paths["data24"]]) == cli.EXIT_OK
     ds24 = storage.load_dataset(paths["data24"])
@@ -689,12 +651,6 @@ def mismatched(small_run, tmp_path_factory):
     s16 = Surrogate.from_checkpoint(small_run["ckpt"])
     rewards.ProcessRewardModel(rewards.prm_backbone_config(s16.config),
                                s16.norm).save(paths["prm16"])
-    ds16 = storage.load_dataset(small_run["data"])
-    u = ds16.trajectories[0].snapshots
-    rewards.save_triplets(paths["trip16"], rewards.Triplets(
-        np.array([[u[0].fields(), u[1].fields(), u[1].fields(), u[1].fields()]], np.float32),
-        [{"traj": 0, "t_index": 0, "t": u[0].t, "t_next": u[1].t, "mse": [0.0, 0.0, 0.0]}]),
-        ds16.grid, ds16.gamma)
     return {**small_run, **paths}
 
 
@@ -706,13 +662,8 @@ _OF_16 = "{ckpt} holds a model for a 16x16 grid, but "
       "--B", "1"], _OF_16 + "{data24} is on a 24x24 grid"),
     (["finetune", "--from", "{ckpt}", "--data", "{data24}", "--n-traj", "1"],
      _OF_16 + "{data24} is on a 24x24 grid"),
-    # a saved triplet store of the model's grid does not excuse the dataset
-    (["train-prm", "--from", "{ckpt}", "--data", "{data24}", "--triplets-in", "{trip16}"],
-     _OF_16 + "{data24} is on a 24x24 grid"),
     (["train-prm", "--from", "{ckpt}", "--data", "{data24}"],
      _OF_16 + "{data24} is on a 24x24 grid"),
-    (["train-prm", "--from", "{ckpt24}", "--data", "{data24}", "--triplets-in", "{trip16}"],
-     "{ckpt24} holds a model for a 24x24 grid, but {trip16} is on a 16x16 grid"),
     (["rollout", "--surrogate", "{ckpt24}", "--data", "{data24}", "--prm", "{prm16}",
       "--B", "1"], "{prm16} holds a model for a 16x16 grid, but {ckpt24} is on a 24x24 grid"),
 ])
@@ -1066,13 +1017,7 @@ def test_an_open_dataset_keeps_reading_the_file_it_opened(tmp_path, monkeypatch)
     assert ds.payload_digest == hashlib.sha256(first.tobytes()).hexdigest()
 
 
-def _triplet_store(path, ds) -> None:
-    meta = [{"traj": 0, "t_index": 0, "t": 0.0, "t_next": 0.05, "mse": [0.1, 0.2, 0.3]}]
-    rewards.save_triplets(path, rewards.Triplets(
-        np.zeros((1, 4, 4, ds.grid.nx, ds.grid.ny), np.float32), meta), ds.grid, ds.gamma)
-
-
-@pytest.mark.parametrize("kind", ["dataset", "triplets", "record"])
+@pytest.mark.parametrize("kind", ["dataset", "record"])
 @pytest.mark.parametrize("size,match", [
     ("payload", "truncated payload"), ("header", "truncated header")])
 def test_a_container_that_declares_more_than_its_file_holds_exits_2(
@@ -1081,15 +1026,10 @@ def test_a_container_that_declares_more_than_its_file_holds_exits_2(
     bytes, is refused by its size against the file's before anything of
     that size is read."""
     monkeypatch.chdir(tmp_path)
-    data, ckpt = small_run["data"], small_run["ckpt"]
+    data = small_run["data"]
     if kind == "dataset":
         path, argv = Path("bad.pdt"), ["train", "--data", "bad.pdt", "--out", "out"]
         path.write_bytes(Path(data).read_bytes())
-    elif kind == "triplets":
-        path = Path("bad.pdt")
-        _triplet_store(path, storage.load_dataset(data))
-        argv = ["train-prm", "--from", ckpt, "--data", data, "--triplets-in", "bad.pdt",
-                "--out", "out"]
     else:
         _short_rollout(small_run, "1")
         path = Path("records/arm_mass_ic000_B1.bin")
@@ -1120,4 +1060,31 @@ def test_an_index_entry_outside_the_ics_it_ran_on_exits_2(small_run, tmp_path, m
                                       small_run["data"], "--out-dir", command],
                              f"config error: {index} lists a record of ic {ic}, outside "
                              f"0 ... 0, the test trajectories it ran on")
+        assert not Path(command).exists()
+
+
+def test_records_that_do_not_cover_each_ic_at_each_b_exit_2(small_run, tmp_path, monkeypatch,
+                                                             capsys):
+    """Two test ICs at B = 1 and 4, with the index entry of (ic 1, B 4)
+    deleted: refused with one line before any record is loaded, not a
+    KeyError traceback in metrics.evaluate."""
+    monkeypatch.chdir(tmp_path)
+    Path("short.json").write_text(json.dumps({"ttc": {"n_steps": 2}}))
+    assert cli.main(["rollout", "--config", "short.json", "--surrogate", small_run["ckpt"],
+                     "--data", small_run["data"], "--reward", "arm_mass", "--B", "1,4",
+                     "--out-dir", "records"]) == cli.EXIT_OK
+    index = Path("records/index.json")
+    idx = json.loads(index.read_text())
+    assert idx["n_ics"] == 2
+    idx["records"] = [e for e in idx["records"] if (e["ic"], e["B"]) != (1, 4)]
+    index.write_text(json.dumps(idx))
+
+    def loading(path):
+        raise AssertionError(f"loaded {path}")
+
+    monkeypatch.setattr(ttc, "load_rollout_record", loading)
+    for command in ("evaluate", "report"):
+        _fails_with_one_line(capsys, [command, "--records-dir", "records", "--data",
+                                      small_run["data"], "--out-dir", command],
+                             f"config error: no arm_mass record of ic 1 and B=4 in {index}")
         assert not Path(command).exists()

@@ -567,6 +567,21 @@ def test_patch_count(hw, p, n_expected):
     assert e.forward(x).shape == (1, n_expected, 4)
 
 
+@pytest.mark.parametrize("h,w,p", [(64, 64, 5), (16, 16, 3), (128, 128, 5), (16, 16, 7),
+                                   (24, 8, 3), (9, 10, 3), (10, 9, 5), (2, 3, 5)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_patchify_equals_the_patches_of_a_wrap_pad(h, w, p, dtype):
+    """Bit for bit the patches of ``np.pad(mode="wrap")``, on square and
+    non-square grids, and where the pad is wider than the grid."""
+    e = PatchEmbed(h, w, p, 3, 4, RngStream(0))
+    x = np.random.default_rng(h * w + p).normal(size=(2, 3, h, w)).astype(dtype)
+    xp = np.pad(x, ((0, 0), (0, 0), (0, e.hp - h), (0, e.wp - w)), mode="wrap")
+    want = xp.reshape(2, 3, e.nh, p, e.nw, p).transpose(0, 2, 4, 1, 3, 5)
+    got = e.patchify(x)
+    assert got.dtype == dtype
+    assert got.tobytes() == want.reshape(2, e.n_tokens, 3 * p * p).tobytes()
+
+
 def test_constant_image_gives_identical_patch_embeddings():
     e = PatchEmbed(10, 10, 3, 4, 6, RngStream(1))
     x = np.full((1, 4, 10, 10), 2.5)

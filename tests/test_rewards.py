@@ -11,10 +11,8 @@ from pdettc.euler import (GridSpec, ICSpec, Normalization, Snapshot, generate_da
                           make_initial_condition, sample_ic, solve_trajectory)
 from pdettc.rewards import (_PRM_DROPOUT_TAG, _PRM_SHUFFLE_TAG, EnergyReward, MassReward,
                             MomentumReward, OracleMseReward, PRMConfig, ProcessRewardModel,
-                            Triplets, accumulate_margin_grad,
-                            build_prm_triplets, load_triplets,
-                            prm_backbone_config, ranking_accuracy,
-                            save_triplets, train_prm)
+                            Triplets, accumulate_margin_grad, build_prm_triplets,
+                            prm_backbone_config, ranking_accuracy, train_prm)
 from pdettc.surrogate import Surrogate, TrainConfig, fit, train
 from pdettc.vit import MODE_DETERMINISTIC, MODE_TRAIN, ModelConfig
 
@@ -305,28 +303,11 @@ def test_triplets_refuse_rows_that_do_not_match(fields, meta):
         Triplets(fields, meta)
 
 
-def test_triplet_store_roundtrip(tmp_path, mini_surrogate, mini_dataset):
-    recs = build_prm_triplets(mini_surrogate, mini_dataset, 3, seed=3,
-                              indices=[mini_dataset.split["train"][0]])
-    empty = Triplets(np.zeros((0, 4, 4, 16, 16), np.float32), [])
-    for i, triplets in enumerate((recs, empty)):
-        path = tmp_path / f"trip{i}.pdt"
-        save_triplets(path, triplets, mini_dataset.grid, mini_dataset.gamma)
-        back = load_triplets(path)
-        assert len(back) == len(triplets)
-        assert back.fields.shape == triplets.fields.shape
-        assert back.fields.tobytes() == triplets.fields.tobytes()
-        assert back.meta == triplets.meta
-
-
-def test_building_twice_with_one_seed_writes_equal_stores(tmp_path, mini_surrogate,
-                                                          mini_dataset):
-    stores = []
-    for name in ("a.pdt", "b.pdt"):
-        triplets = build_prm_triplets(mini_surrogate, mini_dataset, 3, seed=3)
-        save_triplets(tmp_path / name, triplets, mini_dataset.grid, mini_dataset.gamma)
-        stores.append([(tmp_path / f).read_bytes() for f in (name, name + ".json")])
-    assert stores[0] == stores[1]
+def test_building_twice_with_one_seed_gives_equal_triplets(mini_surrogate, mini_dataset):
+    built = [build_prm_triplets(mini_surrogate, mini_dataset, 3, seed=3) for _ in range(2)]
+    assert len(built[0]) > 1
+    assert built[0].fields.tobytes() == built[1].fields.tobytes()
+    assert built[0].meta == built[1].meta
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_truncated_payload_rejected(tmp_path, small_dataset):
 
 def test_record_type_mismatch(tmp_path):
     path = tmp_path / "x.pdt"
-    write_container(path, {"record_type": "TRIPLET"}, (1, 2), np.zeros((1, 2)))
+    write_container(path, {"record_type": "ROLLOUT"}, (1, 2), np.zeros((1, 2)))
     with pytest.raises(StorageError, match="record_type"):
         read_container(path, expect_type="DATASET")
 
