@@ -1,9 +1,8 @@
 """Command-line experiment harness.
 
 Subcommands: gen-data, train, finetune, train-prm, rollout, evaluate,
-report.  All take an optional JSON config; command-line flags override
-file values, and the env var PDETTC_SEED overrides the config seed
-(flags still win).  `DEFAULTS` is the config schema: a key that is not
+report.  All take an optional JSON config, and command-line flags
+override file values.  `DEFAULTS` is the config schema: a key that is not
 in it is rejected, and each value must have its default's type (an int
 is accepted for a float).  A default has one home: a section that
 becomes a config dataclass (`surrogate.TrainConfig`, `rewards.PRMConfig`,
@@ -15,13 +14,13 @@ key as its argparse ``dest`` (``--epochs`` of train is ``train.epochs``),
 except ``--grid``, which sets both ``grid.nx`` and ``grid.ny``.  Values
 are checked where they become a grid, a training or PRM config, a family
 list or a rollout length, before a command does any work; the worker
-cap ``jobs`` (``--jobs`` of gen-data, train-prm and rollout) and
-``data.n_per_family`` must be at least 1 for every command.  Only
-gen-data reads ``jobs`` yet: train-prm and rollout accept and check it,
-but run serially.  `train-prm` builds the triplets it trains on from the
-surrogate it is given.  Every
-command is deterministic given its effective config; artifacts embed the
-config digest that produced them, which leaves out ``jobs``.
+cap ``jobs`` (``--jobs`` of gen-data, the one command that reads it)
+and ``data.n_per_family`` must be at least 1 for every command.  `train-prm`
+builds the triplets it trains on from the surrogate it is given, and
+holds out the whole val split.  `rollout` and `evaluate` refuse a split
+that has fewer trajectories than they run on.  Every command is
+deterministic given its effective config; artifacts embed the config
+digest that produced them, which leaves out ``jobs``.
 
 Exit codes: 0 ok, 2 config or input error (a bad flag or config value, a
 missing, corrupt or mismatched input file; one line on stderr), 3
@@ -36,7 +35,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -75,8 +73,7 @@ DEFAULTS = {
     "model": {"preset": "desk", "patch": "vit5"},
     "train": _field_defaults(sg.TrainConfig),
     "finetune": {**_field_defaults(sg.FINETUNE_CONFIG), "n_traj": 32},
-    "prm": {**_field_defaults(rewards.PRMConfig),
-            "train_trajectories": 0, "holdout_trajectories": 0},
+    "prm": {**_field_defaults(rewards.PRMConfig), "train_trajectories": 0},
     "ttc": {"b_list": [1, 4, 16, 64], **_field_defaults(ttc.TTCConfig),
             "n_ics": 0, "split": "test"},
 }
@@ -138,12 +135,6 @@ def load_config(path: str | None) -> dict:
         _validate(doc, DEFAULTS)
         _parse_list_values(doc)
         _deep_update(cfg, doc)
-    env_seed = os.environ.get("PDETTC_SEED")
-    if env_seed is not None:
-        try:
-            cfg["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"PDETTC_SEED must be an integer, got {env_seed!r}") from None
     return cfg
 
 
@@ -301,8 +292,6 @@ def cmd_train_prm(cfg: dict, from_path: str, data_path: str, out_path: str) -> i
     if p["train_trajectories"]:
         train_ids = train_ids[: p["train_trajectories"]]
     holdout_ids = ds.split["val"]
-    if p["holdout_trajectories"]:
-        holdout_ids = holdout_ids[: p["holdout_trajectories"]]
     print(f"building triplets: K={p['k_candidates']} over "
           f"{len(train_ids)} train + {len(holdout_ids)} holdout trajectories")
     train_triplets = rewards.build_prm_triplets(
@@ -325,14 +314,18 @@ def cmd_train_prm(cfg: dict, from_path: str, data_path: str, out_path: str) -> i
     return _finish_training(result, out_path, "train-prm", "holdout_accuracy", summary)
 
 
-def _select_trajectories(ds: euler.Dataset, which: str, n: int) -> list:
-    """The first n trajectories of a dataset split (all of them when n is 0)."""
+def _select_trajectories(ds: euler.Dataset, data_path: str, which: str, n: int) -> list:
+    """The first n trajectories of a dataset split (all of them when n is
+    0); a split that is empty or has fewer than n is a config error."""
     if which not in ds.split:
         raise ConfigError(f"unknown dataset split {which!r}")
     if n < 0:
         raise ConfigError(f"config 'ttc.n_ics' must be >= 0, got {n}")
-    trajs = ds.split_trajectories(which)
-    return trajs[:n] if n else trajs
+    size, need = len(ds.split[which]), max(n, 1)
+    if size < need:
+        raise ConfigError(f"the {which} split of {data_path} has {size} trajectories, "
+                          f"fewer than the {need} needed")
+    return ds.split_trajectories(which)[:n or size]
 
 
 def cmd_rollout(cfg: dict, surrogate_path: str, data_path: str, prm_path: str | None,
@@ -342,9 +335,9 @@ def cmd_rollout(cfg: dict, surrogate_path: str, data_path: str, prm_path: str | 
         raise ConfigError(f"config 'ttc.reward': unknown reward {reward!r} "
                           f"({' | '.join(ttc.REWARD_NAMES)})")
     ds = storage.load_dataset(data_path)
-    trajs = _select_trajectories(ds, cfg["ttc"]["split"], cfg["ttc"]["n_ics"])
+    trajs = _select_trajectories(ds, data_path, cfg["ttc"]["split"], cfg["ttc"]["n_ics"])
     # a step's truth (teacher forcing, the oracle, evaluate) is the next snapshot
-    if trajs and not 1 <= n_steps <= len(trajs[0]) - 1:
+    if not 1 <= n_steps <= len(trajs[0]) - 1:
         raise ConfigError(f"config 'ttc.n_steps': {n_steps} is outside 1 ... "
                           f"{len(trajs[0]) - 1}, the steps of the trajectories in {data_path}")
     run = _checked("ttc", ttc.TTCConfig, seed=cfg["seed"],
@@ -409,11 +402,12 @@ def _evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> tupl
     Returns (report, entries, truth trajectories), where each entry is
     (reward, ic, B, record base path).  The truth is the dataset split and
     IC count the rollouts ran on, as their indexes record them.  Indexes
-    that disagree on these, that ran on a dataset whose payload differs
-    from data_path's, or that list an IC outside the trajectories they ran
-    on, are a config error, as are a reward whose records do not cover
-    each pair of its ICs and its Bs, and the records `_load_records`
-    refuses.  Every index is checked before any record is loaded.
+    that together list no record, that disagree on these, that ran on a
+    dataset whose payload differs from data_path's, or that list an IC
+    outside the trajectories they ran on, are a config error, as are a
+    reward whose records do not cover each pair of its ICs and its Bs, and
+    the records `_load_records` refuses.  Every index is checked before
+    any record is loaded.
     """
     ds = storage.load_dataset(data_path)
     records_dir = Path(records_dir)
@@ -442,15 +436,14 @@ def _evaluate(cfg: dict, records_dir: str, data_path: str, out_dir: str) -> tupl
         entries += listed
         listed_in += [idx_file] * len(listed)
         meta.append(index)
+    if not entries:
+        raise ConfigError(f"the rollout indexes under {records_dir} list no record")
     runs = sorted({(m["split"], m["n_ics"]) for m in meta})
     if len(runs) > 1:
         raise ConfigError(f"rollout indexes under {records_dir} disagree on "
                           f"(split, n_ics): {runs}")
     (which, n_ics), = runs
-    trajs = _select_trajectories(ds, which, n_ics)
-    if len(trajs) < n_ics:
-        raise ConfigError(f"the rollouts ran on {n_ics} {which} trajectories; "
-                          f"the dataset split has {len(trajs)}")
+    trajs = _select_trajectories(ds, data_path, which, n_ics)
     for idx_file, (_, ic, _, _) in zip(listed_in, entries):
         if not 0 <= ic < len(trajs):
             raise ConfigError(f"{idx_file} lists a record of ic {ic}, outside 0 ... "
@@ -572,13 +565,6 @@ def _add_common(p):
     p.add_argument("--seed", type=int, help="override config seed")
 
 
-def _add_jobs(p, text="worker cap for parallel stages"):
-    p.add_argument("--jobs", type=int, help=text)
-
-
-_SERIAL_JOBS = "worker cap; checked, but not read yet: this command runs serially"
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The command line.  A flag that sets a config value has the value's
     dotted key as its dest (see `_apply_flags`)."""
@@ -587,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a solver dataset")
     _add_common(p)
-    _add_jobs(p)
+    p.add_argument("--jobs", type=int, help="worker cap for parallel stages")
     p.add_argument("--families", dest="data.families", type=_names,
                    help="comma list, e.g. rp,kh")
     p.add_argument("--n", dest="data.n_per_family", type=int, help="trajectories per family")
@@ -620,7 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-prm", help="rank the surrogate's candidates on the train "
                        "and val splits into triplets, and train the PRM on them")
     _add_common(p)
-    _add_jobs(p, _SERIAL_JOBS)
     p.add_argument("--from", dest="from_path", required=True,
                    help="surrogate checkpoint")
     p.add_argument("--data", required=True)
@@ -632,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rollout", help="greedy best-of-B rollouts on a split")
     _add_common(p)
-    _add_jobs(p, _SERIAL_JOBS)
     p.add_argument("--surrogate", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--prm", help="PRM checkpoint (for --reward prm)")

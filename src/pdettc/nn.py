@@ -594,18 +594,25 @@ class PatchEmbed:
         return self.proj.forward(self.patchify(x), train)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        """The adjoint of `patchify` applied to the gradient of its patches:
+        each wrapped block of the padded grid adds its gradient to the
+        cells it copies, the blocks of wrapped rows first, then those of
+        wrapped columns, then the corner blocks."""
         dt = self.proj.backward(dy)
         b = dt.shape[0]
         dxp = dt.reshape(b, self.nh, self.nw, self.c, self.p, self.p)
         dxp = dxp.transpose(0, 3, 1, 4, 2, 5).reshape(b, self.c, self.hp, self.wp)
         h, w = self.h, self.w
+        rows = [(i, min(h, self.hp - i)) for i in range(h, self.hp, h)]
+        cols = [(j, min(w, self.wp - j)) for j in range(w, self.wp, w)]
         dx = dxp[:, :, :h, :w].copy()
-        if self.hp > h:
-            dx[:, :, : self.hp - h, :] += dxp[:, :, h:, :w]
-        if self.wp > w:
-            dx[:, :, :, : self.wp - w] += dxp[:, :, :h, w:]
-        if self.hp > h and self.wp > w:
-            dx[:, :, : self.hp - h, : self.wp - w] += dxp[:, :, h:, w:]
+        for i, m in rows:
+            dx[:, :, :m, :] += dxp[:, :, i:i + m, :w]
+        for j, n in cols:
+            dx[:, :, :, :n] += dxp[:, :, :h, j:j + n]
+        for i, m in rows:
+            for j, n in cols:
+                dx[:, :, :m, :n] += dxp[:, :, i:i + m, j:j + n]
         return dx
 
 

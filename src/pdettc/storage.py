@@ -21,7 +21,7 @@ Checkpoint layout:
   magic "PDETTCPM", u64 header length, JSON header (model kind,
   architecture config, rng seeds, parameter order), then float64
   parameter blobs in header-declared order.  No optimizer state is
-  saved; the step count that older headers carry is ignored.
+  saved.
 
 A sidecar <path>.json mirrors every container header for human
 inspection.

@@ -18,8 +18,8 @@ fields are float64.
 `fit` is the one training loop, of the surrogate and of the PRM:
 micro-batched AdamW steps, the held-out figure of each epoch, the best
 weights kept, early stopping and divergence.  The surrogate minimises
-mean |pred - next|^p over consecutive pairs and keeps the weights of the
-lowest validation MSE.
+the mean squared error of its prediction of the next snapshot over
+consecutive pairs, and keeps the weights of the lowest validation MSE.
 """
 
 from __future__ import annotations
@@ -63,21 +63,17 @@ class TrainConfig:
     weight_decay: float = 1e-7
     batch_size: int = 32
     epochs: int = 20
-    loss_p: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
         check_fit_config(self)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.loss_p >= 1.0:
-            raise ValueError(f"loss_p must be >= 1, got {self.loss_p}")
 
 
 # Finetuning defaults: a smaller step and stronger weight decay than
 # pretraining, over more epochs of a small subset.
-FINETUNE_CONFIG = TrainConfig(lr=1e-4, weight_decay=0.01, batch_size=32, epochs=30,
-                              loss_p=2.0)
+FINETUNE_CONFIG = TrainConfig(lr=1e-4, weight_decay=0.01, batch_size=32, epochs=30)
 
 
 PAPER_MODEL = ModelConfig(height=128, width=128, embed_dim=256, depth=6,
@@ -327,9 +323,9 @@ def fit(net, n_items: int, batch_size: int, cfg, tags: tuple, step, judge,
     return TrainResult(model=net, history=history, diverged=diverged)
 
 
-def accumulate_loss_grad(model: VisionTransformer, n: int, build, p: float,
+def accumulate_loss_grad(model: VisionTransformer, n: int, build,
                          rng: RngStream | None) -> float:
-    """`accumulate_grad` of mean |pred - target|^p over a batch of ``n``
+    """`accumulate_grad` of the mean squared error of a batch of ``n``
     samples, where ``build(rows)`` returns the (inputs, normalised target)
     of the samples ``rows``; one micro-batch at a time, each term scaled
     by the whole batch's element count.  Returns the loss."""
@@ -337,10 +333,7 @@ def accumulate_loss_grad(model: VisionTransformer, n: int, build, p: float,
     def loss(pred, target):
         d = pred - target
         size = n * d[0].size
-        if p == 2.0:
-            return float(np.sum(d * d)) / size, 2.0 * d / size
-        ad = np.abs(d)
-        return float(np.sum(ad ** p)) / size, p * np.sign(d) * ad ** (p - 1.0) / size
+        return float(np.sum(d * d)) / size, 2.0 * d / size
 
     return accumulate_grad(model, n, model.micro_batch, build, rng, loss)
 
@@ -362,7 +355,7 @@ def fit_surrogate(surrogate: Surrogate, dataset: Dataset, indices, cfg: TrainCon
             fields, times, targets = _gather(dataset, train_pairs, sel[rows])
             return surrogate.inputs((fields, times)), surrogate.norm.apply(targets)
 
-        return accumulate_loss_grad(surrogate.model, len(sel), build, cfg.loss_p, rng)
+        return accumulate_loss_grad(surrogate.model, len(sel), build, rng)
 
     def judge(train_loss):
         val = _val_mse(surrogate, dataset, val_pairs, cfg.batch_size) if val_pairs else np.nan

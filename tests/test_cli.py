@@ -18,7 +18,6 @@ from pdettc.surrogate import Surrogate
 
 def test_pipeline_end_to_end_in_process(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PDETTC_SEED", raising=False)
     s = ["--seed", "3"]
     model = ["--surrogate", "surrogate.ckpt", "--data", "data.pdt", "--B", "1,2"]
     calls = [
@@ -47,7 +46,6 @@ def test_pipeline_end_to_end_in_process(tmp_path, monkeypatch):
 
 def test_evaluate_scores_against_the_split_the_rollouts_ran_on(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PDETTC_SEED", raising=False)
     s = ["--seed", "5"]
     rollout = ["rollout", *s, "--surrogate", "surrogate.ckpt", "--data", "data.pdt",
                "--B", "1,2", "--reward", "arm_mass", "--n-ics", "2"]
@@ -114,7 +112,7 @@ def test_missing_or_corrupt_inputs_exit_with_a_config_error(tmp_path, monkeypatc
     _fails_with_one_line(capsys, ["train", "--data", "adir", "--out", "s.ckpt"],
                          "input error: is a directory: adir")
     _fails_with_one_line(capsys, ["rollout", "--surrogate", "adir", "--data", "data.pdt",
-                                  "--reward", "arm_mass", "--out-dir", "r"],
+                                  "--split", "train", "--reward", "arm_mass", "--out-dir", "r"],
                          "input error: is a directory: adir")
     whole = Path("data.pdt").read_bytes()
     Path("data.pdt").write_bytes(whole[:-10])
@@ -129,7 +127,6 @@ def test_missing_or_corrupt_inputs_exit_with_a_config_error(tmp_path, monkeypatc
 
 def test_evaluate_rejects_records_of_another_dataset(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PDETTC_SEED", raising=False)
     Path("short.json").write_text(json.dumps({"ttc": {"n_steps": 2}}))
     gen = ["gen-data", "--families", "rp", "--n", "2", "--grid", "16", "--split", "0.5,0,0.5"]
     calls = [
@@ -200,7 +197,6 @@ def _holds_its_initial_weights(net) -> bool:
 
 def test_train_divergence_writes_the_last_good_checkpoint(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PDETTC_SEED", raising=False)
     assert cli.main(["gen-data", "--seed", "3", "--families", "rp", "--n", "2", "--grid",
                      "16", "--split", "0.5,0.5,0", "--out", "data.pdt"]) == cli.EXIT_OK
     capsys.readouterr()
@@ -244,9 +240,9 @@ def small_run(tmp_path_factory):
     ("gen-data", ["--n", "-1"], "'data.n_per_family' must be >= 1, got -1"),
     ("gen-data", ["--jobs", "0"], "'jobs' must be >= 1, got 0"),
     ("gen-data", ["--jobs", "-3"], "'jobs' must be >= 1, got -3"),
-    ("train-prm", ["--jobs", "-3"], "'jobs' must be >= 1, got -3"),
-    ("rollout", ["--jobs", "-3"], "'jobs' must be >= 1, got -3"),
-    ("train-prm", ["--jobs", "0"], "'jobs' must be >= 1, got 0"),
+    ("train-prm", ["--jobs", "-3"], "unrecognized arguments: --jobs -3"),
+    ("rollout", ["--jobs", "-3"], "unrecognized arguments: --jobs -3"),
+    ("train-prm", ["--jobs", "1"], "unrecognized arguments: --jobs 1"),
 ])
 def test_values_the_constructors_reject_exit_before_any_work(
         small_run, tmp_path, monkeypatch, capsys, command, flags, match):
@@ -274,7 +270,6 @@ def test_values_the_constructors_reject_exit_before_any_work(
     ({"n_steps": 25}, ["--reward", "oracle_mse"], "ttc.n_steps"),
     ({"n_ics": -1}, [], "ttc.n_ics"),
     ({"reward": "zz"}, [], "ttc.reward"),
-    ({}, ["--jobs", "0"], "jobs"),
 ])
 def test_rollout_refuses_steps_ics_and_rewards_it_cannot_run(
         small_run, tmp_path, monkeypatch, capsys, ttc_section, flags, key):
@@ -333,14 +328,12 @@ _FLAGS = {
         ("--lr", "0.01", ["finetune.lr"], 0.01),
     ],
     "train-prm": [
-        ("--jobs", "3", ["jobs"], 3),
         ("--K", "5", ["prm.k_candidates"], 5),
         ("--alpha", "0.2", ["prm.margin"], 0.2),
         ("--epochs", "3", ["prm.epochs"], 3),
         ("--lr", "0.01", ["prm.lr"], 0.01),
     ],
     "rollout": [
-        ("--jobs", "3", ["jobs"], 3),
         ("--reward", "arm_energy", ["ttc.reward"], "arm_energy"),
         ("--B", "1,2", ["ttc.b_list"], [1, 2]),
         ("--n-ics", "3", ["ttc.n_ics"], 3),
@@ -372,8 +365,7 @@ def _effective(argv: list) -> dict:
 
 
 @pytest.mark.parametrize("command", list(_REQUIRED))
-def test_each_config_flag_sets_exactly_its_key(monkeypatch, command):
-    monkeypatch.delenv("PDETTC_SEED", raising=False)
+def test_each_config_flag_sets_exactly_its_key(command):
     defaults = _flat(cli.DEFAULTS)
     assert _effective([command, *_REQUIRED[command]]) == defaults
     cases = _FLAGS["*"] + _FLAGS.get(command, [])
@@ -589,8 +581,7 @@ def test_a_diverging_program_prints_one_line(small_run, tmp_path, command, input
     """Run as its own process, where numpy's floating-point warnings would
     reach stderr."""
     Path(tmp_path, "prm.json").write_text(json.dumps({"prm": {"train_trajectories": 1}}))
-    env = {k: v for k, v in os.environ.items() if k != "PDETTC_SEED"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     argv = [sys.executable, "-m", "pdettc.cli", command, "--seed", "3",
             *[a.format(**small_run) for a in inputs], "--epochs", "1", "--lr", "1e20",
             "--out", "out.ckpt"]
@@ -619,8 +610,7 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 def test_the_cli_a_solve_and_both_forward_dtypes_import_no_scipy(tmp_path):
     """Run as its own process, whose modules no other test has imported."""
-    env = {k: v for k, v in os.environ.items() if k != "PDETTC_SEED"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY], cwd=tmp_path, env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -634,6 +624,55 @@ def test_a_config_that_sets_the_removed_time_channel_key_exits_2(tmp_path, monke
     _fails_with_one_line(capsys, ["train", "--config", "old.json", "--data", "data.pdt",
                                   "--out", "s.ckpt"],
                          "unknown config key 'model.time_channel'")
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"train": {"loss_p": 1.5}}, "train.loss_p"),
+    ({"finetune": {"loss_p": 2.0}}, "finetune.loss_p"),
+    ({"prm": {"holdout_trajectories": 1}}, "prm.holdout_trajectories"),
+])
+def test_a_config_that_sets_a_removed_training_key_exits_2(tmp_path, monkeypatch, capsys,
+                                                          doc, key):
+    monkeypatch.chdir(tmp_path)
+    Path("old.json").write_text(json.dumps(doc))
+    _fails_with_one_line(capsys, ["train", "--config", "old.json", "--data", "data.pdt",
+                                  "--out", "s.ckpt"], f"unknown config key '{key}'")
+
+
+def test_the_environment_does_not_set_the_seed(monkeypatch):
+    monkeypatch.setenv("PDETTC_SEED", "5")
+    assert cli.load_config(None)["seed"] == 0
+
+
+@pytest.mark.parametrize("flags,match", [
+    (["--split", "val"], "the val split of {data} has 0 trajectories, fewer than the 1 needed"),
+    (["--n-ics", "3"], "the test split of {data} has 2 trajectories, fewer than the 3 needed"),
+], ids=["empty-split", "too-few-ics"])
+def test_rollout_refuses_a_split_it_cannot_fill_before_it_loads_a_model(
+        small_run, tmp_path, monkeypatch, capsys, flags, match):
+    monkeypatch.chdir(tmp_path)
+
+    def load(*_):
+        raise AssertionError("loaded a model for a split it cannot fill")
+
+    monkeypatch.setattr(Surrogate, "from_checkpoint", load)
+    _fails_with_one_line(capsys, ["rollout", "--surrogate", small_run["ckpt"], "--data",
+                                  small_run["data"], "--reward", "arm_mass", "--B", "1",
+                                  *flags, "--out-dir", "records"], match.format(**small_run))
+    assert not Path("records").exists()
+
+
+def test_evaluate_refuses_indexes_that_list_no_record(small_run, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("records").mkdir()
+    digest = storage.load_dataset(small_run["data"]).payload_digest
+    Path("records/index.json").write_text(json.dumps(
+        {"split": "test", "n_ics": 1, "dataset_digest": digest, "config_digest": "0" * 16,
+         "records": []}))
+    _fails_with_one_line(capsys, ["evaluate", "--records-dir", "records", "--data",
+                                  small_run["data"], "--out-dir", "eval"],
+                         "the rollout indexes under records list no record")
+    assert not Path("eval").exists()
 
 
 @pytest.fixture(scope="module")
@@ -945,7 +984,6 @@ def test_peak_memory_does_not_grow_with_the_dataset(tmp_path, monkeypatch):
     trajectories larger.  Half of each dataset is val, so that both runs
     forward the val pairs in whole training batches (32 pairs)."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PDETTC_SEED", raising=False)
 
     def commands(n):
         data, ckpt = f"d{n}.pdt", f"s{n}.ckpt"
@@ -970,26 +1008,25 @@ _GEN_16 = ["gen-data", "--seed", "3", "--families", "rp,kh", "--n", "4", "--grid
 def test_gen_data_writes_the_frozen_bytes(tmp_path, monkeypatch):
     """Two families with train, val and test trajectories.  The digests
     were computed with the writer that held every trajectory in memory
-    until it wrote the file, and updated once when the config digest in
-    the header stopped hashing ``jobs``; nothing else in either file
-    changed."""
+    until it wrote the file, and updated when the config digest in the
+    header stopped hashing ``jobs`` and when the schema lost
+    ``train.loss_p``, ``finetune.loss_p`` and ``prm.holdout_trajectories``;
+    nothing but the config digest changed in either file."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PDETTC_SEED", raising=False)
     assert cli.main(_GEN_16) == cli.EXIT_OK
     assert storage.load_dataset("data.pdt").split == {"train": [0, 2, 6, 7], "val": [1, 3],
                                                       "test": [4, 5]}
     digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
                for name in ("data.pdt", "data.pdt.json")}
     assert digests == {
-        "data.pdt": "abc2ac3dbba193d9e3b3a3833904da748b88f0dd0887264f83d57dd85e2c244b",
-        "data.pdt.json": "c6eec453c53cb3e68a2eaee0e8307d6cf86f126015e93256eab52d116c4d01e2",
+        "data.pdt": "03a86fd5c479a40dc5f1d88d9a15805cdf020b9a65d45b4049b6c63a652ddf39",
+        "data.pdt.json": "5ddc8f4fd758f002bbb16109a12d706e8dade05dde9dc021beaa34ef77a71319",
     }
 
 
 def test_gen_data_with_one_or_two_jobs_writes_the_same_dataset(tmp_path, monkeypatch):
     """The container and its sidecar are byte-identical: the config
     digest leaves `jobs` out."""
-    monkeypatch.delenv("PDETTC_SEED", raising=False)
     written = []
     for jobs in ("1", "2"):
         (tmp_path / jobs).mkdir()

@@ -602,6 +602,24 @@ def test_patch_roundtrip_with_identity_kernels():
     assert np.array_equal(dec.forward(e.forward(x)), x)
 
 
+@pytest.mark.parametrize("h,w,p", [(2, 3, 5), (64, 64, 5)], ids=["wide-pad", "desk"])
+def test_patch_embed_backward_is_the_adjoint_of_patchify(h, w, p):
+    """<patchify(x), g> == <x, backward(g)> in float64, through an identity
+    projection; the pad of the 2x3 grid is wider than the grid."""
+    rng = np.random.default_rng(h * w + p)
+    d = 2 * p * p
+    e = PatchEmbed(h, w, p, 2, d, RngStream(4))
+    e.proj.w.value[...] = np.eye(d)
+    e.proj.b.value[...] = 0.0
+    x = rng.normal(size=(2, 2, h, w))
+    g = rng.normal(size=(2, e.n_tokens, d))
+    patches = e.forward(x)
+    assert np.array_equal(patches, e.patchify(x))
+    dx = e.backward(g)
+    assert dx.shape == x.shape and dx.dtype == np.float64
+    assert np.sum(x * dx) == pytest.approx(np.sum(patches * g), rel=1e-12)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_patch_embed_grads_with_circular_pad(seed):
     rng = np.random.default_rng(300 + seed)

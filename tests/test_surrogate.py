@@ -217,7 +217,7 @@ def test_checkpoint_roundtrip_preserves_predictions(tmp_path, rp_surrogate, rp_d
 
 
 def test_train_config_validation():
-    for bad in ({"lr": 0.0}, {"loss_p": 0.5}, {"epochs": -1}, {"weight_decay": -1e-3},
+    for bad in ({"lr": 0.0}, {"epochs": -1}, {"weight_decay": -1e-3},
                 {"weight_decay": float("nan")}):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
@@ -251,8 +251,7 @@ def _grads(store):
     return {n: store[n].grad.copy() for n in store.names()}
 
 
-@pytest.mark.parametrize("p", [2.0, 1.5])
-def test_micro_batched_gradients_equal_the_whole_batch_gradients(rp_dataset, p):
+def test_micro_batched_gradients_equal_the_whole_batch_gradients(rp_dataset):
     s = Surrogate(micro_cfg(rp_dataset.grid, dropout=0.0), rp_dataset.normalization,
                   init_seed=6)
     assert s.model.micro_batch == 4
@@ -261,11 +260,11 @@ def test_micro_batched_gradients_equal_the_whole_batch_gradients(rp_dataset, p):
     target = rng.normal(size=(10, 4, 16, 16))
     s.store.zero_grad()
     d = s.model.forward(x, MODE_TRAIN) - target
-    whole_loss = float(np.mean(np.abs(d) ** p))
-    s.model.backward(p * np.sign(d) * np.abs(d) ** (p - 1.0) / d.size)
+    whole_loss = float(np.mean(d * d))
+    s.model.backward(2.0 * d / d.size)
     whole = _grads(s.store)
     s.store.zero_grad()
-    loss = accumulate_loss_grad(s.model, len(x), lambda rows: (x[rows], target[rows]), p, None)
+    loss = accumulate_loss_grad(s.model, len(x), lambda rows: (x[rows], target[rows]), None)
     assert loss == pytest.approx(whole_loss, rel=1e-12)
     for name, g in _grads(s.store).items():
         assert np.max(np.abs(g - whole[name])) <= 1e-12 * np.max(np.abs(whole[name])), name
@@ -298,7 +297,7 @@ def test_training_builds_the_inputs_of_one_micro_batch_at_a_time(rp_dataset, inp
         fields, times, targets = _gather(rp_dataset, pairs, sel)
         x, target = ref.inputs((fields, times)), ref.norm.apply(targets)
         return accumulate_loss_grad(ref.model, len(sel), lambda rows: (x[rows], target[rows]),
-                                    tc.loss_p, rng)
+                                    rng)
 
     def judge(_):
         return -_val_mse(ref, rp_dataset, val_pairs), {}
