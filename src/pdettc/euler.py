@@ -262,8 +262,9 @@ def energy_density(s: Snapshot, gamma: float) -> np.ndarray:
 
 def total(density: np.ndarray) -> float:
     """Correctly rounded sum of a per-cell density, so a total does not
-    depend on cell order."""
-    return math.fsum(density.ravel().tolist())
+    depend on cell order.  fsum reads the values through a memoryview of
+    the raveled array, without a list of Python floats."""
+    return math.fsum(memoryview(density.ravel()))
 
 
 def totals(s: Snapshot, gamma: float) -> np.ndarray:

@@ -35,7 +35,8 @@ What a train forward keeps, per layer:
 
 - Affine: its input as a 2-D array (PatchEmbed and PatchDecode cache
   only through their Affine);
-- LayerNorm: x-hat and 1/sigma;
+- LayerNorm: x-hat and 1/sigma, the same two arrays for both norms of
+  a block;
 - Gelu: its input and the normal CDF Phi(x), which backward reuses
   instead of evaluating erf again;
 - Dropout: its bool mask;
@@ -51,15 +52,17 @@ caches hold one micro-batch, not the batch.
 An inference forward (``train=False``) drops every cache the layer held, so
 a model that only samples or scores keeps no backward state, and it works
 in place where its input is a temporary that nothing else holds:
-dropout scales its input, attention masks its exponentials, GELU forms
-x * Phi(x) in the buffer of Phi, and LayerNorm normalises, scales and
-shifts its centred copy.  Affine adds its bias into the matmul product
-and a block sums its residual into the attention output in every mode.
+dropout scales its input, attention masks its exponentials and GELU
+forms x * Phi(x) in the buffer of Phi.  Affine adds its bias into the
+matmul product, `normalize` scales its centred copy into x-hat and a
+block sums its residual into the attention output in every mode.
 An inference forward computes bit for bit what a train forward
 computes.
 
-Attention runs key-major and normalises after the value product.  q is
-pre-scaled by head_dim**-0.5, the scores are sT = k @ q^T with shape
+Attention runs key-major and normalises after the value product.  q, k
+and v are views of one (3, batch, heads, tokens, head_dim) copy of the
+qkv projection, made by one transpose.  q is pre-scaled by
+head_dim**-0.5, the scores are sT = k @ q^T with shape
 (batch, heads, keys, queries), and `softmax` turns them in place into
 e = exp(sT - max) along axis -2 (each column holds one query's weights)
 and returns the column sums z.  The dropout mask is drawn in that
@@ -76,9 +79,15 @@ attention from them, and its dropped-out copy from the dropout mask.  A
 dropout layer keeps its bool mask until its next forward, because
 attention's backward applies the mask twice.
 
-LayerNorm takes its row mean and variance as products with a 1/D
-column, a BLAS matrix-vector product instead of two reductions along
-the last axis; its backward formula is the textbook one.
+LayerNorm is split in two.  `normalize` computes the statistics: the
+row mean and variance as products with a 1/D column, a BLAS
+matrix-vector product instead of two reductions along the last axis,
+then 1/sigma and x-hat.  `LayerNorm.forward` applies one norm's scale
+and shift to them.  A block's two norms read the same input, so
+`Block.forward` normalises it once, and each norm writes its scaled and
+shifted x-hat to a new array, so neither overwrites the other's input.
+Each norm's backward is the textbook formula, run on the shared x-hat
+and 1/sigma.
 
 Dropout is the only stochastic layer.  Each mask is one draw of raw
 16-bit values from an :class:`~pdettc.rng.RngStream` (`RngStream.bits16`),
@@ -248,8 +257,29 @@ class Affine:
         return dx.reshape(*self._lead, -1)
 
 
+def normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x-hat, 1/sigma) of x over its last axis: x-hat = (x - mean) / sigma
+    with sigma = sqrt(var + LN_EPS), and 1/sigma with a length-1 last
+    axis.  Both are new arrays; x is left alone."""
+    d = x.shape[-1]
+    mean_col = np.full((d, 1), 1.0 / d, dtype=x.dtype)   # row means by matmul
+    stat_shape = (*x.shape[:-1], 1)
+    mu = (x.reshape(-1, d) @ mean_col).reshape(stat_shape)
+    xc = x - mu
+    var = ((xc * xc).reshape(-1, d) @ mean_col).reshape(stat_shape)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xc *= inv
+    return xc, inv
+
+
 class LayerNorm:
-    """Normalization over the last axis with learned scale/shift."""
+    """Normalization over the last axis with learned scale/shift.
+
+    `forward` takes the `normalize` statistics of its input, so that the
+    two norms of a `Block` share one computation of them, and applies
+    its own scale and shift; `backward` returns the gradient with respect
+    to the input that `normalize` read.
+    """
 
     def __init__(self, dim: int):
         self.g = Param(np.ones(dim))
@@ -261,18 +291,12 @@ class LayerNorm:
         yield f"{prefix}.g", self.g
         yield f"{prefix}.b", self.b
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        d = x.shape[-1]
-        mean_col = np.full((d, 1), 1.0 / d, dtype=x.dtype)   # row means by matmul
-        stat_shape = (*x.shape[:-1], 1)
-        mu = (x.reshape(-1, d) @ mean_col).reshape(stat_shape)
-        xc = x - mu
-        var = ((xc * xc).reshape(-1, d) @ mean_col).reshape(stat_shape)
-        inv = 1.0 / np.sqrt(var + LN_EPS)
-        xc *= inv                                       # x-hat
-        self._xhat, self._inv = (xc, inv) if train else (None, None)
-        y = xc * self.g.like(x) if train else np.multiply(xc, self.g.like(x), out=xc)
-        y += self.b.like(x)
+    def forward(self, xhat: np.ndarray, inv: np.ndarray, train: bool = True) -> np.ndarray:
+        """x-hat * g + b as a new array, for (xhat, inv) = normalize(x);
+        xhat is left alone."""
+        self._xhat, self._inv = (xhat, inv) if train else (None, None)
+        y = xhat * self.g.like(xhat)
+        y += self.b.like(xhat)
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -444,7 +468,7 @@ class MultiHeadSelfAttention:
         b, n, d = x.shape
         h, dh = self.n_heads, self.head_dim
         qkv = self.qkv.forward(x, train).reshape(b, n, 3, h, dh)
-        q, k, v = (np.ascontiguousarray(qkv[:, :, i].transpose(0, 2, 1, 3)) for i in range(3))
+        q, k, v = np.ascontiguousarray(qkv.transpose(2, 0, 3, 1, 4))   # one copy, three views
         q *= self.scale
         e, z = softmax(k @ q.swapaxes(-1, -2), axis=-2)   # (b, h, key, query)
         inv = 1.0 / z                                      # (b, h, 1, query)
@@ -518,10 +542,14 @@ class Mlp:
 
 
 class Block:
-    """Pre-norm residual block: x + MHSA(LN(x)) + FFN(LN(x)).
+    """Pre-norm residual block: x + MHSA(LN1(x)) + FFN(LN2(x)).
 
     Both branches read the block input (parallel residual form), so the
-    backward pass sums three paths into dx.
+    two norms normalise the same x: a forward computes its `normalize`
+    statistics once, and ln1 and ln2 each apply their own scale and shift
+    to them.  The backward pass sums three paths into dx, each norm's in
+    its own pass, so dx and every gradient are bit for bit those of two
+    independent norms.
     """
 
     def __init__(self, dim: int, n_heads: int, mlp_ratio: float, dropout_p: float,
@@ -539,9 +567,10 @@ class Block:
 
     def forward(self, x: np.ndarray, active: bool, rng: RngStream | None,
                 train: bool = True) -> np.ndarray:
-        y = self.attn.forward(self.ln1.forward(x, train), active, rng, train)
+        xhat, inv = normalize(x)
+        y = self.attn.forward(self.ln1.forward(xhat, inv, train), active, rng, train)
         y += x
-        y += self.mlp.forward(self.ln2.forward(x, train), active, rng, train)
+        y += self.mlp.forward(self.ln2.forward(xhat, inv, train), active, rng, train)
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:

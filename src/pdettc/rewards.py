@@ -14,7 +14,9 @@ current net momentum is near zero.  The learned process reward model
 channel-concatenated pair, and is trained with a contrastive triplet
 margin loss on candidates ranked by MSE against ground truth.  It scores
 each candidate with its own batch-1 forward, so a candidate's score does
-not depend on which other candidates are scored with it.
+not depend on which other candidates are scored with it.  A scoring call
+builds one pair input, with the current snapshot normalised once, and
+rewrites only its candidate half for each candidate.
 
 The ranked triples have one representation, `Triplets`, float32 rows
 that `build_prm_triplets` makes from the surrogate's candidate streams:
@@ -38,9 +40,8 @@ import numpy as np
 from .euler import (CHANNELS, Dataset, Normalization, Snapshot, Trajectory,
                     check_same_grid, energy_density, total)
 from .rng import RngStream, mix64
-from .surrogate import (Model, Surrogate, TrainResult, accumulate_grad, candidate_stream,
-                        check_fit_config, fit)
-from .vit import MODE_DETERMINISTIC, MODE_STOCHASTIC, ModelConfig, VisionTransformer
+from .surrogate import Model, Surrogate, TrainResult, accumulate_grad, check_fit_config, fit
+from .vit import MODE_DETERMINISTIC, ModelConfig, VisionTransformer
 
 _PRM_INIT_TAG = 0x9137
 _PRM_SHUFFLE_TAG = 0x3F21
@@ -163,8 +164,10 @@ def build_prm_triplets(surrogate: Surrogate, dataset: Dataset, k_candidates: int
     Keeps the argmin / rank-floor(K/2) / argmax candidates by MSE against
     the true next snapshot (ties -> lowest candidate index); skips pairs
     whose candidates are numerically indistinguishable.  A step's K
-    candidates are drawn one at a time, as `Surrogate.sample_candidates`
-    draws them, and each is kept only as a float32 row of one buffer that
+    candidates are drawn one at a time from one
+    `Surrogate.candidate_sampler`, the sampler of
+    `Surrogate.sample_candidates`, so each step embeds its state once;
+    each candidate is kept only as a float32 row of one buffer that
     every step reuses; each kept triplet row is written once, straight
     into the returned array, which is sized for every pair and shrunk in
     place if some were skipped.
@@ -182,8 +185,9 @@ def build_prm_triplets(surrogate: Surrogate, dataset: Dataset, k_candidates: int
         for k in range(len(tr) - 1):
             u_t = tr.snapshots[k]
             target = tr.snapshots[k + 1].fields()
+            draw = surrogate.candidate_sampler(u_t, pair_seed, k)
             for i in range(k_candidates):
-                c = surrogate.predict(u_t, MODE_STOCHASTIC, candidate_stream(pair_seed, k, i))
+                c = draw(i)
                 mses[i] = norm_mse(c.fields(), target, surrogate.norm)
                 cands[i] = c.fields()
             if not float(mses.max() - mses.min()) < DEGENERATE_MSE_SPREAD:  # NaN: kept
@@ -240,11 +244,16 @@ class ProcessRewardModel(Model):
 
     def score(self, cur: Snapshot, cands) -> np.ndarray:
         """One batch-1 forward per candidate: a batched float32 forward
-        rounds differently, so a candidate's score would depend on B."""
-        pair = (cur.fields()[None], cur.t)
-        return np.array([self.model.forward(self.inputs(pair, (c.fields()[None], c.t)),
-                                            MODE_DETERMINISTIC)[0]
-                         for c in cands], dtype=np.float64)
+        rounds differently, so a candidate's score would depend on B.
+        The pair input is built once, and each candidate rewrites its
+        candidate half; a forward leaves its input alone."""
+        x = np.empty((1, 5 * self.n_snapshots, *cur.rho.shape), dtype=np.float32)
+        self.put_input(x, 0, cur.fields()[None], cur.t)
+        scores = np.empty(len(cands))
+        for j, c in enumerate(cands):
+            self.put_input(x, 1, c.fields()[None], c.t)
+            scores[j] = self.model.forward(x, MODE_DETERMINISTIC)[0]
+        return scores
 
 
 def ranking_accuracy(prm: ProcessRewardModel, triplets: Triplets) -> float:

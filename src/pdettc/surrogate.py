@@ -8,6 +8,13 @@ Surrogate reads one snapshot and predicts the denormalized next one,
 Stochastic inference keeps dropout active and draws each candidate's
 masks from its own counter-based stream, so candidate i at timestep k
 is the same array no matter how many other candidates are requested.
+A step's candidates share everything before the first mask:
+`Surrogate.candidate_sampler` builds the float32 input and its
+embedded tokens (`VisionTransformer.tokens`) once per step and forwards
+each candidate from a copy of the tokens, bit for bit what `predict`
+computes for that candidate alone.  `sample_candidates` and the PRM's
+triplet builder (`pdettc.rewards.build_prm_triplets`) both draw
+through it.
 
 The dtype rule is `pdettc.nn`'s: compute in float32, keep state in
 float64.  `Model.inputs` builds float32 inputs for `predict`,
@@ -101,11 +108,12 @@ class Model:
 
     `inputs` lays out one input batch: for each snapshot in turn, its
     four normalized fields and then its time broadcast over the grid,
-    in float32.  `save` writes a checkpoint of kind ``kind`` whose
-    ``extra`` holds the ``extra_keys`` attributes, and `from_checkpoint`
-    passes them back as constructor keywords; a checkpoint of another
-    kind, or one the class cannot be built from, raises StorageError
-    naming the file.
+    in float32.  `put_input` writes one snapshot's slot of such a batch,
+    so a caller that changes one snapshot rewrites only its slot.  `save`
+    writes a checkpoint of kind ``kind`` whose ``extra`` holds the
+    ``extra_keys`` attributes, and `from_checkpoint` passes them back as
+    constructor keywords; a checkpoint of another kind, or one the class
+    cannot be built from, raises StorageError naming the file.
     """
 
     kind = head = ""
@@ -137,9 +145,15 @@ class Model:
         b, _, h, w = pairs[0][0].shape
         x = np.empty((b, 5 * len(pairs), h, w), dtype=np.float32)
         for i, (fields, t) in enumerate(pairs):
-            x[:, 5 * i:5 * i + 4] = self.norm.apply(fields)
-            x[:, 5 * i + 4] = np.reshape(t, (-1, 1, 1))
+            self.put_input(x, i, fields, t)
         return x
+
+    def put_input(self, x: np.ndarray, i: int, fields: np.ndarray, t) -> None:
+        """Write snapshot slot i of an `inputs` batch x: the normalized
+        raw (B, 4, H, W) fields and the time, one per sample or one for
+        all."""
+        x[:, 5 * i:5 * i + 4] = self.norm.apply(fields)
+        x[:, 5 * i + 4] = np.reshape(t, (-1, 1, 1))
 
     def save(self, path) -> None:
         save_checkpoint(path, self.kind, self.config, self.store, self.norm,
@@ -172,19 +186,38 @@ class Surrogate(Model):
         y = self.model.forward(self.inputs((u.fields()[None], u.t)), mode, rng)
         return Snapshot.from_fields(self.norm.unapply(y)[0], u.t + self.dt_out)
 
+    def candidate_sampler(self, u: Snapshot, rollout_seed: int, t_index: int):
+        """The sampler of one step's candidates: ``draw(i)`` returns
+        candidate i, the stochastic prediction from u under
+        `candidate_stream` (rollout_seed, t_index, i), bit for bit
+        `predict` with that stream.
+
+        u's input and its embedded tokens are built here, once; each draw
+        forwards a copy of the tokens, so drawing K candidates embeds u
+        once, not K times.
+        """
+        tokens = self.model.tokens(self.inputs((u.fields()[None], u.t)), train=False)
+        t_next = u.t + self.dt_out
+
+        def draw(i: int) -> Snapshot:
+            y = self.model.forward(tokens.copy(), MODE_STOCHASTIC,
+                                   candidate_stream(rollout_seed, t_index, i))
+            return Snapshot.from_fields(self.norm.unapply(y)[0], t_next)
+
+        return draw
+
     def sample_candidates(self, u: Snapshot, n_branch: int, rollout_seed: int,
                           t_index: int) -> list[Snapshot]:
-        """n_branch stochastic next-snapshot draws, one stream each.
+        """n_branch stochastic next-snapshot draws, one stream each, from
+        one `candidate_sampler`.
 
         Candidate order is deterministic given (rollout_seed, t_index)
         and candidate i is identical for every n_branch >= i+1.
         """
         if n_branch < 1:
             raise ValueError("branching factor must be >= 1")
-        return [
-            self.predict(u, MODE_STOCHASTIC, candidate_stream(rollout_seed, t_index, i))
-            for i in range(n_branch)
-        ]
+        draw = self.candidate_sampler(u, rollout_seed, t_index)
+        return [draw(i) for i in range(n_branch)]
 
 
 def consecutive_pairs(dataset: Dataset, indices) -> list:

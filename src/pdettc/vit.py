@@ -11,6 +11,12 @@ plus positions, every block, the head) and raises NonFiniteActivation
 naming the first stage that is not finite, so a failure is located in
 the same pass that produced it.
 
+A forward reads an image batch or its `tokens`, the patch embedding
+plus positions: the last work before the first dropout mask is drawn.
+Stochastic forwards of one input share those tokens, so a caller that
+draws several samples of one input embeds it once and forwards a copy
+of the tokens per sample; a forward consumes the tokens it is given.
+
 The dtype rule is `pdettc.nn`'s: compute in the input's dtype, keep
 state in float64.  Training, validation, sampling and scoring forward
 float32 inputs; the gradient checks forward float64 ones through the
@@ -118,8 +124,20 @@ class VisionTransformer:
     def param_store(self) -> ParamStore:
         return ParamStore(self.named_params())
 
+    def tokens(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        """The (B, n_tokens, embed_dim) tokens of an image batch x
+        (B, C, H, W): its patch embedding plus the positional table, in
+        x's dtype.  With ``train`` the embedding keeps what `backward`
+        needs."""
+        z = self.embed.forward(x, train)
+        z += self.pos.like(x)
+        return z
+
     def forward(self, x: np.ndarray, mode: str, rng: RngStream | None = None) -> np.ndarray:
-        """Run the model on a batch (B, C, H, W).
+        """Run the model on an image batch (B, C, H, W), or on the
+        (B, n_tokens, embed_dim) `tokens` of one, which the forward
+        consumes: it may overwrite them.  Tokens forwarded in MODE_TRAIN
+        must come from a train `tokens` call.
 
         ``rng`` is required when dropout is active (train or stochastic
         inference with dropout_p > 0).  A float32 x gives a float32 output.
@@ -135,8 +153,7 @@ class VisionTransformer:
         if active and rng is None:
             raise ValueError("dropout active but no rng stream given")
         self._dtype = x.dtype if train else None
-        z = self.embed.forward(x, train)
-        z += self.pos.like(x)
+        z = x if x.ndim == 3 else self.tokens(x, train)
         z = _finite(self.pos_drop.forward(z, active, rng, train), "embed+pos")
         for i, blk in enumerate(self.blocks):
             z = _finite(blk.forward(z, active, rng, train), f"blocks.{i}")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pdettc.nn import PatchEmbed
 from pdettc.rng import RngStream
 from pdettc.surrogate import Model
 from pdettc.vit import ModelConfig, VisionTransformer
@@ -50,4 +51,19 @@ def input_sizes(monkeypatch):
         return inputs(self, *pairs)
 
     monkeypatch.setattr(Model, "inputs", record)
+    return sizes
+
+
+@pytest.fixture
+def embed_sizes(monkeypatch):
+    """The batch size of every `PatchEmbed.forward` call made while the
+    test runs: one per image batch the model embeds."""
+    sizes = []
+    forward = PatchEmbed.forward
+
+    def record(self, x, train=True):
+        sizes.append(len(x))
+        return forward(self, x, train)
+
+    monkeypatch.setattr(PatchEmbed, "forward", record)
     return sizes

@@ -17,7 +17,7 @@ from pdettc.euler import (GridSpec, ICSpec, InvalidInitialCondition, Snapshot,
                           SolverError, conservation_drift, fv_step,
                           generate_dataset, make_initial_condition,
                           max_stable_dt, sample_ic, solve_trajectory,
-                          split_indices, totals)
+                          split_indices, total, totals)
 from pdettc.rng import RngStream
 
 GAMMA = 1.4
@@ -94,6 +94,16 @@ def test_totals_are_correctly_rounded_whatever_the_cell_order():
     assert np.array_equal(totals(shuffled, GAMMA), totals(u, GAMMA))
     momentum = u.rho * u.vx
     assert totals(u, GAMMA)[1] == math.fsum(float(v) for v in momentum.ravel())
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided", "float32"])
+def test_total_equals_the_fsum_of_the_listed_values(layout):
+    """fsum over a memoryview of the raveled array reads the values that
+    ``tolist`` lists, so the total is the same float bit for bit."""
+    d = np.random.default_rng(5).lognormal(size=(48, 40)) * 1e3
+    d = {"contiguous": d, "transposed": d.T, "strided": d[::3, 1::2],
+         "float32": d.astype(np.float32)}[layout]
+    assert total(d).hex() == math.fsum(d.ravel().tolist()).hex()
 
 
 @pytest.mark.parametrize("families,gamma,cfl,split,match", [

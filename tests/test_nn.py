@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 import fd
+from pdettc import nn
 from pdettc.nn import (AdamW, Affine, Block, Dropout, Gelu, LayerNorm, Mlp,
                        MultiHeadSelfAttention, NonFiniteActivation,
                        NonFiniteGradient, Param, ParamStore, PatchDecode,
-                       PatchEmbed, _erf, _erf32, softmax, softmax_backward)
+                       PatchEmbed, _erf, _erf32, normalize, softmax, softmax_backward)
 from pdettc.rng import RngStream
 from pdettc.vit import (L2_BYTES, MODE_DETERMINISTIC, MODE_STOCHASTIC, MODE_TRAIN,
                         ModelConfig, VisionTransformer)
@@ -52,13 +53,13 @@ def test_softmax_rows_sum_to_one(np_rng):
 def test_layer_norm_constant_row_gives_shift():
     ln = LayerNorm(7)
     ln.b.value[...] = np.arange(7.0)
-    y = ln.forward(np.full((3, 7), 4.2))
+    y = ln.forward(*normalize(np.full((3, 7), 4.2)))
     assert np.allclose(y, np.arange(7.0), atol=1e-12)
 
 
 def test_layer_norm_standardizes(np_rng):
     ln = LayerNorm(16)
-    y = ln.forward(np_rng.normal(size=(10, 16)) * 3.0 + 5.0)
+    y = ln.forward(*normalize(np_rng.normal(size=(10, 16)) * 3.0 + 5.0))
     assert np.max(np.abs(y.mean(axis=-1))) < 1e-10
     assert np.max(np.abs(y.var(axis=-1) - 1.0)) < 1e-4
 
@@ -97,7 +98,7 @@ def test_layernorm_gelu_softmax_grads(seed):
     w = rng.normal(size=(b, d))
 
     def loss():
-        return float(np.sum(act.forward(ln.forward(x)) * w))
+        return float(np.sum(act.forward(ln.forward(*normalize(x))) * w))
 
     loss()
     dx = ln.backward(act.backward(w))
@@ -436,7 +437,7 @@ def test_every_layer_stays_float32_on_the_sampling_path(np_rng):
     e, sums = softmax(tokens.copy())
     outputs = {
         "affine": Affine(8, 4, RngStream(0)).forward(tokens),
-        "layernorm": LayerNorm(8).forward(tokens),
+        "layernorm": LayerNorm(8).forward(*normalize(tokens)),
         "gelu": Gelu().forward(tokens),
         "dropout": Dropout(0.3).forward(tokens, True, r),
         "softmax": e,
@@ -775,6 +776,65 @@ def test_inference_forward_equals_the_train_forward_bitwise(tiny_model, np_rng, 
     twin = VisionTransformer(off, RngStream(0, 1))
     assert np.array_equal(twin.forward(x, MODE_TRAIN), det)
     assert np.array_equal(x, x0)
+
+
+def _two_norm_forward(blk, x, active, rng, train):
+    """The reference block forward: each norm normalises x on its own."""
+    y = blk.attn.forward(blk.ln1.forward(*normalize(x), train), active, rng, train)
+    y += x
+    y += blk.mlp.forward(blk.ln2.forward(*normalize(x), train), active, rng, train)
+    return y
+
+
+def _two_norm_backward(blk, dy):
+    dx = dy.copy()
+    dx += blk.ln1.backward(blk.attn.backward(dy))
+    dx += blk.ln2.backward(blk.mlp.backward(dy))
+    return dx
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_block_with_shared_norm_statistics_equals_two_independent_norms(np_rng, dtype,
+                                                                        train):
+    blk, ref = (Block(8, 2, 2.0, 0.3, RngStream(7, 2)) for _ in range(2))
+    scale_shift = np_rng.normal(size=(4, 8))      # the two norms' g and b differ
+    for b in (blk, ref):
+        for p, v in zip((b.ln1.g, b.ln1.b, b.ln2.g, b.ln2.b), scale_shift):
+            p.value[...] = v
+            p.changed()
+    x = np_rng.normal(size=(2, 9, 8)).astype(dtype)
+    x0 = x.copy()
+    y = blk.forward(x, True, RngStream(5, 1), train)
+    y_ref = _two_norm_forward(ref, x, True, RngStream(5, 1), train)
+    assert y.dtype == dtype and y.tobytes() == y_ref.tobytes()
+    assert np.array_equal(x, x0)
+    if not train:
+        return
+    assert np.any(blk.attn.attn_drop._mask == 0) and np.any(blk.mlp.drop1._mask == 0)
+    store, ref_store = _store(blk), _store(ref)
+    store.zero_grad(), ref_store.zero_grad()
+    dy = np_rng.normal(size=y.shape).astype(dtype)
+    assert blk.backward(dy).tobytes() == _two_norm_backward(ref, dy).tobytes()
+    for name in store.names():
+        assert store[name].grad.tobytes() == ref_store[name].grad.tobytes(), name
+
+
+def test_a_block_normalises_its_input_once(monkeypatch, np_rng):
+    seen = []
+    normalize_once = nn.normalize
+
+    def record(x):
+        seen.append(x)
+        return normalize_once(x)
+
+    monkeypatch.setattr(nn, "normalize", record)
+    blk = Block(8, 2, 2.0, 0.1, RngStream(2))
+    x = _f32(np_rng, 2, 9, 8)
+    for train in (True, False):
+        seen.clear()
+        blk.forward(x, True, RngStream(1), train)
+        assert len(seen) == 1 and seen[0] is x, train
 
 
 def test_model_output_shape_matches_input_grid():

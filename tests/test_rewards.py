@@ -230,6 +230,12 @@ def test_building_triplets_holds_one_steps_candidates(mini_surrogate, mini_datas
     assert peaks[15] - peaks[3] < 12 * snapshot, peaks
 
 
+def test_building_triplets_embeds_each_step_once(mini_surrogate, mini_dataset, embed_sizes):
+    one = mini_dataset.split["train"][0]
+    build_prm_triplets(mini_surrogate, mini_dataset, 4, seed=3, indices=[one])
+    assert embed_sizes == [1] * (len(mini_dataset.trajectories[one]) - 1)
+
+
 def test_building_triplets_writes_each_row_once(mini_surrogate, mini_dataset):
     """Each kept row goes straight into the returned array, so the build
     never holds a second copy of its result: its peak exceeds what the
@@ -465,6 +471,31 @@ def test_prm_scoring_deterministic_and_stateless(mini_dataset):
     assert prm.score(a, [c])[0] == before
     assert prm.score(a, [c, b]).tolist() == [before, s1[0]]
     assert prm.score(a, []).shape == (0,)
+
+
+def test_prm_score_normalises_the_current_state_once(mini_dataset, monkeypatch):
+    """One call builds one pair input and rewrites its candidate half per
+    candidate; each score is the one a fresh pair input gives."""
+    cfg = ModelConfig(height=16, width=16, patch_size=3, in_channels=5,
+                      out_channels=4, embed_dim=16, depth=1, n_heads=2,
+                      mlp_ratio=2.0, dropout_p=0.1)
+    prm = ProcessRewardModel(rewards_backbone(cfg), mini_dataset.normalization,
+                             init_seed=3)
+    a, b, c = mini_dataset.trajectories[0].snapshots[:3]
+    fresh = [prm.model.forward(prm.inputs((a.fields()[None], a.t), (s.fields()[None], s.t)),
+                               MODE_DETERMINISTIC)[0] for s in (b, c, b)]
+    applied = []
+    apply = Normalization.apply
+
+    def record(self, fields):
+        applied.append(fields)
+        return apply(self, fields)
+
+    monkeypatch.setattr(Normalization, "apply", record)
+    scores = prm.score(a, [b, c, b])
+    assert scores.tobytes() == np.array(fresh, dtype=np.float64).tobytes()
+    assert len(applied) == 4
+    assert sum(np.shares_memory(f, a.data) for f in applied) == 1
 
 
 def rewards_backbone(cfg):

@@ -90,6 +90,14 @@ def test_candidates_are_pure_functions_of_stream_id(rp_surrogate, rp_dataset):
         assert np.array_equal(direct.fields(), cands[i].fields())
 
 
+def test_sampling_candidates_embeds_the_state_once(rp_surrogate, rp_dataset, embed_sizes):
+    u = rp_dataset.trajectories[2].snapshots[0]
+    for b in (1, 5):
+        embed_sizes.clear()
+        assert len(rp_surrogate.sample_candidates(u, b, rollout_seed=3, t_index=2)) == b
+        assert embed_sizes == [1], b
+
+
 def test_predicting_leaves_no_garbage_behind(rp_surrogate, rp_dataset):
     """500 warmed stochastic predictions, with no gc.collect() between
     them, grow the traced memory by less than 32 KB; a wrap pad by np.pad
